@@ -1,6 +1,8 @@
 """Numerical estimation of the (p, q)-norm of the Fourier operator on a
-finite group: a structured candidate search (characters, deltas, subgroup
-indicators, chirps, constants) plus multi-start gradient ascent on the
+finite group: a structured candidate search (the constant, the delta at the
+identity and, on (Z/r)^2n with r prime, the chirp; every other character,
+delta and subgroup indicator has a ratio no larger, see
+``structured_search``) plus multi-start gradient ascent on the
 scale-invariant ratio ||fhat||_q / ||f||_p.
 
 Every estimate is achieved by its stored witness, so estimates are always
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import GroupSpec, all_subgroups
+from .groups import GroupSpec
 from .norms import lp_norm, recip
 from .transform import (
     MeasuredFunction,
@@ -23,6 +25,7 @@ from .transform import (
     delta,
     forward,
 )
+from .witnesses import _chirp_values, _is_prime
 
 
 @dataclass(frozen=True)
@@ -59,52 +62,25 @@ def ratio(f: MeasuredFunction, p: float, q: float) -> float:
     return lp_norm(forward(f), q) / nf
 
 
-def _chirp_values(spec: GroupSpec) -> np.ndarray | None:
-    orders = spec.orders
-    k = len(orders)
-    if k < 2 or k % 2 != 0:
-        return None
-    r = orders[0]
-    if any(m != r for m in orders):
-        return None
-    f = 2
-    while f * f <= r:
-        if r % f == 0:
-            return None
-        f += 1
-    if r < 2:
-        return None
-    n = k // 2
-    half = r**n
-    idx = np.arange(half)
-    digits = np.empty((half, n), dtype=np.int64)
-    rem = idx.copy()
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = rem % r
-        rem //= r
-    dots = (digits @ digits.T) % r
-    return np.exp(2j * np.pi * dots / r).ravel()
-
-
 def _structured_candidates(spec: GroupSpec):
-    for chi in spec.elements():
-        yield character_function(spec, chi)
-    for x in spec.elements():
-        yield delta(spec, at=x)
-    if spec.size <= 256:
-        for sub in all_subgroups(spec, max_generators=2):
-            vals = np.zeros(spec.size, dtype=np.complex128)
-            for member in sub.members:
-                vals[spec.index_of(member)] = 1.0
-            yield MeasuredFunction(spec, TIME, vals)
-    chirp = _chirp_values(spec)
-    if chirp is not None:
-        yield MeasuredFunction(spec, TIME, chirp)
+    spec._check_capacity()
     yield MeasuredFunction(spec, TIME, np.ones(spec.size, dtype=np.complex128))
+    yield delta(spec)
+    r, k = spec.orders[0], len(spec.orders)
+    if k % 2 == 0 and spec.orders == (r,) * k and _is_prime(r):
+        yield MeasuredFunction(spec, TIME, _chirp_values(r, k // 2))
 
 
 def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:
-    """Best ratio over the structured candidate library."""
+    """Best ratio over the constant, the delta at the identity and, on
+    (Z/r)^2n with r prime, the chirp omega^(a.b).
+
+    No other character, delta or subgroup indicator does better.  A character
+    has the constant's ratio (modulation shifts fhat) and a delta has the
+    identity delta's (translation multiplies fhat by a character).  The
+    indicator of a subgroup H has ratio c * |H|^(1 - 1/p - 1/q), monotone in
+    |H|, so H = {0} or H = G wins.  Ties go to the earlier candidate.
+    """
     best_val = -math.inf
     best = None
     for cand in _structured_candidates(spec):
@@ -193,7 +169,7 @@ def ascent_estimate(
     Starting points are characters, then deltas, then complex Gaussian noise,
     up to ``config.restarts`` starts; the returned value is recomputed
     unsmoothed at the best witness.  For p or q infinite there is no smooth
-    objective; the structured library is scanned instead (reported with
+    objective; the structured search is returned instead (reported with
     iterations = 0).
     """
     config = config or EstimatorConfig()
@@ -239,8 +215,13 @@ def ascent_estimate(
 def estimate_norm(
     spec: GroupSpec, p: float, q: float, config: EstimatorConfig | None = None
 ) -> NormEstimate:
-    """Best of the structured search and the ascent estimate."""
+    """Best of the structured search and the ascent estimate.
+
+    For p or q infinite the structured search is the whole estimate
+    (iterations = 0, converged)."""
     structured = structured_search(spec, p, q)
+    if recip(p) == 0.0 or recip(q) == 0.0:
+        return structured
     ascended = ascent_estimate(spec, p, q, config)
     if ascended.value > structured.value:
         return ascended

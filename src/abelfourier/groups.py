@@ -37,6 +37,11 @@ def _lcm_all(values):
     return reduce(math.lcm, values, 1)
 
 
+def describe_group(orders, view: str, mass: float) -> str:
+    """The spec string of a group, which need not fit the machine integer range."""
+    return f"cyclic:{'x'.join(str(m) for m in orders)};view={view};mass={mass:g}"
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group ``Z/m_1 x ... x Z/m_k`` with a measure view."""
@@ -167,8 +172,7 @@ class GroupSpec:
     # -- spec strings --------------------------------------------------------
 
     def describe(self) -> str:
-        orders = "x".join(str(m) for m in self.orders)
-        return f"cyclic:{orders};view={self.view};mass={self.mass:g}"
+        return describe_group(self.orders, self.view, self.mass)
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -246,8 +250,8 @@ class Subgroup:
 def all_subgroups(spec: GroupSpec, max_generators: int = 2) -> list[Subgroup]:
     """Subgroups generated by up to ``max_generators`` elements, deduplicated.
 
-    Exhaustive for cyclic groups with max_generators=1; for products this is a
-    candidate library, not a complete lattice enumeration.
+    Exhaustive for cyclic groups with max_generators=1; for products it is a
+    sample of the subgroup lattice, not a complete enumeration.
     """
     spec._check_capacity()
     elems = spec.elements()

@@ -103,7 +103,7 @@ def dft_matrix(spec: GroupSpec) -> np.ndarray:
     mat = np.ones((1, 1), dtype=np.complex128)
     for m in spec.orders:
         k = np.arange(m)
-        block = np.exp(-2j * np.pi * np.outer(k, k % m) / m)
+        block = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m)
         mat = np.kron(mat, block)
     return mat
 

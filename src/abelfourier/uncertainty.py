@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec
+from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, describe_group
 from .norms import closed_form_cpq, recip
 from .transform import MeasuredFunction, TIME, forward
 
@@ -102,8 +102,8 @@ def weighted_entropy_sum(psi: MeasuredFunction, p: float, q: float) -> float:
     u, v = recip(p), recip(q)
     dens_time = Density.from_wavefunction(psi)
     dens_freq = Density.from_wavefunction(forward(psi))
-    h_time = renyi_entropy(dens_time, p / 2.0 if p != math.inf else math.inf)
-    h_freq = renyi_entropy(dens_freq, q / 2.0 if q != math.inf else math.inf)
+    h_time = renyi_entropy(dens_time, p / 2.0)
+    h_freq = renyi_entropy(dens_freq, q / 2.0)
     return (u - 0.5) * h_time + (0.5 - v) * h_freq
 
 
@@ -161,9 +161,9 @@ def weighted_up_violator(
     Compact side: the scaled point mass sqrt(N) delta_0 on (Z/2)^n, whose
     weighted sum is exactly (1 - 1/p - 1/q) n log 2.  Discrete side: the
     normalized all-ones function on Z/2^n, weighted sum (1/p + 1/q - 1) n
-    log 2.  The parameter is advanced until the closed-form value passes the
-    target; the witness is materialized when the group fits under the
-    exhaustive cap and described symbolically otherwise.
+    log 2.  The parameter is the least n at which the closed-form value
+    passes the target; the witness is materialized when the group fits under
+    the exhaustive cap and described symbolically otherwise.
     """
     u, v = recip(p), recip(q)
     if not in_violation_region(side, u, v):
@@ -172,32 +172,36 @@ def weighted_up_violator(
         )
     slope = (1.0 - u - v) * math.log(2.0) if side == COMPACT else (u + v - 1.0) * math.log(2.0)
     # slope < 0 in both violation regions, except on the boundary u+v=1 which
-    # both region definitions exclude.
+    # both region definitions exclude.  n is the least n >= 1 with
+    # slope * n <= target, capped at max_param.
     n = 1
-    while slope * n > target and n < max_param:
-        n += 1
+    if slope > target:
+        bound = target / slope if slope < 0.0 else math.inf
+        n = max_param if bound >= max_param else math.ceil(bound)
+        while n > 1 and slope * (n - 1) <= target:
+            n -= 1
+        while n < max_param and slope * n > target:
+            n += 1
     value = slope * n
     achieved = value <= target
+    size = 2**n
     if side == COMPACT:
-        family = "subgroup_indicator"
-        spec = GroupSpec(orders=(2,) * n, view=COMPACT, mass=1.0)
-        psi = None
-        if spec.size <= EXHAUSTIVE_CAP:
-            vals = np.zeros(spec.size, dtype=np.complex128)
-            vals[0] = math.sqrt(spec.size)
-            psi = MeasuredFunction(spec, TIME, vals)
+        family, orders = "subgroup_indicator", (2,) * n
     else:
-        family = "full_orbit"
-        spec = GroupSpec(orders=(2**n,), view=DISCRETE, mass=1.0)
-        psi = None
-        if spec.size <= EXHAUSTIVE_CAP:
-            vals = np.full(spec.size, 1.0 / math.sqrt(spec.size), dtype=np.complex128)
-            psi = MeasuredFunction(spec, TIME, vals)
+        family, orders = "full_orbit", (size,)
+    psi = None
+    if size <= EXHAUSTIVE_CAP:
+        if side == COMPACT:
+            vals = np.zeros(size, dtype=np.complex128)
+            vals[0] = math.sqrt(size)
+        else:
+            vals = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
+        psi = MeasuredFunction(GroupSpec(orders=orders, view=side, mass=1.0), TIME, vals)
     return ViolatorResult(
         side=side,
         family=family,
         param_n=n,
-        group_descr=spec.describe(),
+        group_descr=describe_group(orders, side, 1.0),
         value=value,
         target=target,
         achieved=achieved,
@@ -213,9 +217,7 @@ def unweighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
         raise ValueError("the unweighted inequality needs 1/p + 1/q >= 1")
     dens_time = Density.from_wavefunction(psi)
     dens_freq = Density.from_wavefunction(forward(psi))
-    lhs = renyi_entropy(dens_time, p / 2.0 if p != math.inf else math.inf) + renyi_entropy(
-        dens_freq, q / 2.0 if q != math.inf else math.inf
-    )
+    lhs = renyi_entropy(dens_time, p / 2.0) + renyi_entropy(dens_freq, q / 2.0)
     margin = lhs - 0.0
     return UPReport(lhs=lhs, rhs=0.0, margin=margin, satisfied=margin >= -1e-9)
 

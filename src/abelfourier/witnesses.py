@@ -98,6 +98,19 @@ def _is_prime(r: int) -> bool:
     return True
 
 
+def _chirp_values(r: int, n: int) -> np.ndarray:
+    """Values of omega^(a.b), omega = e^(2 pi i/r), over (a, b) in (Z/r)^n x (Z/r)^n,
+    in the canonical order of (Z/r)^2n."""
+    half = r**n
+    digits = np.empty((half, n), dtype=np.int64)
+    rem = np.arange(half)
+    for j in range(n - 1, -1, -1):
+        digits[:, j] = rem % r
+        rem //= r
+    dots = (digits @ digits.T) % r
+    return np.exp(2j * np.pi * dots / r).ravel()
+
+
 def _measured_point(family, param_n, spec, f, p, q, prediction, kind) -> WitnessPoint:
     norm_f = lp_norm(f, p)
     norm_fhat = lp_norm(forward(f), q)
@@ -176,16 +189,7 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     if r ** (2 * n) > EXHAUSTIVE_CAP:
         raise CapacityError(f"r^2n = {r ** (2 * n)} exceeds cap {EXHAUSTIVE_CAP}")
     spec = GroupSpec(orders=(r,) * (2 * n), view=COMPACT, mass=1.0)
-    half = r**n
-    idx = np.arange(half)
-    digits = np.empty((half, n), dtype=np.int64)
-    rem = idx.copy()
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = rem % r
-        rem //= r
-    dots = (digits @ digits.T) % r
-    vals = np.exp(2j * np.pi * dots / r).ravel()
-    f = MeasuredFunction(spec, TIME, vals)
+    f = MeasuredFunction(spec, TIME, _chirp_values(r, n))
     v = recip(q)
     prediction = float(r) ** (n * (2.0 * v - 1.0))
     return _measured_point("chirp", n, spec, f, p, q, prediction, "exact")

@@ -184,6 +184,28 @@ def test_uncertainty_violate(tmp_path, capsys):
     assert psi.spec.size == 2 ** payload["param_n"]
 
 
+@pytest.mark.parametrize(
+    "side, p, q, param_n, group",
+    [
+        ("compact", "1.111", "2.5", 241, "cyclic:" + "x".join(["2"] * 241) + ";view=compact;mass=1"),
+        ("discrete", str(1 / 0.6), "5", 361, f"cyclic:{2**361};view=discrete;mass=1"),
+    ],
+    ids=["compact", "discrete"],
+)
+def test_uncertainty_violate_past_machine_range(tmp_path, capsys, side, p, q, param_n, group):
+    out_path = tmp_path / "witness.csv"
+    payload = run_json(
+        capsys, "uncertainty", "--mode", "violate", "--target", "-50",
+        "--p", p, "--q", q, "--side", side, "--output", str(out_path),
+    )
+    assert payload["param_n"] == param_n
+    assert payload["group"] == group
+    assert payload["achieved"] is True
+    assert payload["materialized"] is False
+    assert payload["witness"] is None
+    assert not out_path.exists()
+
+
 def test_uncertainty_support(tmp_path, capsys):
     spec = GroupSpec.parse("cyclic:8;view=compact;mass=1")
     rng = np.random.default_rng(5)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelfourier import estimator
 from abelfourier.estimator import (
     EstimatorConfig,
     ascent_estimate,
@@ -12,8 +15,9 @@ from abelfourier.estimator import (
     ratio,
     structured_search,
 )
-from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
+from abelfourier.groups import COMPACT, DISCRETE, GroupSpec, all_subgroups
 from abelfourier.norms import INF, closed_form_cpq
+from abelfourier.transform import MeasuredFunction, TIME, character_function, delta
 
 # points inside the compact finite region: u + v <= 1, v <= 1/2
 GRID = [
@@ -55,6 +59,83 @@ def test_structured_search_parseval_point():
         spec = GroupSpec(orders=(6,), view=view, mass=mass)
         est = structured_search(spec, 2.0, 2.0)
         assert est.value == pytest.approx(1.0, rel=1e-12)
+
+
+def _full_library_value(spec, p, q):
+    """Best ratio over every character, every delta, every subgroup generated
+    by at most two elements, the chirp (on (Z/r)^2n, r prime) and the constant."""
+    elems = spec.elements()
+    cands = [character_function(spec, chi).values for chi in elems]
+    cands += [delta(spec, at=x).values for x in elems]
+    for sub in all_subgroups(spec, max_generators=2):
+        vals = np.zeros(spec.size, dtype=np.complex128)
+        vals[[spec.index_of(x) for x in sub.members]] = 1.0
+        cands.append(vals)
+    r, k = spec.orders[0], len(spec.orders)
+    if k % 2 == 0 and spec.orders == (r,) * k and all(r % f for f in range(2, r)):
+        n = k // 2
+        cands.append(np.array(
+            [np.exp(2j * np.pi * sum(a * b for a, b in zip(x[:n], x[n:])) / r) for x in elems]
+        ))
+    cands.append(np.ones(spec.size, dtype=np.complex128))
+    return max(ratio(MeasuredFunction(spec, TIME, vals), p, q) for vals in cands)
+
+
+@st.composite
+def _small_orders(draw, cap=36):
+    orders = [draw(st.integers(2, cap // 2))]
+    while 2 * math.prod(orders) <= cap and draw(st.booleans()):
+        orders.append(draw(st.integers(2, cap // math.prod(orders))))
+    return tuple(orders)
+
+
+_EXPONENT = st.one_of(st.just(INF), st.floats(0.5, 0.99), st.floats(1.0, 8.0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    orders=st.one_of(st.sampled_from([(2, 2), (3, 3), (5, 5), (2, 2, 2, 2)]), _small_orders()),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+    p=_EXPONENT,
+    q=_EXPONENT,
+)
+def test_structured_search_matches_full_library(orders, view, mass, p, q):
+    spec = GroupSpec(orders=orders, view=view, mass=mass)
+    full = _full_library_value(spec, p, q)
+    assert structured_search(spec, p, q).value == pytest.approx(full, rel=1e-12)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(estimator, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, name, counted)
+    return calls
+
+
+def test_structured_search_evaluates_at_most_three_candidates(monkeypatch):
+    calls = _count_calls(monkeypatch, "ratio")
+    for orders, count in [((12,), 2), ((2, 3), 2), ((3, 3), 3), ((2, 2, 2, 2), 3)]:
+        calls.clear()
+        structured_search(GroupSpec(orders=orders), 1.5, 3.0)
+        assert len(calls) == count
+
+
+def test_estimate_norm_runs_structured_search_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "structured_search")
+    spec = GroupSpec(orders=(4,), view=DISCRETE, mass=1.0)
+    config = EstimatorConfig(restarts=2, max_iters=50)
+    for p, q in [(INF, 2.0), (1.5, INF), (INF, INF), (1.5, 3.0)]:
+        calls.clear()
+        est = estimate_norm(spec, p, q, config)
+        assert len(calls) == 1
+        if INF in (p, q):
+            assert est.iterations == 0 and est.converged
 
 
 def test_gradient_matches_finite_differences():

@@ -143,6 +143,14 @@ def test_dft_matrix_unitary_scaled():
     assert np.allclose(gram, spec.size * np.eye(spec.size), atol=1e-10)
 
 
+def test_dft_matrix_reduced_angles():
+    m = 2048
+    k = np.arange(m)
+    roots = np.exp(-2j * np.pi * k / m)
+    exact = roots[np.outer(k, k) % m]
+    assert np.max(np.abs(dft_matrix(GroupSpec(orders=(m,))) - exact)) <= 1e-14
+
+
 def test_atoms_by_side():
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
     f = delta(spec)

@@ -178,6 +178,28 @@ def test_violator_value_linear_in_parameter():
         assert value == pytest.approx(slope * n, abs=1e-12)
 
 
+def test_violator_param_matches_stepping_loop():
+    def stepped(slope, target, max_param):
+        n = 1
+        while slope * n > target and n < max_param:
+            n += 1
+        return n
+
+    for side, p, q in [(COMPACT, 1.111, 2.5), (COMPACT, 1.4, 3.0), (DISCRETE, 1.6, 5.0),
+                       (DISCRETE, 1.8, 3.5)]:
+        u, v = 1.0 / p, 1.0 / q
+        slope = (1.0 - u - v if side == COMPACT else u + v - 1.0) * math.log(2.0)
+        targets = [slope * k for k in range(1, 80)]  # exactly on a step
+        targets += [slope * (k + frac) for k in range(60) for frac in (1e-13, 0.3, 0.999)]
+        targets += [1.0, 0.0, -1e-300]
+        for target in targets:
+            for max_param in (10**6, 40):
+                r = weighted_up_violator(target, p, q, side, max_param=max_param)
+                assert r.param_n == stepped(slope, target, max_param), (side, target)
+                assert r.value == slope * r.param_n
+                assert r.achieved is (r.value <= target)
+
+
 def test_violator_guards():
     with pytest.raises(ValueError):
         weighted_up_violator(-1.0, 1.5, 3.0, COMPACT)  # validity region, not violation
