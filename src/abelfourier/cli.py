@@ -16,6 +16,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -126,7 +127,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_transform(args) -> int:
     f = _read_function(args.input)
-    g = inverse(f, method=args.method) if args.inverse else forward(f, method=args.method)
+    g = inverse(f) if args.inverse else forward(f)
     out, close = _open_out(args.output)
     try:
         out.write(write_csv(g))
@@ -178,68 +179,8 @@ def _cmd_cpq(args) -> int:
     return EXIT_OK
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise SystemExit2(f"family {args.family!r} needs --" + ", --".join(missing))
-
-
 class SystemExit2(Exception):
     """Usage error raised after argparse has finished."""
-
-
-def _witness_point(family: str, args):
-    p = args.p if args.p is not None else 1.0
-    q = args.q if args.q is not None else 1.0
-    if family == "arc_indicator":
-        _require(args, ["k", "m"])
-        return wit.arc_indicator_witness(args.k, args.m, p, q)
-    if family == "subgroup_indicator":
-        _require(args, ["r", "n"])
-        return wit.subgroup_indicator_witness(args.r, args.n, p, q)
-    if family == "full_orbit":
-        _require(args, ["m"])
-        return wit.full_orbit_witness(args.m, p, q)
-    if family == "chirp":
-        _require(args, ["r", "n"])
-        return wit.chirp_witness(args.r, args.n, q, p=p)
-    if family == "lacunary_compact":
-        _require(args, ["m"])
-        return wit.lacunary_compact_witness(args.m, p, q, beta=args.beta, c=args.c)
-    if family == "lacunary_discrete":
-        _require(args, ["n"])
-        return wit.lacunary_discrete_witness(args.n, p, q, grid_points=args.grid)
-    if family == "clt_delta":
-        _require(args, ["r", "n"])
-        return wit.clt_delta_witness(args.r, args.n, p, q)
-    raise SystemExit2(f"unknown family {family!r}")
-
-
-def _cmd_witness(args) -> int:
-    result = _witness_point(args.family, args)
-    if isinstance(result, wit.CltWitness):
-        payload = asdict(result.point)
-        payload.update(
-            tail_probability=result.tail_probability,
-            threshold=result.threshold,
-            sigma_sq=result.sigma_sq,
-        )
-    elif isinstance(result, wit.LacunaryDiscreteWitness):
-        payload = {
-            "family": "lacunary_discrete",
-            "param_n": result.param_n,
-            "p": result.p,
-            "q": result.q,
-            "norm_f": result.norm_f,
-            "norm_fhat": result.norm_fhat,
-            "ratio": result.ratio,
-            "norm_fhat_l2": result.norm_fhat_l2,
-            "parseval_l2": result.parseval_l2,
-        }
-    else:
-        payload = asdict(result)
-    _emit_json(payload)
-    return EXIT_OK
 
 
 WITNESS_SWEEP_HEADER = [
@@ -256,38 +197,106 @@ WITNESS_SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(point) -> list:
-    if isinstance(point, wit.CltWitness):
-        point = point.point
-    if isinstance(point, wit.LacunaryDiscreteWitness):
-        return [
-            "lacunary_discrete",
-            point.param_n,
-            2**point.param_n,
-            _fmt(point.p),
-            _fmt(point.q),
-            repr(point.norm_f),
-            repr(point.norm_fhat),
-            repr(point.ratio),
-            "",
-            "",
-        ]
+def _fmt(x: float) -> str:
+    return "inf" if x == INF else repr(float(x))
+
+
+def _sweep_row(w, family: str, group_size: int, prediction=None, kind=None) -> list:
+    """One ``sweep`` CSV row; ``w`` carries param_n, p, q, the norms and the ratio."""
     return [
-        point.family,
-        point.param_n,
-        point.group_size,
-        _fmt(point.p),
-        _fmt(point.q),
-        repr(point.norm_f),
-        repr(point.norm_fhat),
-        repr(point.ratio),
-        "" if point.prediction is None else repr(point.prediction),
-        point.prediction_kind or "",
+        family,
+        w.param_n,
+        group_size,
+        _fmt(w.p),
+        _fmt(w.q),
+        repr(w.norm_f),
+        repr(w.norm_fhat),
+        repr(w.ratio),
+        "" if prediction is None else repr(prediction),
+        kind or "",
     ]
 
 
-def _fmt(x: float) -> str:
-    return "inf" if x == INF else repr(float(x))
+def _point_row(point: wit.WitnessPoint) -> list:
+    return _sweep_row(
+        point, point.family, point.group_size, point.prediction, point.prediction_kind
+    )
+
+
+def _lacunary_discrete_payload(w: wit.LacunaryDiscreteWitness) -> dict:
+    keys = ("param_n", "p", "q", "norm_f", "norm_fhat", "ratio", "norm_fhat_l2", "parseval_l2")
+    return {"family": "lacunary_discrete", **{k: getattr(w, k) for k in keys}}
+
+
+def _clt_payload(w: wit.CltWitness) -> dict:
+    payload = asdict(w.point)
+    payload.update(tail_probability=w.tail_probability, threshold=w.threshold, sigma_sq=w.sigma_sq)
+    return payload
+
+
+class Family(NamedTuple):
+    """How the CLI builds, sweeps and prints one witness family."""
+
+    build: Callable  # (args, p, q) -> witness
+    required: tuple[str, ...]  # flags that must be given
+    sweep: Callable  # (sweep value, args) -> {flag: value} for that point
+    payload: Callable = asdict  # witness -> JSON payload of ``witness``
+    row: Callable = _point_row  # witness -> CSV row of ``sweep``
+
+
+def _sets(flag: str) -> Callable:
+    return lambda value, args: {flag: value}
+
+
+# Constructors are looked up on ``wit`` at call time, so a wrapper installed
+# on the witnesses module (a tracer, say) sees the CLI's calls.
+FAMILIES = {
+    "arc_indicator": Family(
+        lambda a, p, q: wit.arc_indicator_witness(a.k, a.m, p, q),
+        ("k", "m"),
+        lambda value, args: {"k": value, "m": value * args.m_factor},
+    ),
+    "subgroup_indicator": Family(
+        lambda a, p, q: wit.subgroup_indicator_witness(a.r, a.n, p, q), ("r", "n"), _sets("n")
+    ),
+    "full_orbit": Family(lambda a, p, q: wit.full_orbit_witness(a.m, p, q), ("m",), _sets("m")),
+    "chirp": Family(lambda a, p, q: wit.chirp_witness(a.r, a.n, q, p=p), ("r", "n"), _sets("n")),
+    "lacunary_compact": Family(
+        lambda a, p, q: wit.lacunary_compact_witness(a.m, p, q, beta=a.beta, c=a.c),
+        ("m",),
+        _sets("m"),
+    ),
+    "lacunary_discrete": Family(
+        lambda a, p, q: wit.lacunary_discrete_witness(a.n, p, q, grid_points=a.grid),
+        ("n",),
+        _sets("n"),
+        _lacunary_discrete_payload,
+        lambda w: _sweep_row(w, "lacunary_discrete", 2**w.param_n),
+    ),
+    "clt_delta": Family(
+        lambda a, p, q: wit.clt_delta_witness(a.r, a.n, p, q),
+        ("r", "n"),
+        _sets("n"),
+        _clt_payload,
+        lambda w: _point_row(w.point),
+    ),
+}
+
+
+def _witness(args):
+    """The witness of family ``args.family`` at the flags in ``args``."""
+    family = FAMILIES[args.family]
+    missing = [n for n in family.required if getattr(args, n) is None]
+    if missing:
+        raise SystemExit2(f"family {args.family!r} needs --" + ", --".join(missing))
+    p = args.p if args.p is not None else 1.0
+    q = args.q if args.q is not None else 1.0
+    return family.build(args, p, q)
+
+
+def _cmd_witness(args) -> int:
+    _emit_json(FAMILIES[args.family].payload(_witness(args)))
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -316,21 +325,14 @@ def _cmd_sweep(args) -> int:
                     writer.writerow(row)
         else:
             writer.writerow(WITNESS_SWEEP_HEADER)
-            params = args.params
+            family = FAMILIES[args.family]
 
             def witness_one(value):
-                sub = argparse.Namespace(**vars(args))
-                if args.family == "arc_indicator":
-                    sub.k = value
-                    sub.m = value * args.m_factor
-                elif args.family in ("full_orbit", "lacunary_compact"):
-                    sub.m = value
-                else:
-                    sub.n = value
-                return _sweep_row(_witness_point(args.family, sub))
+                sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
+                return family.row(_witness(sub))
 
             with ThreadPoolExecutor(max_workers=args.workers) as ex:
-                for row in ex.map(witness_one, params):
+                for row in ex.map(witness_one, args.params):
                     writer.writerow(row)
     finally:
         if close:
@@ -364,9 +366,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_uncertainty(args) -> int:
     if args.mode == "check":
-        psi = _read_function(args.input)
         if args.p is None or args.q is None:
             raise SystemExit2("mode check needs --p and --q")
+        psi = _read_function(args.input)
         if args.unweighted:
             report = unweighted_up_margin(psi, args.p, args.q)
         else:
@@ -490,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", default="-")
     sp.add_argument("--output", default="-")
     sp.add_argument("--inverse", action="store_true")
-    sp.add_argument("--method", choices=["auto", "direct", "fft"], default="auto")
 
     sp = sub.add_parser("norm", help="L^p norm of a CSV function")
     sp.add_argument("--input", default="-")
@@ -518,24 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c", type=float, default=1.0)
         sp.add_argument("--grid", type=int)
 
-    families = [
-        "arc_indicator",
-        "subgroup_indicator",
-        "full_orbit",
-        "chirp",
-        "lacunary_compact",
-        "lacunary_discrete",
-        "clt_delta",
-    ]
     sp = sub.add_parser("witness", help="evaluate one witness family member")
-    sp.add_argument("--family", choices=families, required=True)
+    sp.add_argument("--family", choices=list(FAMILIES), required=True)
     add_witness_flags(sp)
 
     sp = sub.add_parser("sweep", help="CSV sweep over witness parameters or region grid")
     sp.add_argument("--kind", choices=["witness", "region"], default="witness")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--output", default="-")
-    sp.add_argument("--family", choices=families)
+    sp.add_argument("--family", choices=list(FAMILIES))
     sp.add_argument("--params", type=_int_list, help="comma-separated family parameters")
     sp.add_argument("--m-factor", type=int, default=200, help="m = factor*k for arc sweeps")
     add_witness_flags(sp)

@@ -21,6 +21,8 @@ from .norms import lp_norm, recip
 from .transform import (
     MeasuredFunction,
     TIME,
+    _fftn_flat,
+    _ifftn_flat,
     character_function,
     delta,
     forward,
@@ -28,22 +30,25 @@ from .transform import (
 from .witnesses import _chirp_values, _is_prime
 
 
+#: Factor by which the ascent's line search shrinks (and regrows) its step.
+STEP_SHRINK = 0.5
+#: An accepted step that improves the log-ratio by at most this fraction of
+#: max(1, |log-ratio|) ends the restart as converged.
+REL_TOL = 1e-10
+#: Smoothing of |z| as sqrt(|z|^2 + eps^2), which makes the objective
+#: differentiable at zeros.
+SMOOTHING_EPS = 1e-12
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     restarts: int = 32
     max_iters: int = 5000
-    step_shrink: float = 0.5
-    rel_tol: float = 1e-10
-    smoothing_eps: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.rel_tol <= 0 or self.smoothing_eps <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -93,14 +98,6 @@ def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:
 
 # -- smoothed ascent ---------------------------------------------------------
 
-def _forward_values(vals: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    return spec.primal_atom * np.fft.fftn(vals.reshape(spec.orders)).ravel()
-
-
-def _adjoint_values(vals: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    return spec.primal_atom * spec.size * np.fft.ifftn(vals.reshape(spec.orders)).ravel()
-
-
 def log_ratio_and_grad(vals, spec: GroupSpec, p: float, q: float, eps: float):
     """log of the eps-smoothed ratio and its Wirtinger gradient d/d(conj f).
 
@@ -108,23 +105,22 @@ def log_ratio_and_grad(vals, spec: GroupSpec, p: float, q: float, eps: float):
     (2 Re g, 2 Im g) for the returned g.  Requires finite p and q.
     """
     vals = np.asarray(vals, dtype=np.complex128)
-    fhat = _forward_values(vals, spec)
     wp, wq = spec.primal_atom, spec.dual_atom
+    fhat = wp * _fftn_flat(vals, spec.orders)
     mp = np.abs(vals) ** 2 + eps * eps
     mq = np.abs(fhat) ** 2 + eps * eps
     sp = wp * float(np.sum(mp ** (p / 2.0)))
     sq = wq * float(np.sum(mq ** (q / 2.0)))
     value = math.log(sq) / q - math.log(sp) / p
     dual_weight = wq * mq ** (q / 2.0 - 1.0) * fhat / (2.0 * sq)
-    grad = _adjoint_values(dual_weight, spec) - wp * mp ** (p / 2.0 - 1.0) * vals / (
-        2.0 * sp
-    )
+    adjoint = wp * spec.size * _ifftn_flat(dual_weight, spec.orders)  # forward's adjoint
+    grad = adjoint - wp * mp ** (p / 2.0 - 1.0) * vals / (2.0 * sp)
     return value, grad
 
 
 def _ascend_from(start, spec, p, q, config):
     vals = start / np.linalg.norm(start)
-    obj, grad = log_ratio_and_grad(vals, spec, p, q, config.smoothing_eps)
+    obj, grad = log_ratio_and_grad(vals, spec, p, q, SMOOTHING_EPS)
     step = 1.0
     iters = 0
     converged = False
@@ -140,19 +136,19 @@ def _ascend_from(start, spec, p, q, config):
             trial = vals + step * direction
             tnorm = np.linalg.norm(trial)
             if tnorm == 0.0:
-                step *= config.step_shrink
+                step *= STEP_SHRINK
                 continue
             trial /= tnorm
-            tobj, tgrad = log_ratio_and_grad(trial, spec, p, q, config.smoothing_eps)
+            tobj, tgrad = log_ratio_and_grad(trial, spec, p, q, SMOOTHING_EPS)
             if tobj > obj:
                 improvement = tobj - obj
                 vals, obj, grad = trial, tobj, tgrad
-                step = min(step / config.step_shrink, 1.0)  # let the step grow back
+                step = min(step / STEP_SHRINK, 1.0)  # let the step grow back
                 improved = True
-                if improvement <= config.rel_tol * max(1.0, abs(obj)):
+                if improvement <= REL_TOL * max(1.0, abs(obj)):
                     converged = True
                 break
-            step *= config.step_shrink
+            step *= STEP_SHRINK
         if not improved:
             converged = True  # no ascent direction at the smallest step
             break

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property, reduce
 from itertools import product
 
@@ -38,8 +39,11 @@ def _lcm_all(values):
 
 
 def describe_group(orders, view: str, mass: float) -> str:
-    """The spec string of a group, which need not fit the machine integer range."""
-    return f"cyclic:{'x'.join(str(m) for m in orders)};view={view};mass={mass:g}"
+    """The spec string of a group, which need not fit the machine integer range.
+
+    Orders are written through ``Decimal``: ``str`` of an int past the
+    interpreter's digit limit (4300 digits by default) raises ValueError."""
+    return f"cyclic:{'x'.join(str(Decimal(m)) for m in orders)};view={view};mass={mass:g}"
 
 
 @dataclass(frozen=True)

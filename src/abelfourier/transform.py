@@ -5,10 +5,11 @@
 two atoms are matched by construction (see ``GroupSpec``), inversion and
 Parseval hold with no extra normalization.
 
-Two evaluation paths are provided: a direct summation built from per-factor
-DFT matrices with exactly reduced phase angles (the reference), and a
-mixed-radix path using ``numpy.fft.fftn`` over the factor grid.  They agree
-to 1e-12 and the fast path is the default for anything non-tiny.
+Every transform runs through ``numpy.fft`` over the factor grid; this is the
+one module that calls it.  ``dft_matrix`` builds the dense matrix of the
+same transform from per-factor DFT matrices with exactly reduced phase
+angles.  It is the reference oracle the tests compare the FFT path against,
+and no production path uses it.
 """
 
 from __future__ import annotations
@@ -97,7 +98,11 @@ def _ifftn_flat(values: np.ndarray, orders) -> np.ndarray:
 
 
 def dft_matrix(spec: GroupSpec) -> np.ndarray:
-    """Dense matrix of chi(-x) over (chi, x), from exact per-factor angles."""
+    """Dense matrix of chi(-x) over (chi, x), from exact per-factor angles.
+
+    Reference oracle for tests: ``forward(f)`` equals
+    ``primal_atom * dft_matrix(spec) @ f`` and ``inverse(F)`` equals
+    ``dual_atom * dft_matrix(spec).conj().T @ F``."""
     if spec.size > DIRECT_CAP:
         raise CapacityError(f"direct matrix capped at {DIRECT_CAP} elements")
     mat = np.ones((1, 1), dtype=np.complex128)
@@ -108,35 +113,21 @@ def dft_matrix(spec: GroupSpec) -> np.ndarray:
     return mat
 
 
-def _resolve_method(spec: GroupSpec, method: str) -> str:
-    if method == "auto":
-        return "direct" if spec.size <= 64 else "fft"
-    if method not in ("direct", "fft"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
-def forward(f: MeasuredFunction, method: str = "auto") -> MeasuredFunction:
+def forward(f: MeasuredFunction) -> MeasuredFunction:
     """Fourier transform of a time-side function."""
     if f.side != TIME:
         raise SideError("forward expects a time-side function")
     spec = f.spec
-    if _resolve_method(spec, method) == "direct":
-        vals = dft_matrix(spec) @ f.values
-    else:
-        vals = _fftn_flat(f.values, spec.orders)
+    vals = _fftn_flat(f.values, spec.orders)
     return MeasuredFunction(spec, FREQUENCY, spec.primal_atom * vals)
 
 
-def inverse(F: MeasuredFunction, method: str = "auto") -> MeasuredFunction:
+def inverse(F: MeasuredFunction) -> MeasuredFunction:
     """Inverse transform of a frequency-side function."""
     if F.side != FREQUENCY:
         raise SideError("inverse expects a frequency-side function")
     spec = F.spec
-    if _resolve_method(spec, method) == "direct":
-        vals = dft_matrix(spec).conj().T @ F.values
-    else:
-        vals = spec.size * _ifftn_flat(F.values, spec.orders)
+    vals = spec.size * _ifftn_flat(F.values, spec.orders)
     return MeasuredFunction(spec, TIME, spec.dual_atom * vals)
 
 
@@ -193,12 +184,12 @@ def read_csv(stream) -> MeasuredFunction:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
-    header = next(reader)
+    header = next(reader, [])
     if len(header) != 2:
         raise ValueError("first CSV row must be: <group spec string>, <side>")
     spec = GroupSpec.parse(header[0])
     side = header[1].strip()
-    columns = next(reader)
+    columns = next(reader, [])
     if [c.strip() for c in columns] != ["index_tuple", "re", "im"]:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
     vals = np.zeros(spec.size, dtype=np.complex128)

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from abelfourier.cli import main
+from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import GroupSpec
 from abelfourier.transform import MeasuredFunction, TIME, read_csv, write_csv
 
@@ -58,6 +60,58 @@ def test_witness_missing_flags_usage_error(capsys):
     code, _, err = run(capsys, "witness", "--family", "chirp", "--q", "1")
     assert code == 2
     assert "needs" in err
+
+
+# family, flags a sweep value does not set, two sweep values, the flags a
+# sweep value sets (sweep's default --m-factor is 200)
+FAMILY_CASES = [
+    ("arc_indicator", {}, (1, 2), lambda v: {"k": v, "m": 200 * v}),
+    ("subgroup_indicator", {"r": 2}, (2, 3), lambda v: {"n": v}),
+    ("full_orbit", {}, (4, 8), lambda v: {"m": v}),
+    ("chirp", {"r": 2}, (1, 2), lambda v: {"n": v}),
+    ("lacunary_compact", {}, (8, 16), lambda v: {"m": v}),
+    ("lacunary_discrete", {}, (3, 4), lambda v: {"n": v}),
+    ("clt_delta", {"r": 3}, (2, 3), lambda v: {"n": v}),
+]
+PQ = ["--p", "3", "--q", "1.5"]  # lacunary_discrete needs p > 2
+
+
+def _flag_args(flags):
+    return [a for name, value in flags.items() for a in (f"--{name}", str(value))]
+
+
+def test_family_cases_cover_every_family():
+    assert [case[0] for case in FAMILY_CASES] == list(FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "family, fixed, values, swept", FAMILY_CASES, ids=[case[0] for case in FAMILY_CASES]
+)
+def test_witness_family(capsys, family, fixed, values, swept):
+    required = {**fixed, **swept(values[-1])}
+    payload = run_json(capsys, "witness", "--family", family, *PQ, *_flag_args(required))
+    assert payload["param_n"] == values[-1]
+    for name in required:
+        rest = {k: v for k, v in required.items() if k != name}
+        code, _, err = run(capsys, "witness", "--family", family, *PQ, *_flag_args(rest))
+        assert code == 2
+        assert f"--{name}" in err
+
+    code, out, err = run(
+        capsys, "sweep", "--family", family, "--params", ",".join(map(str, values)),
+        *PQ, *_flag_args(fixed),
+    )
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        point = run_json(
+            capsys, "witness", "--family", family, *PQ, *_flag_args({**fixed, **swept(value)})
+        )
+        assert row[:2] == [family, str(point["param_n"])]
+        assert [float(x) for x in row[5:8]] == [
+            point["norm_f"], point["norm_fhat"], point["ratio"]
+        ]
 
 
 def test_capacity_exit_code(capsys):
@@ -204,6 +258,53 @@ def test_uncertainty_violate_past_machine_range(tmp_path, capsys, side, p, q, pa
     assert payload["materialized"] is False
     assert payload["witness"] is None
     assert not out_path.exists()
+
+
+def test_uncertainty_violate_past_int_str_digit_limit(capsys):
+    # 2^14427 has 4343 decimal digits, past the interpreter's default limit
+    # of 4300 for int-to-str conversion.
+    payload = run_json(
+        capsys, "uncertainty", "--mode", "violate", "--target", "-2000",
+        "--p", "1.6666666666666667", "--q", "5", "--side", "discrete",
+    )
+    assert payload["param_n"] == 14427
+    assert payload["materialized"] is False
+    factor, rest = payload["group"].split(";", 1)
+    assert rest == "view=discrete;mass=1"
+    assert factor.startswith("cyclic:")
+    assert int(Decimal(factor[len("cyclic:"):])) == 2**14427
+
+
+@pytest.mark.parametrize("content", ["", "cyclic:4;view=compact;mass=1,time\n"],
+                         ids=["empty", "header_only"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform"],
+        ["norm", "--p", "2"],
+        ["uncertainty", "--mode", "check", "--p", "1.5", "--q", "3"],
+        ["uncertainty", "--mode", "support"],
+    ],
+    ids=["transform", "norm", "uncertainty_check", "uncertainty_support"],
+)
+def test_truncated_function_csv_is_usage_error(tmp_path, capsys, argv, content):
+    src = tmp_path / "f.csv"
+    src.write_text(content)
+    code, out, err = run(capsys, *argv, "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_uncertainty_check_rejects_missing_exponents_before_reading(monkeypatch, capsys):
+    class Unreadable(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr(sys, "stdin", Unreadable())
+    code, _, err = run(capsys, "uncertainty", "--mode", "check")
+    assert code == 2
+    assert "needs --p and --q" in err
 
 
 def test_uncertainty_support(tmp_path, capsys):

@@ -33,10 +33,6 @@ GRID = [
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(restarts=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(step_shrink=1.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(rel_tol=0.0)
 
 
 def test_structured_search_compact_characters():

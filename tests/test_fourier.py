@@ -73,12 +73,18 @@ def test_character_transform_is_point_mass():
 
 
 def test_direct_and_fft_agree():
+    """forward and inverse (FFT) against the dense reference matrix."""
     rng = np.random.default_rng(21)
     for _ in range(50):
         spec = random_spec(rng)
+        mat = dft_matrix(spec)
         f = random_function(rng, spec)
-        a = forward(f, method="direct").values
-        b = forward(f, method="fft").values
+        a = spec.primal_atom * (mat @ f.values)
+        b = forward(f).values
+        assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
+        F = random_function(rng, spec, side=FREQUENCY)
+        a = spec.dual_atom * (mat.conj().T @ F.values)
+        b = inverse(F).values
         assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
@@ -183,6 +189,9 @@ def test_csv_rejects_malformed():
         read_csv("nope\nindex_tuple,re,im\n")
     spec = GroupSpec(orders=(3,))
     text = write_csv(delta(spec))
+    for cut in ("", text.splitlines()[0] + "\n"):  # empty, or cut after the first row
+        with pytest.raises(ValueError):
+            read_csv(cut)
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(ValueError):
         read_csv(truncated)
