@@ -130,7 +130,7 @@ def _cmd_transform(args) -> int:
     g = inverse(f) if args.inverse else forward(f)
     out, close = _open_out(args.output)
     try:
-        out.write(write_csv(g))
+        write_csv(g, out)
     finally:
         if close:
             out.close()
@@ -394,7 +394,7 @@ def _cmd_uncertainty(args) -> int:
         witness_ref = None
         if result.psi is not None and args.output:
             with open(args.output, "w", newline="") as fh:
-                fh.write(write_csv(result.psi))
+                write_csv(result.psi, fh)
             witness_ref = args.output
         _emit_json(
             {

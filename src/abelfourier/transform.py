@@ -10,14 +10,23 @@ one module that calls it.  ``dft_matrix`` builds the dense matrix of the
 same transform from per-factor DFT matrices with exactly reduced phase
 angles.  It is the reference oracle the tests compare the FFT path against,
 and no production path uses it.
+
+``write_csv`` and ``read_csv`` carry a function as CSV: a header row with
+the spec string and side, the column header ``index_tuple,re,im``, then one
+row per element.  The writer lists elements in canonical order with floats
+in shortest round-trip form.  The reader takes the rows in any order and
+places them by their parsed keys, whole columns at a time; it requires each
+element exactly once and takes coordinates mod the factor orders.
 """
 
 from __future__ import annotations
 
-import ast
 import csv
 import io
+import operator
+import re
 from dataclasses import dataclass
+from itertools import cycle, product
 
 import numpy as np
 
@@ -169,18 +178,44 @@ def parseval_defect(f: MeasuredFunction) -> float:
 
 # -- CSV interchange ---------------------------------------------------------
 
+_COLUMNS = ["index_tuple", "re", "im"]
+_INT = r"\s*[+-]?[0-9]+\s*"
+_SPACES_AND_OPEN = str.maketrans("", "", " \t\n\r\f\v(")
+
+
+def _index_keys(orders) -> list[str]:
+    """``str(element)`` for every element in canonical order: "(3,)", "(0, 1)"."""
+    digits = [[str(i) for i in range(m)] for m in orders]
+    if len(orders) == 1:
+        return [f"({d},)" for d in digits[0]]
+    return ["(" + ", ".join(t) + ")" for t in product(*digits)]
+
+
+def _key_pattern(k: int) -> re.Pattern:
+    """An index tuple of k integers with any spacing and an optional trailing
+    comma; one factor may also be written as a bare integer."""
+    tup = r"\s*\(" + ",".join([_INT] * k) + r"(?:,\s*)?\)\s*"
+    return re.compile(tup + ("|" + _INT if k == 1 else ""), re.ASCII)
+
+
 def write_csv(f: MeasuredFunction, stream=None) -> str:
-    """Serialize as CSV with a header line carrying the spec string and side."""
+    """Serialize as CSV with a header line carrying the spec string and side.
+
+    Rows come in canonical order, values in shortest round-trip form."""
     out = stream if stream is not None else io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f.spec.describe(), f.side])
-    writer.writerow(["index_tuple", "re", "im"])
-    for idx, v in enumerate(f.values):
-        writer.writerow([str(f.spec.element_at(idx)), repr(float(v.real)), repr(float(v.imag))])
+    writer.writerow(_COLUMNS)
+    re_part, im_part = f.values.real.tolist(), f.values.imag.tolist()
+    writer.writerows(zip(_index_keys(f.spec.orders), map(repr, re_part), map(repr, im_part)))
     return out.getvalue() if stream is None else ""
 
 
 def read_csv(stream) -> MeasuredFunction:
+    """Parse the format ``write_csv`` writes, with value rows in any order.
+
+    Each element must have exactly one row; its coordinates are taken mod the
+    factor orders.  Anything malformed raises ValueError."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -190,18 +225,32 @@ def read_csv(stream) -> MeasuredFunction:
     spec = GroupSpec.parse(header[0])
     side = header[1].strip()
     columns = next(reader, [])
-    if [c.strip() for c in columns] != ["index_tuple", "re", "im"]:
+    if [c.strip() for c in columns] != _COLUMNS:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
-    vals = np.zeros(spec.size, dtype=np.complex128)
-    seen = 0
-    for row in reader:
-        if not row:
-            continue
-        tup = ast.literal_eval(row[0])
-        if isinstance(tup, int):
-            tup = (tup,)
-        vals[spec.index_of(tup)] = float(row[1]) + 1j * float(row[2])
-        seen += 1
-    if seen != spec.size:
-        raise ValueError(f"expected {spec.size} value rows, got {seen}")
+    rows = [row for row in reader if row]
+    if set(map(len, rows)) - {3}:
+        bad = next(row for row in rows if len(row) != 3)
+        raise ValueError(f"value rows need 3 fields index_tuple,re,im, got {bad!r}")
+    if len(rows) != spec.size:
+        raise ValueError(f"expected {spec.size} value rows, got {len(rows)}")
+    keys, re_col, im_col = zip(*rows)
+    orders = spec.orders
+    fullmatch = _key_pattern(len(orders)).fullmatch
+    if not all(map(fullmatch, keys)):
+        bad = next(key for key in keys if not fullmatch(key))
+        raise ValueError(f"bad index tuple {bad!r}: expected {len(orders)} integer coordinates")
+    # Each key holds exactly k integers, so dropping spaces, parentheses and
+    # trailing commas leaves them comma-separated: "(0, 1)", "(2,)" -> "0,1,2".
+    text = ",".join(keys).translate(_SPACES_AND_OPEN)
+    tokens = text.replace(",)", "").replace(")", "").split(",")
+    coords = np.fromiter(map(operator.mod, map(int, tokens), cycle(orders)),
+                         dtype=np.int64, count=len(tokens))
+    flat = np.ravel_multi_index(coords.reshape(-1, len(orders)).T, orders)
+    counts = np.bincount(flat, minlength=spec.size)
+    if not np.all(counts == 1):
+        i = int(np.flatnonzero(counts != 1)[0])
+        raise ValueError(f"element {spec.element_at(i)} has {counts[i]} rows, not exactly one")
+    vals = np.empty(spec.size, dtype=np.complex128)
+    vals.real[flat] = np.fromiter(map(float, re_col), dtype=np.float64, count=spec.size)
+    vals.imag[flat] = np.fromiter(map(float, im_col), dtype=np.float64, count=spec.size)
     return MeasuredFunction(spec, side, vals)

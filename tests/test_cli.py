@@ -9,7 +9,7 @@ import pytest
 
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import GroupSpec
-from abelfourier.transform import MeasuredFunction, TIME, read_csv, write_csv
+from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
 
 
 def run(capsys, *argv):
@@ -136,6 +136,20 @@ def test_transform_roundtrip(tmp_path, capsys):
     assert code == 0, err
     g = read_csv(back.read_text())
     assert np.max(np.abs(g.values - f.values)) < 1e-10
+
+
+def test_transform_streams_same_bytes_to_stdout_and_file(tmp_path, capsys):
+    spec = GroupSpec.parse("cyclic:4x3;view=discrete;mass=0.5")
+    rng = np.random.default_rng(1)
+    f = MeasuredFunction(spec, TIME, rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    src = tmp_path / "f.csv"
+    dst = tmp_path / "fhat.csv"
+    src.write_text(write_csv(f))
+    code, out, err = run(capsys, "transform", "--input", str(src))
+    assert code == 0, err
+    code, _, err = run(capsys, "transform", "--input", str(src), "--output", str(dst))
+    assert code == 0, err
+    assert out == dst.read_text() == write_csv(forward(f))
 
 
 def test_norm_subcommand(tmp_path, capsys):
@@ -290,6 +304,27 @@ def test_uncertainty_violate_past_int_str_digit_limit(capsys):
 def test_truncated_function_csv_is_usage_error(tmp_path, capsys, argv, content):
     src = tmp_path / "f.csv"
     src.write_text(content)
+    code, out, err = run(capsys, *argv, "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# The same cases as test_fourier.MALFORMED_ROWS, each on cyclic:4.
+_MALFORMED_ROWS = {
+    "duplicate_and_missing": ['"(0,)",1,0', '"(0,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "two_fields": ['"(0,)",1', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "unclosed_tuple": ['"(0,",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "float_coordinate": ['"(0.5,)",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "missing_close_paren": ['"(0",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+}
+
+
+@pytest.mark.parametrize("rows", _MALFORMED_ROWS.values(), ids=_MALFORMED_ROWS.keys())
+@pytest.mark.parametrize("argv", [["norm", "--p", "2"], ["transform"]], ids=["norm", "transform"])
+def test_malformed_function_csv_is_usage_error(tmp_path, capsys, argv, rows):
+    src = tmp_path / "f.csv"
+    src.write_text("\n".join(["cyclic:4;view=compact;mass=1,time", "index_tuple,re,im", *rows]) + "\n")
     code, out, err = run(capsys, *argv, "--input", str(src))
     assert code == 2
     assert out == ""

@@ -1,7 +1,11 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.transform import (
@@ -195,6 +199,111 @@ def test_csv_rejects_malformed():
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(ValueError):
         read_csv(truncated)
+
+
+# Each case is read on cyclic:4 and must be rejected with ValueError.
+MALFORMED_ROWS = {
+    "duplicate_and_missing": ['"(0,)",1,0', '"(0,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "two_fields": ['"(0,)",1', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "unclosed_tuple": ['"(0,",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "float_coordinate": ['"(0.5,)",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "missing_close_paren": ['"(0",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+}
+
+
+def cyclic4_csv(rows) -> str:
+    return "\n".join(["cyclic:4;view=compact;mass=1,time", "index_tuple,re,im", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("rows", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_csv_rejects_malformed_rows(rows):
+    with pytest.raises(ValueError):
+        read_csv(cyclic4_csv(rows))
+
+
+def test_csv_accepts_spacing_bare_ints_and_wrapped_coordinates():
+    g = read_csv(cyclic4_csv(['"(7,)",1,0', "-3,2,0", '"( 2 )",3,0', '"(0 , )",4,0']))
+    assert np.array_equal(g.values, [4, 2, 3, 1])
+    spec = GroupSpec(orders=(2, 3))
+    rows = ['"(1,2)",5,0', '"(0, 1)",1,0', '"( -1 ,\t4, )",4,0',
+            '"(0,0)",0,0', '"(2, 2)",2,0', '"(1,0)",3,0']
+    g = read_csv("\n".join([spec.describe() + ",time", "index_tuple,re,im", *rows]))
+    assert np.array_equal(g.values, [0, 1, 2, 3, 4, 5])
+
+
+def _old_write_csv(f: MeasuredFunction) -> str:
+    """The per-row writer that ``write_csv`` replaced, kept as its byte reference."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f.spec.describe(), f.side])
+    writer.writerow(["index_tuple", "re", "im"])
+    for idx, v in enumerate(f.values):
+        writer.writerow([str(f.spec.element_at(idx)), repr(float(v.real)), repr(float(v.imag))])
+    return out.getvalue()
+
+
+def _values(rng, size, special=()) -> np.ndarray:
+    """Complex values whose parts span the float range, led by ``special``."""
+    parts = rng.standard_normal((2, size)) * 10.0 ** rng.integers(-300, 300, (2, size))
+    parts[0, : len(special)] = special[:size]
+    parts[1, : len(special)] = special[::-1][:size]
+    values = np.empty(size, dtype=np.complex128)
+    values.real, values.imag = parts  # assigned, so the signs of zeros are kept
+    return values
+
+
+@pytest.mark.parametrize("orders", [(5,), (2, 3), (4, 3, 2), (2, 2, 2, 2), (12, 11)])
+def test_write_csv_matches_per_row_formula(orders):
+    spec = GroupSpec(orders=orders, view=DISCRETE, mass=0.5)
+    special = [-0.0, 5e-324, 1e308, 0.0, -5e-324, -1e308, 0.1, 1 / 3]
+    values = _values(np.random.default_rng(len(orders)), spec.size, special)
+    for side in (TIME, FREQUENCY):
+        f = MeasuredFunction(spec, side, values)
+        assert write_csv(f) == _old_write_csv(f)
+
+
+@st.composite
+def _csv_orders(draw, cap=512):
+    orders = [draw(st.integers(2, cap // 2))]
+    while len(orders) < 4 and 2 * math.prod(orders) <= cap and draw(st.booleans()):
+        orders.append(draw(st.integers(2, cap // math.prod(orders))))
+    return tuple(orders)
+
+
+def _respell(rng, coords, orders) -> str:
+    """One element's key with random spacing, coordinates shifted by multiples of
+    their orders, an optional trailing comma, or a bare integer on one factor."""
+    def space():
+        return " " * int(rng.integers(3))
+
+    parts = [space() + str(c + m * int(rng.integers(-2, 3))) + space() for c, m in zip(coords, orders)]
+    if len(orders) == 1 and rng.integers(2):
+        return parts[0]
+    return "(" + ",".join(parts) + ("," if rng.integers(2) else "") + space() + ")"
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    orders=_csv_orders(),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    side=st.sampled_from([TIME, FREQUENCY]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_reads_shuffled_respelled_rows_exactly(orders, view, side, seed):
+    rng = np.random.default_rng(seed)
+    spec = GroupSpec(orders=orders, view=view, mass=int(rng.integers(1, 16)) / 4)
+    values = _values(rng, spec.size)
+    values[rng.random(spec.size) < 0.1] = complex(-0.0, -0.0)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([spec.describe(), side])
+    writer.writerow(["index_tuple", "re", "im"])
+    for i in rng.permutation(spec.size).tolist():
+        key = _respell(rng, spec.element_at(i), orders)
+        writer.writerow([key, repr(values.real[i].item()), repr(values.imag[i].item())])
+    g = read_csv(out.getvalue())
+    assert g.spec == spec and g.side == side
+    assert np.array_equal(g.values.view(np.uint64), values.view(np.uint64))
 
 
 def test_csv_stream_write():
