@@ -1,6 +1,6 @@
 """Fourier analysis on finite abelian groups: exact transforms under matched
 Haar measures, L^p quasi-norms and the (p, q) operator-norm region geometry,
-extremal witness families, numerical norm estimation, and entropic
+extremal witness families, the exact norm on every finite group, and entropic
 uncertainty principles.
 """
 
@@ -38,6 +38,8 @@ from .norms import (
     classify,
     closed_form_cpq,
     exponent_value,
+    finite_cpq,
+    finite_exponent,
     hausdorff_young_check,
     holder_conjugate,
     lp_norm,
@@ -50,6 +52,7 @@ from .witnesses import (
     TrigPolynomial,
     WitnessPoint,
     arc_indicator_witness,
+    bi_unimodular_values,
     chirp_witness,
     clt_delta_witness,
     fit_growth,

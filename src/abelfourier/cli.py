@@ -3,8 +3,7 @@
 Subcommands: info, transform, norm, region, cpq, witness, sweep, estimate,
 uncertainty.  JSON on stdout by default; CSV for function data and sweeps.
 Floats are emitted with shortest round-trip encoding; infinities appear as
-the string "inf".  Exit codes: 0 success, 2 usage error, 3 capacity error,
-4 numeric non-convergence (with a partial report).
+the string "inf".  Exit codes: 0 success, 2 usage error, 3 capacity error.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from .transform import (
     read_csv,
     write_csv,
 )
-from .norms import INF, classify, closed_form_cpq, lp_norm, recip
+from .norms import INF, classify, closed_form_cpq, finite_cpq, lp_norm, recip
 from . import witnesses as wit
-from .estimator import EstimatorConfig, estimate_norm, ratio
+from .estimator import estimate_norm, ratio
 from .uncertainty import (
     donoho_stark_check,
     support_product,
@@ -46,7 +45,6 @@ from .uncertainty import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-EXIT_NOCONVERGE = 4
 
 
 def _jsonable(obj):
@@ -168,11 +166,14 @@ def _cmd_region(args) -> int:
 
 def _cmd_cpq(args) -> int:
     spec = GroupSpec.parse(args.group)
+    finite_norm, extremal = finite_cpq(spec, args.p, args.q)
     _emit_json(
         {
             "group": spec.describe(),
             "p": args.p,
             "q": args.q,
+            "finite_norm": finite_norm,
+            "extremal": extremal,
             "value": closed_form_cpq(spec, args.p, args.q),
         }
     )
@@ -342,12 +343,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_estimate(args) -> int:
     spec = GroupSpec.parse(args.group)
-    config = EstimatorConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
-    result = estimate_norm(spec, args.p, args.q, config)
+    result = estimate_norm(spec, args.p, args.q)
     verdict = classify(spec.view, recip(args.p), recip(args.q), spec=spec)
     _emit_json(
         {
@@ -355,13 +351,14 @@ def _cmd_estimate(args) -> int:
             "p": args.p,
             "q": args.q,
             "estimate": result.value,
+            "extremal": result.extremal,
             "closed_form": verdict.value if verdict.finite else INF,
             "region": verdict.label,
             "converged": result.converged,
             "iterations": result.iterations,
         }
     )
-    return EXIT_OK if result.converged else EXIT_NOCONVERGE
+    return EXIT_OK
 
 
 def _cmd_uncertainty(args) -> int:
@@ -503,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", type=float, required=True)
     sp.add_argument("--group")
 
-    sp = sub.add_parser("cpq", help="closed-form operator norm")
+    sp = sub.add_parser("cpq", help="closed-form operator norm, infinite group and finite")
     sp.add_argument("--group", required=True)
     sp.add_argument("--p", type=_exponent, required=True)
     sp.add_argument("--q", type=_exponent, required=True)
@@ -536,13 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v-values", type=_float_list)
     sp.add_argument("--group")
 
-    sp = sub.add_parser("estimate", help="numerical operator-norm estimate")
+    sp = sub.add_parser("estimate", help="exact operator norm on the finite group")
     sp.add_argument("--group", required=True)
     sp.add_argument("--p", type=_exponent, required=True)
     sp.add_argument("--q", type=_exponent, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--max-iters", type=int, default=5000)
+    no_effect = "accepted for compatibility; has no effect (the norm is exact)"
+    sp.add_argument("--seed", type=int, default=0, help=no_effect)
+    sp.add_argument("--restarts", type=int, default=32, help=no_effect)
+    sp.add_argument("--max-iters", type=int, default=5000, help=no_effect)
 
     sp = sub.add_parser("uncertainty", help="entropic uncertainty checks")
     sp.add_argument("--mode", choices=["check", "violate", "support"], required=True)

@@ -1,23 +1,25 @@
-"""Numerical estimation of the (p, q)-norm of the Fourier operator on a
-finite group: a structured candidate search (the constant, the delta at the
-identity and, on (Z/r)^2n with r prime, the chirp; every other character,
-delta and subgroup indicator has a ratio no larger, see
-``structured_search``) plus multi-start gradient ascent on the
-scale-invariant ratio ||fhat||_q / ||f||_p.
+"""The exact (p, q)-norm of the Fourier operator on a finite group.
 
-Every estimate is achieved by its stored witness, so estimates are always
-valid lower bounds for the true norm.
+``estimate_norm`` returns the closed form ``norms.finite_cpq`` (Gilbert and
+Rzeszotnik) with a function attaining it: the constant, the delta at the
+identity or a bi-unimodular function, whichever ratio ||fhat||_q / ||f||_p
+is largest.  ``structured_search`` evaluates those three ratios numerically.
+
+The multi-start gradient ascent on the smoothed log-ratio
+(``ascent_estimate``, ``log_ratio_and_grad``, ``EstimatorConfig``) is kept
+as the tests' oracle: a generic optimizer that should reach the closed form
+and never exceed it.  Nothing in the library calls it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec
-from .norms import lp_norm, recip
+from .groups import EXHAUSTIVE_CAP, GroupSpec
+from .norms import BI_UNIMODULAR, CONSTANT, DELTA, finite_cpq, lp_norm, recip
 from .transform import (
     MeasuredFunction,
     TIME,
@@ -27,7 +29,7 @@ from .transform import (
     delta,
     forward,
 )
-from .witnesses import _chirp_values, _is_prime
+from .witnesses import bi_unimodular_values
 
 
 #: Factor by which the ascent's line search shrinks (and regrows) its step.
@@ -54,9 +56,10 @@ class EstimatorConfig:
 @dataclass
 class NormEstimate:
     value: float
-    witness: MeasuredFunction
+    witness: MeasuredFunction | None
     iterations: int
     converged: bool
+    extremal: str | None = None  # the winning family of ``EXTREMALS``, if one won
 
 
 def ratio(f: MeasuredFunction, p: float, q: float) -> float:
@@ -67,36 +70,32 @@ def ratio(f: MeasuredFunction, p: float, q: float) -> float:
     return lp_norm(forward(f), q) / nf
 
 
-def _structured_candidates(spec: GroupSpec):
-    spec._check_capacity()
-    yield MeasuredFunction(spec, TIME, np.ones(spec.size, dtype=np.complex128))
-    yield delta(spec)
-    r, k = spec.orders[0], len(spec.orders)
-    if k % 2 == 0 and spec.orders == (r,) * k and _is_prime(r):
-        yield MeasuredFunction(spec, TIME, _chirp_values(r, k // 2))
+#: The function of each extremal family of ``norms.finite_cpq`` on a group.
+EXTREMALS = {
+    CONSTANT: lambda spec: MeasuredFunction(spec, TIME, np.ones(spec.size, dtype=np.complex128)),
+    DELTA: delta,
+    BI_UNIMODULAR: lambda spec: MeasuredFunction(spec, TIME, bi_unimodular_values(spec.orders)),
+}
 
 
 def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:
-    """Best ratio over the constant, the delta at the identity and, on
-    (Z/r)^2n with r prime, the chirp omega^(a.b).
+    """Best ratio over the constant, the delta at the identity and the
+    bi-unimodular function, evaluated numerically; ties go to the earlier.
 
-    No other character, delta or subgroup indicator does better.  A character
-    has the constant's ratio (modulation shifts fhat) and a delta has the
-    identity delta's (translation multiplies fhat by a character).  The
-    indicator of a subgroup H has ratio c * |H|^(1 - 1/p - 1/q), monotone in
-    |H|, so H = {0} or H = G wins.  Ties go to the earlier candidate.
+    No function does better (see ``norms.finite_exponent``), so the value is
+    ``finite_cpq`` up to roundoff.
     """
-    best_val = -math.inf
-    best = None
-    for cand in _structured_candidates(spec):
+    spec._check_capacity()
+    best = NormEstimate(value=-math.inf, witness=None, iterations=0, converged=True)
+    for family, build in EXTREMALS.items():
+        cand = build(spec)
         val = ratio(cand, p, q)
-        if val > best_val:
-            best_val = val
-            best = cand
-    return NormEstimate(value=best_val, witness=best, iterations=0, converged=True)
+        if val > best.value:
+            best = NormEstimate(val, cand, iterations=0, converged=True, extremal=family)
+    return best
 
 
-# -- smoothed ascent ---------------------------------------------------------
+# -- smoothed ascent: the tests' oracle, unused by the library ---------------
 
 def log_ratio_and_grad(vals, spec: GroupSpec, p: float, q: float, eps: float):
     """log of the eps-smoothed ratio and its Wirtinger gradient d/d(conj f).
@@ -208,20 +207,16 @@ def ascent_estimate(
     )
 
 
-def estimate_norm(
-    spec: GroupSpec, p: float, q: float, config: EstimatorConfig | None = None
-) -> NormEstimate:
-    """Best of the structured search and the ascent estimate.
+def estimate_norm(spec: GroupSpec, p: float, q: float) -> NormEstimate:
+    """The exact norm ``finite_cpq`` with its extremal family.
 
-    For p or q infinite the structured search is the whole estimate
-    (iterations = 0, converged)."""
-    structured = structured_search(spec, p, q)
-    if recip(p) == 0.0 or recip(q) == 0.0:
-        return structured
-    ascended = ascent_estimate(spec, p, q, config)
-    if ascended.value > structured.value:
-        return ascended
-    return replace(structured, iterations=ascended.iterations, converged=ascended.converged)
+    The witness is that family's function, built only when the group is
+    within the exhaustive cap (else None).  No search runs: iterations = 0
+    and converged is True.
+    """
+    value, family = finite_cpq(spec, p, q)
+    witness = EXTREMALS[family](spec) if spec.size <= EXHAUSTIVE_CAP else None
+    return NormEstimate(value, witness, iterations=0, converged=True, extremal=family)
 
 
 def log_convexity_check(points) -> float:

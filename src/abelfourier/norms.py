@@ -1,5 +1,6 @@
-"""L^p quasi-norms, the finiteness regions in the (1/p, 1/q) plane, and the
-closed-form operator norm on each finite region.
+"""L^p quasi-norms, the finiteness regions in the (1/p, 1/q) plane, the
+closed-form operator norm on each finite region, and the exact norm on every
+finite group.
 
 Exponents are carried as reciprocals u = 1/p in [0, inf), so p = infinity is
 the exact point u = 0 and the region geometry lives in the same plane the
@@ -77,7 +78,8 @@ def lp_norm(f: MeasuredFunction, p) -> float:
     """(sum |f|^p atom)^(1/p) for finite p; max |f| for p = inf.
 
     For 0 < p < 1 this is the usual quasi-norm; it is absolutely homogeneous
-    but not subadditive.
+    but not subadditive.  The sum is taken over |f| / max |f|, so a large p
+    neither underflows small values to 0 nor overflows large ones to inf.
     """
     if isinstance(p, Exponent):
         u = p.reciprocal
@@ -85,9 +87,12 @@ def lp_norm(f: MeasuredFunction, p) -> float:
     else:
         u = recip(p)
     mags = np.abs(f.values)
-    if u == 0.0:
-        return float(mags.max()) if mags.size else 0.0
-    return float((np.sum(mags**p) * f.atom) ** u)
+    top = float(mags.max()) if mags.size else 0.0
+    if u == 0.0 or top == 0.0:
+        return top
+    mags /= top
+    mags **= p
+    return top * float(np.sum(mags) * f.atom) ** u
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,52 @@ def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
     """
     verdict = classify(spec.view, recip(p), recip(q), spec=spec)
     return verdict.value if verdict.finite else INF
+
+
+#: The extremal families of the finite-group norm, in tie-break order.
+CONSTANT, DELTA, BI_UNIMODULAR = "constant", "delta", "bi_unimodular"
+EXTREMAL_FAMILIES = (CONSTANT, DELTA, BI_UNIMODULAR)
+
+
+def finite_exponent(side: str, u: float, v: float) -> tuple[float, str]:
+    """The power of N in the norm on an N-point group, and the family attaining it.
+
+    The constant, the delta at the identity and a bi-unimodular function
+    (|f| and |fhat| both constant) have ratios mass^(1-u-v) * N^e with e, in
+    that order, (0, u+v-1, v-1/2) on the compact view and (1-u-v, 0, 1/2-u)
+    on the discrete view.  The largest e is the norm's (Gilbert and
+    Rzeszotnik); ties go to the earlier family.  It is 0 exactly where
+    ``classify`` gives a finite label: both compare the same float u + v
+    with 1, and v (compact) or u (discrete) with 1/2.
+    """
+    if not (u >= 0 and v >= 0 and math.isfinite(u) and math.isfinite(v)):
+        raise ValueError("reciprocal exponents must be finite and >= 0")
+    s = u + v
+    if side == COMPACT:
+        exps = (0.0, s - 1.0, v - 0.5)
+    elif side == DISCRETE:
+        exps = (1.0 - s, 0.0, 0.5 - u)
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    e = max(exps)
+    return e, EXTREMAL_FAMILIES[exps.index(e)]
+
+
+def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:
+    """The exact operator norm mass^(1-1/p-1/q) * N^e on spec's N points, and
+    the extremal family (see ``finite_exponent``).
+
+    Analytic: it builds no arrays, so it answers past the exhaustive cap.  It
+    is computed through its logarithm, so it is inf only when the norm is
+    past the float range.
+    """
+    u, v = recip(p), recip(q)
+    e, family = finite_exponent(spec.view, u, v)
+    log_value = (1.0 - (u + v)) * math.log(spec.mass) + e * math.log(spec.size)
+    try:
+        return math.exp(log_value), family
+    except OverflowError:
+        return INF, family
 
 
 def hausdorff_young_check(f: MeasuredFunction, p: float) -> float:

@@ -111,6 +111,18 @@ def _chirp_values(r: int, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * dots / r).ravel()
 
 
+def bi_unimodular_values(orders) -> np.ndarray:
+    """A function with |f| = 1 and |fhat| constant on Z/m_1 x ... x Z/m_k, in
+    canonical order: the tensor product over the factors of the Zadoff-Chu
+    sequence exp(pi i k (k + m mod 2) / m) on Z/m."""
+    values = np.ones(1, dtype=np.complex128)
+    for m in orders:
+        k = np.arange(m, dtype=np.int64)
+        phase = (k * (k + m % 2)) % (2 * m)  # exact: the angle is pi * phase / m
+        values = np.multiply.outer(values, np.exp(1j * np.pi * phase / m)).ravel()
+    return values
+
+
 def _measured_point(family, param_n, spec, f, p, q, prediction, kind) -> WitnessPoint:
     norm_f = lp_norm(f, p)
     norm_fhat = lp_norm(forward(f), q)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from abelfourier.estimator import EstimatorConfig, estimate_norm, log_convexity_check, ratio
+from abelfourier.estimator import EstimatorConfig, ascent_estimate, log_convexity_check, ratio
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import closed_form_cpq, exponent_value
 from abelfourier.transform import (
@@ -125,7 +125,7 @@ def test_criterion_3_estimator_oracle():
             for u, v in grid:
                 p, q = exponent_value(u), exponent_value(v)
                 target = closed_form_cpq(spec, p, q)
-                est = estimate_norm(spec, p, q, config)
+                est = ascent_estimate(spec, p, q, config)
                 worst_err = max(worst_err, abs(est.value - target))
                 worst_excess = max(worst_excess, est.value - target)
     ok = worst_err <= 1e-6 and worst_excess <= 1e-9
@@ -309,7 +309,7 @@ def test_criterion_11_riesz_thorin_convexity():
         for seg in segments:
             pts = []
             for u, v in seg:
-                est = estimate_norm(spec, 1.0 / u, 1.0 / v, config)
+                est = ascent_estimate(spec, 1.0 / u, 1.0 / v, config)
                 pts.append((u, v, math.log(est.value)))
             worst = max(worst, log_convexity_check(pts))
     # closed forms inside one finite region are exactly affine

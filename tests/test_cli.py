@@ -169,10 +169,55 @@ def test_estimate_json_shape(capsys):
         "--restarts", "4",
     )
     assert set(payload) == {
-        "group", "p", "q", "estimate", "closed_form", "region", "converged", "iterations",
+        "group", "p", "q", "estimate", "extremal", "closed_form", "region", "converged",
+        "iterations",
     }
     assert payload["region"] == "R2'"
     assert abs(payload["estimate"] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "group, p, q, expected, extremal",
+    [
+        ("cyclic:16x16", "6", "0.8", 64.0, "bi_unimodular"),
+        ("cyclic:16x16", "1.2", "1.5", 16.0, "delta"),
+        ("cyclic:5;view=compact", "4", "1.5", 5 ** (1 / 6), "bi_unimodular"),
+        # 2^21 points, past the exhaustive cap: no witness is built
+        ("cyclic:2048x1024", "6", "0.8", 2.0 ** (21 * 0.75), "bi_unimodular"),
+    ],
+)
+def test_estimate_is_exact_and_exits_0(capsys, group, p, q, expected, extremal):
+    payload = run_json(capsys, "estimate", "--group", group, "--p", p, "--q", q)
+    assert payload["estimate"] == pytest.approx(expected, rel=1e-12)
+    assert payload["extremal"] == extremal
+    assert payload["converged"] is True and payload["iterations"] == 0
+
+
+def test_estimate_search_flags_have_no_effect(capsys):
+    base = ["estimate", "--group", "cyclic:4x6;view=discrete;mass=0.5", "--p", "6", "--q", "0.8"]
+    _, plain, _ = run(capsys, *base)
+    code, flagged, err = run(capsys, *base, "--seed", "3", "--restarts", "1", "--max-iters", "1")
+    assert code == 0, err
+    assert flagged == plain
+
+
+def test_cpq_reports_finite_norm_and_extremal(capsys):
+    code, out, err = run(capsys, "cpq", "--group", "cyclic:16x16", "--p", "6", "--q", "0.8")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["finite_norm"] == pytest.approx(64.0, rel=1e-12)
+    assert payload["extremal"] == "bi_unimodular"
+    assert payload["value"] == "inf"  # the infinite-group norm, as before
+    assert out.endswith('  "value": "inf"\n}\n')
+
+
+@pytest.mark.parametrize("level", [1e-3, 1e3])
+def test_norm_at_large_p(tmp_path, capsys, level):
+    spec = GroupSpec.parse("cyclic:72;view=discrete;mass=1")
+    src = tmp_path / "f.csv"
+    src.write_text(write_csv(MeasuredFunction(spec, TIME, np.full(72, level, dtype=np.complex128))))
+    payload = run_json(capsys, "norm", "--input", str(src), "--p", "200")
+    assert payload["norm"] == pytest.approx(level * 72 ** (1 / 200), rel=1e-12)
 
 
 def test_sweep_witness_csv(capsys):

@@ -15,9 +15,10 @@ from abelfourier.estimator import (
     ratio,
     structured_search,
 )
-from abelfourier.groups import COMPACT, DISCRETE, GroupSpec, all_subgroups
-from abelfourier.norms import INF, closed_form_cpq
-from abelfourier.transform import MeasuredFunction, TIME, character_function, delta
+from abelfourier.groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, all_subgroups
+from abelfourier.norms import EXTREMAL_FAMILIES, INF, closed_form_cpq, finite_cpq
+from abelfourier.transform import MeasuredFunction, TIME, character_function, delta, forward
+from abelfourier.witnesses import bi_unimodular_values
 
 # points inside the compact finite region: u + v <= 1, v <= 1/2
 GRID = [
@@ -98,8 +99,9 @@ _EXPONENT = st.one_of(st.just(INF), st.floats(0.5, 0.99), st.floats(1.0, 8.0))
 )
 def test_structured_search_matches_full_library(orders, view, mass, p, q):
     spec = GroupSpec(orders=orders, view=view, mass=mass)
-    full = _full_library_value(spec, p, q)
-    assert structured_search(spec, p, q).value == pytest.approx(full, rel=1e-12)
+    found = structured_search(spec, p, q).value
+    assert found == pytest.approx(finite_cpq(spec, p, q)[0], rel=1e-12)
+    assert found >= _full_library_value(spec, p, q) * (1.0 - 1e-12)
 
 
 def _count_calls(monkeypatch, name):
@@ -116,22 +118,23 @@ def _count_calls(monkeypatch, name):
 
 def test_structured_search_evaluates_at_most_three_candidates(monkeypatch):
     calls = _count_calls(monkeypatch, "ratio")
-    for orders, count in [((12,), 2), ((2, 3), 2), ((3, 3), 3), ((2, 2, 2, 2), 3)]:
+    for orders in [(12,), (2, 3), (3, 3), (2, 2, 2, 2), (4, 6)]:
         calls.clear()
         structured_search(GroupSpec(orders=orders), 1.5, 3.0)
-        assert len(calls) == count
+        assert len(calls) == 3
 
 
-def test_estimate_norm_runs_structured_search_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "structured_search")
+def test_estimate_norm_runs_no_search(monkeypatch):
+    calls = [
+        _count_calls(monkeypatch, name)
+        for name in ("structured_search", "ascent_estimate", "log_ratio_and_grad", "ratio")
+    ]
     spec = GroupSpec(orders=(4,), view=DISCRETE, mass=1.0)
-    config = EstimatorConfig(restarts=2, max_iters=50)
     for p, q in [(INF, 2.0), (1.5, INF), (INF, INF), (1.5, 3.0)]:
-        calls.clear()
-        est = estimate_norm(spec, p, q, config)
-        assert len(calls) == 1
-        if INF in (p, q):
-            assert est.iterations == 0 and est.converged
+        est = estimate_norm(spec, p, q)
+        assert est.iterations == 0 and est.converged
+        assert (est.value, est.extremal) == finite_cpq(spec, p, q)
+    assert all(not c for c in calls)
 
 
 def test_gradient_matches_finite_differences():
@@ -161,12 +164,12 @@ def test_ascent_reaches_closed_form_tiny_groups():
         dspec = GroupSpec(orders=orders, view=DISCRETE, mass=1.0)
         for p, q in [(2.0, 4.0), (2.0, 2.0)]:
             target = closed_form_cpq(cspec, p, q)
-            est = estimate_norm(cspec, p, q, config)
+            est = ascent_estimate(cspec, p, q, config)
             assert abs(est.value - target) <= 1e-6
             assert est.value <= target + 1e-9
         for p, q in [(1.0, 1.0), (2.0, 2.0)]:
             target = closed_form_cpq(dspec, p, q)
-            est = estimate_norm(dspec, p, q, config)
+            est = ascent_estimate(dspec, p, q, config)
             assert abs(est.value - target) <= 1e-6
             assert est.value <= target + 1e-9
 
@@ -190,8 +193,8 @@ def test_infinite_exponents_fall_back_to_structured():
 def test_determinism():
     spec = GroupSpec(orders=(4,), view=DISCRETE, mass=1.0)
     config = EstimatorConfig(restarts=6, seed=123)
-    a = estimate_norm(spec, 1.5, 1.0, config)
-    b = estimate_norm(spec, 1.5, 1.0, config)
+    a = ascent_estimate(spec, 1.5, 1.0, config)
+    b = ascent_estimate(spec, 1.5, 1.0, config)
     assert a.value == b.value
     assert np.array_equal(a.witness.values, b.witness.values)
     assert a.iterations == b.iterations
@@ -219,3 +222,79 @@ def test_log_convexity_guards():
         log_convexity_check([(0.1, 0.1, 0.0), (0.2, 0.3, 0.0), (0.3, 0.2, 0.0)])
     # duplicated points collapse to defect 0
     assert log_convexity_check([(0.1, 0.1, 0.5)] * 4) == 0.0
+
+
+_FINITE_EXPONENT = st.one_of(st.floats(0.5, 0.99), st.floats(1.0, 8.0))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    orders=_small_orders(),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+    p=_EXPONENT,
+    q=_EXPONENT,
+)
+def test_finite_cpq_is_best_of_three_candidate_ratios(orders, view, mass, p, q):
+    spec = GroupSpec(orders=orders, view=view, mass=mass)
+    value, family = finite_cpq(spec, p, q)
+    ratios = {name: ratio(build(spec), p, q) for name, build in estimator.EXTREMALS.items()}
+    assert tuple(ratios) == EXTREMAL_FAMILIES
+    assert value == pytest.approx(max(ratios.values()), rel=1e-12)
+    assert ratios[family] == pytest.approx(value, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    orders=_small_orders(),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+    p=_FINITE_EXPONENT,
+    q=_FINITE_EXPONENT,
+    seed=st.integers(0, 2**16),
+)
+def test_ascent_oracle_never_exceeds_finite_cpq(orders, view, mass, p, q, seed):
+    spec = GroupSpec(orders=orders, view=view, mass=mass)
+    bound, _ = finite_cpq(spec, p, q)
+    est = ascent_estimate(spec, p, q, EstimatorConfig(restarts=4, max_iters=200, seed=seed))
+    assert est.value <= bound + 1e-12 * max(1.0, bound)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 40), min_size=1, max_size=3).map(tuple),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+)
+def test_bi_unimodular_values_are_bi_unimodular(orders, view, mass):
+    spec = GroupSpec(orders=orders, view=view, mass=mass)
+    f = MeasuredFunction(spec, TIME, bi_unimodular_values(orders))
+    assert np.max(np.abs(np.abs(f.values) - 1.0)) <= 1e-12
+    level = spec.primal_atom * math.sqrt(spec.size)
+    assert np.max(np.abs(np.abs(forward(f).values) / level - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "group, p, q, expected, family",
+    [
+        ("cyclic:16x16", 6.0, 0.8, 64.0, "bi_unimodular"),
+        ("cyclic:16x16", 1.2, 1.5, 16.0, "delta"),
+        ("cyclic:5;view=compact", 4.0, 1.5, 5 ** (1 / 6), "bi_unimodular"),
+    ],
+)
+def test_estimate_norm_regressions(group, p, q, expected, family):
+    spec = GroupSpec.parse(group)
+    est = estimate_norm(spec, p, q)
+    assert est.value == pytest.approx(expected, rel=1e-12)
+    assert est.extremal == family
+    assert ratio(est.witness, p, q) == pytest.approx(expected, rel=1e-12)
+    # the search over the same three candidates agrees; the old one missed 5^(1/6)
+    assert structured_search(spec, p, q).value == pytest.approx(expected, rel=1e-12)
+
+
+def test_estimate_norm_past_the_cap_has_no_witness():
+    spec = GroupSpec(orders=(2048, 1024))
+    assert spec.size > EXHAUSTIVE_CAP
+    est = estimate_norm(spec, 6.0, 0.8)
+    assert est.witness is None and est.extremal == "bi_unimodular"
+    assert est.value == pytest.approx(2.0 ** (21 * 0.75), rel=1e-12)

@@ -2,20 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
+    FINITE_LABELS,
     INF,
     Exponent,
     classify,
     closed_form_cpq,
     exponent_value,
+    finite_cpq,
+    finite_exponent,
     hausdorff_young_check,
     holder_conjugate,
     lp_norm,
     recip,
 )
-from abelfourier.transform import MeasuredFunction, TIME, character_function, delta, forward
+from abelfourier.transform import (
+    FREQUENCY,
+    MeasuredFunction,
+    TIME,
+    character_function,
+    delta,
+    forward,
+)
 
 
 def test_recip():
@@ -67,6 +80,67 @@ def test_lp_norm_homogeneity():
         c = -1.5 + 2.0j
         scaled = MeasuredFunction(spec, TIME, c * f.values)
         assert lp_norm(scaled, p) == pytest.approx(abs(c) * lp_norm(f, p))
+
+
+@pytest.mark.parametrize("side", [TIME, FREQUENCY])
+@pytest.mark.parametrize("level", [1e-3, 1e3])
+@pytest.mark.parametrize("p", [200.0, 1e4])
+def test_lp_norm_large_p_neither_underflows_nor_overflows(side, level, p):
+    spec = GroupSpec(orders=(72,), view=COMPACT, mass=1.0)
+    f = MeasuredFunction(spec, side, np.full(72, level, dtype=np.complex128))
+    atom = spec.primal_atom if side == TIME else spec.dual_atom
+    assert lp_norm(f, p) == pytest.approx(level * (72 * atom) ** (1.0 / p), rel=1e-12)
+    # one large value among small ones: the norm is near the largest
+    vals = np.full(72, level * 1e-3, dtype=np.complex128)
+    vals[5] = level
+    g = MeasuredFunction(spec, side, vals)
+    expected = level * ((1.0 + 71 * 1e-3**p) * atom) ** (1.0 / p)
+    assert lp_norm(g, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_structured_search_sees_the_delta_at_large_q():
+    # the constant's and the delta's norms at q = 200 underflowed to 0 before
+    spec = GroupSpec(orders=(72,), view=COMPACT, mass=1.0)
+    found = structured_search(spec, 1 / 1.116, 200.0).value
+    assert found == pytest.approx(72 ** (1.116 + 0.005 - 1.0), rel=1e-12)
+
+
+_RECIP = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]), st.floats(0.0, 3.0))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(side=st.sampled_from([COMPACT, DISCRETE]), u=_RECIP, v=_RECIP)
+def test_finite_exponent_is_zero_exactly_on_finite_regions(side, u, v):
+    exponent, _ = finite_exponent(side, u, v)
+    assert exponent >= 0.0
+    assert (exponent == 0.0) == (classify(side, u, v).label in FINITE_LABELS)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 64), min_size=1, max_size=3).map(tuple),
+    side=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+    u=_RECIP,
+    v=_RECIP,
+)
+def test_finite_cpq_equals_closed_form_on_finite_regions(orders, side, mass, u, v):
+    spec = GroupSpec(orders=orders, view=side, mass=mass)
+    p, q = exponent_value(u), exponent_value(v)
+    value, _ = finite_cpq(spec, p, q)
+    closed = closed_form_cpq(spec, p, q)
+    if closed == INF:
+        assert finite_exponent(side, recip(p), recip(q))[0] > 0.0
+    else:
+        assert value == pytest.approx(closed, rel=1e-12)
+
+
+def test_finite_cpq_past_the_float_range():
+    spec = GroupSpec(orders=(2**40,), view=COMPACT, mass=1.0)
+    assert finite_cpq(spec, 0.01, 1.0) == (INF, "delta")
+    value, family = finite_cpq(spec, 4.0, 0.05)
+    assert family == "bi_unimodular"
+    assert value == pytest.approx(2.0 ** (40 * 19.5), rel=1e-12)
 
 
 @pytest.mark.parametrize(
