@@ -38,6 +38,8 @@ from .norms import (
     classify,
     closed_form_cpq,
     exponent_value,
+    family_exponents,
+    family_ratio,
     finite_cpq,
     finite_exponent,
     hausdorff_young_check,

@@ -3,7 +3,9 @@
 ``estimate_norm`` returns the closed form ``norms.finite_cpq`` (Gilbert and
 Rzeszotnik) with a function attaining it: the constant, the delta at the
 identity or a bi-unimodular function, whichever ratio ||fhat||_q / ||f||_p
-is largest.  ``structured_search`` evaluates those three ratios numerically.
+is largest.  Those functions come from ``witnesses.EXTREMALS`` and their
+exact ratios from ``norms.family_ratio``; ``structured_search`` evaluates
+the three ratios numerically.
 
 The multi-start gradient ascent on the smoothed log-ratio
 (``ascent_estimate``, ``log_ratio_and_grad``, ``EstimatorConfig``) is kept
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import EXHAUSTIVE_CAP, GroupSpec
-from .norms import BI_UNIMODULAR, CONSTANT, DELTA, finite_cpq, lp_norm, recip
+from .norms import finite_cpq, lp_norm, recip
 from .transform import (
     MeasuredFunction,
     TIME,
@@ -29,7 +31,7 @@ from .transform import (
     delta,
     forward,
 )
-from .witnesses import bi_unimodular_values
+from .witnesses import EXTREMALS
 
 
 #: Factor by which the ascent's line search shrinks (and regrows) its step.
@@ -68,14 +70,6 @@ def ratio(f: MeasuredFunction, p: float, q: float) -> float:
     if nf == 0.0:
         return 0.0
     return lp_norm(forward(f), q) / nf
-
-
-#: The function of each extremal family of ``norms.finite_cpq`` on a group.
-EXTREMALS = {
-    CONSTANT: lambda spec: MeasuredFunction(spec, TIME, np.ones(spec.size, dtype=np.complex128)),
-    DELTA: delta,
-    BI_UNIMODULAR: lambda spec: MeasuredFunction(spec, TIME, bi_unimodular_values(spec.orders)),
-}
 
 
 def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:

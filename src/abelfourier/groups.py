@@ -42,8 +42,10 @@ def describe_group(orders, view: str, mass: float) -> str:
     """The spec string of a group, which need not fit the machine integer range.
 
     Orders are written through ``Decimal``: ``str`` of an int past the
-    interpreter's digit limit (4300 digits by default) raises ValueError."""
-    return f"cyclic:{'x'.join(str(Decimal(m)) for m in orders)};view={view};mass={mass:g}"
+    interpreter's digit limit (4300 digits by default) raises ValueError.  The
+    mass is short when that reads back exactly, so ``GroupSpec.parse`` inverts this."""
+    mass_text = f"{mass:g}" if float(f"{mass:g}") == mass else repr(float(mass))
+    return f"cyclic:{'x'.join(str(Decimal(m)) for m in orders)};view={view};mass={mass_text}"
 
 
 @dataclass(frozen=True)

@@ -161,45 +161,50 @@ CONSTANT, DELTA, BI_UNIMODULAR = "constant", "delta", "bi_unimodular"
 EXTREMAL_FAMILIES = (CONSTANT, DELTA, BI_UNIMODULAR)
 
 
-def finite_exponent(side: str, u: float, v: float) -> tuple[float, str]:
-    """The power of N in the norm on an N-point group, and the family attaining it.
-
-    The constant, the delta at the identity and a bi-unimodular function
-    (|f| and |fhat| both constant) have ratios mass^(1-u-v) * N^e with e, in
-    that order, (0, u+v-1, v-1/2) on the compact view and (1-u-v, 0, 1/2-u)
-    on the discrete view.  The largest e is the norm's (Gilbert and
-    Rzeszotnik); ties go to the earlier family.  It is 0 exactly where
-    ``classify`` gives a finite label: both compare the same float u + v
-    with 1, and v (compact) or u (discrete) with 1/2.
-    """
+def family_exponents(side: str, u: float, v: float) -> tuple[float, float, float]:
+    """The power e of N in the ratio mass^(1-u-v) * N^e of each extremal
+    family on an N-point group, in ``EXTREMAL_FAMILIES`` order (the constant,
+    the delta at the identity, a bi-unimodular function): (0, u+v-1, v-1/2)
+    on the compact view and (1-u-v, 0, 1/2-u) on the discrete view."""
     if not (u >= 0 and v >= 0 and math.isfinite(u) and math.isfinite(v)):
         raise ValueError("reciprocal exponents must be finite and >= 0")
     s = u + v
     if side == COMPACT:
-        exps = (0.0, s - 1.0, v - 0.5)
-    elif side == DISCRETE:
-        exps = (1.0 - s, 0.0, 0.5 - u)
-    else:
-        raise ValueError(f"unknown side {side!r}")
+        return 0.0, s - 1.0, v - 0.5
+    if side == DISCRETE:
+        return 1.0 - s, 0.0, 0.5 - u
+    raise ValueError(f"unknown side {side!r}")
+
+
+def finite_exponent(side: str, u: float, v: float) -> tuple[float, str]:
+    """The largest of ``family_exponents``, which is the norm's power of N
+    (Gilbert and Rzeszotnik), and its family; ties go to the earlier family.
+    It is 0 exactly where ``classify`` gives a finite label: both compare the
+    same float u + v with 1, and v (compact) or u (discrete) with 1/2."""
+    exps = family_exponents(side, u, v)
     e = max(exps)
     return e, EXTREMAL_FAMILIES[exps.index(e)]
 
 
-def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:
-    """The exact operator norm mass^(1-1/p-1/q) * N^e on spec's N points, and
-    the extremal family (see ``finite_exponent``).
+def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
+    """The exact ratio ||fhat||_q / ||f||_p of ``family``'s function on spec.
 
-    Analytic: it builds no arrays, so it answers past the exhaustive cap.  It
-    is computed through its logarithm, so it is inf only when the norm is
-    past the float range.
-    """
+    Analytic, so it answers past the exhaustive cap; computed through its
+    logarithm, so it is inf only when the ratio is past the float range."""
     u, v = recip(p), recip(q)
-    e, family = finite_exponent(spec.view, u, v)
+    e = family_exponents(spec.view, u, v)[EXTREMAL_FAMILIES.index(family)]
     log_value = (1.0 - (u + v)) * math.log(spec.mass) + e * math.log(spec.size)
     try:
-        return math.exp(log_value), family
+        return math.exp(log_value)
     except OverflowError:
-        return INF, family
+        return INF
+
+
+def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:
+    """The exact operator norm on spec's N points, the ``family_ratio`` of the
+    ``finite_exponent`` winner, and that family."""
+    _, family = finite_exponent(spec.view, recip(p), recip(q))
+    return family_ratio(spec, family, p, q), family
 
 
 def hausdorff_young_check(f: MeasuredFunction, p: float) -> float:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, describe_group
-from .norms import closed_form_cpq, recip
+from .norms import CONSTANT, DELTA, closed_form_cpq, recip
 from .transform import MeasuredFunction, TIME, forward
+from .witnesses import EXTREMALS
 
 #: Relative threshold deciding "nonzero" for support counting.
 SUPPORT_RTOL = 1e-12
@@ -158,12 +159,12 @@ def weighted_up_violator(
 ) -> ViolatorResult:
     """A unit-L2 function whose weighted entropy sum drops below ``target``.
 
-    Compact side: the scaled point mass sqrt(N) delta_0 on (Z/2)^n, whose
-    weighted sum is exactly (1 - 1/p - 1/q) n log 2.  Discrete side: the
-    normalized all-ones function on Z/2^n, weighted sum (1/p + 1/q - 1) n
-    log 2.  The parameter is the least n at which the closed-form value
-    passes the target; the witness is materialized when the group fits under
-    the exhaustive cap and described symbolically otherwise.
+    The ``witnesses.EXTREMALS`` function scaled to unit L2.  Compact side: the
+    delta on (Z/2)^n, weighted sum exactly (1 - 1/p - 1/q) n log 2.  Discrete
+    side: the constant on Z/2^n, weighted sum (1/p + 1/q - 1) n log 2.  The
+    parameter is the least n at which the closed-form value passes the
+    target; the witness is materialized when the group fits under the
+    exhaustive cap and described symbolically otherwise.
     """
     u, v = recip(p), recip(q)
     if not in_violation_region(side, u, v):
@@ -186,17 +187,14 @@ def weighted_up_violator(
     achieved = value <= target
     size = 2**n
     if side == COMPACT:
-        family, orders = "subgroup_indicator", (2,) * n
+        family, extremal, orders = "subgroup_indicator", DELTA, (2,) * n
     else:
-        family, orders = "full_orbit", (size,)
+        family, extremal, orders = "full_orbit", CONSTANT, (size,)
     psi = None
     if size <= EXHAUSTIVE_CAP:
-        if side == COMPACT:
-            vals = np.zeros(size, dtype=np.complex128)
-            vals[0] = math.sqrt(size)
-        else:
-            vals = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-        psi = MeasuredFunction(GroupSpec(orders=orders, view=side, mass=1.0), TIME, vals)
+        f = EXTREMALS[extremal](GroupSpec(orders=orders, view=side, mass=1.0))
+        unit = math.sqrt(1.0 / f.atom) / np.linalg.norm(f.values)  # so sum |psi|^2 atom = 1
+        psi = MeasuredFunction(f.spec, TIME, f.values * unit)
     return ViolatorResult(
         side=side,
         family=family,

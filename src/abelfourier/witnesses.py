@@ -2,11 +2,12 @@
 without bound in the infinite regions, realized at finite scale.
 
 Each constructor returns a :class:`WitnessPoint` carrying the measured norms,
-the ratio, and the predicted value for the ratio -- exact for families whose
-ratio has a closed form (subgroup indicators, full orbits, chirps), a proven
-lower bound otherwise.  Truncation choices (torus modeled by Z/m, the
-integers modeled by a sparse support with circle quadrature) follow the
-adequacy rules noted on each constructor.
+the ratio, and the predicted value for the ratio -- exact for the families
+built from ``EXTREMALS`` (subgroup indicator = N times the delta, full orbit =
+the constant, chirp = the bi-unimodular function), whose prediction is
+``norms.family_ratio``; a proven lower bound otherwise.  Truncation choices
+(torus modeled by Z/m, the integers modeled by a sparse support with circle
+quadrature) follow the adequacy rules noted on each constructor.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, GroupSpec
-from .norms import lp_norm, recip
-from .transform import FREQUENCY, MeasuredFunction, TIME, forward, inverse
+from .norms import BI_UNIMODULAR, CONSTANT, DELTA, family_ratio, lp_norm, recip
+from .transform import FREQUENCY, MeasuredFunction, TIME, delta, forward, inverse
 
 
 @dataclass(frozen=True)
@@ -98,19 +99,6 @@ def _is_prime(r: int) -> bool:
     return True
 
 
-def _chirp_values(r: int, n: int) -> np.ndarray:
-    """Values of omega^(a.b), omega = e^(2 pi i/r), over (a, b) in (Z/r)^n x (Z/r)^n,
-    in the canonical order of (Z/r)^2n."""
-    half = r**n
-    digits = np.empty((half, n), dtype=np.int64)
-    rem = np.arange(half)
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = rem % r
-        rem //= r
-    dots = (digits @ digits.T) % r
-    return np.exp(2j * np.pi * dots / r).ravel()
-
-
 def bi_unimodular_values(orders) -> np.ndarray:
     """A function with |f| = 1 and |fhat| constant on Z/m_1 x ... x Z/m_k, in
     canonical order: the tensor product over the factors of the Zadoff-Chu
@@ -121,6 +109,14 @@ def bi_unimodular_values(orders) -> np.ndarray:
         phase = (k * (k + m % 2)) % (2 * m)  # exact: the angle is pi * phase / m
         values = np.multiply.outer(values, np.exp(1j * np.pi * phase / m)).ravel()
     return values
+
+
+#: The function of each extremal family of ``norms.finite_cpq`` on a group.
+EXTREMALS = {
+    CONSTANT: lambda spec: MeasuredFunction(spec, TIME, np.ones(spec.size, dtype=np.complex128)),
+    DELTA: delta,
+    BI_UNIMODULAR: lambda spec: MeasuredFunction(spec, TIME, bi_unimodular_values(spec.orders)),
+}
 
 
 def _measured_point(family, param_n, spec, f, p, q, prediction, kind) -> WitnessPoint:
@@ -138,6 +134,16 @@ def _measured_point(family, param_n, spec, f, p, q, prediction, kind) -> Witness
         prediction=prediction,
         prediction_kind=kind,
     )
+
+
+def _exact_point(name, param_n, spec, extremal, p, q, scale=1.0) -> WitnessPoint:
+    """``scale`` times the ``EXTREMALS[extremal]`` function on spec; its ratio
+    is exactly ``family_ratio``."""
+    f = EXTREMALS[extremal](spec)
+    if scale != 1.0:
+        f = MeasuredFunction(spec, TIME, scale * f.values)
+    prediction = family_ratio(spec, extremal, p, q)
+    return _measured_point(name, param_n, spec, f, p, q, prediction, "exact")
 
 
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
@@ -171,12 +177,7 @@ def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoi
     if r**n > EXHAUSTIVE_CAP:
         raise CapacityError(f"r^n = {r**n} exceeds cap {EXHAUSTIVE_CAP}")
     spec = GroupSpec(orders=(r,) * n, view=COMPACT, mass=1.0)
-    vals = np.zeros(spec.size, dtype=np.complex128)
-    vals[0] = spec.size
-    f = MeasuredFunction(spec, TIME, vals)
-    u, v = recip(p), recip(q)
-    prediction = float(spec.size) ** (u + v - 1.0)
-    return _measured_point("subgroup_indicator", n, spec, f, p, q, prediction, "exact")
+    return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
 
 
 def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
@@ -185,14 +186,12 @@ def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
     if m < 2:
         raise ValueError("m must be >= 2")
     spec = GroupSpec(orders=(m,), view=DISCRETE, mass=1.0)
-    f = MeasuredFunction(spec, TIME, np.ones(m, dtype=np.complex128))
-    u, v = recip(p), recip(q)
-    prediction = float(m) ** (1.0 - u - v)
-    return _measured_point("full_orbit", m, spec, f, p, q, prediction, "exact")
+    return _exact_point("full_orbit", m, spec, CONSTANT, p, q)
 
 
 def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
-    """The chirp f(a, b) = omega^(a.b) on (Z/r)^2n with probability mass.
+    """The bi-unimodular function on (Z/r)^2n with probability mass: the
+    tensor product of Zadoff-Chu sequences (``bi_unimodular_values``).
 
     |f| = 1 everywhere (so every L^p norm is 1) while |fhat| = r^-n
     everywhere, giving ratio exactly r^(n(2-q)/q)."""
@@ -201,10 +200,7 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     if r ** (2 * n) > EXHAUSTIVE_CAP:
         raise CapacityError(f"r^2n = {r ** (2 * n)} exceeds cap {EXHAUSTIVE_CAP}")
     spec = GroupSpec(orders=(r,) * (2 * n), view=COMPACT, mass=1.0)
-    f = MeasuredFunction(spec, TIME, _chirp_values(r, n))
-    v = recip(q)
-    prediction = float(r) ** (n * (2.0 * v - 1.0))
-    return _measured_point("chirp", n, spec, f, p, q, prediction, "exact")
+    return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
 
 
 def lacunary_coefficients(count: int, beta: float, c: float) -> np.ndarray:
@@ -328,15 +324,16 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     threshold = math.sqrt(sigma_sq * harmonic)
     tail = float(np.count_nonzero(fhat.values.real >= threshold)) / spec.size
+    norm_f, norm_fhat = lp_norm(f, p), lp_norm(fhat, q)
     point = WitnessPoint(
         family="clt_delta",
         param_n=n,
         group_descr=spec.describe(),
         p=p,
         q=q,
-        norm_f=lp_norm(f, p),
-        norm_fhat=lp_norm(fhat, q),
-        ratio=lp_norm(fhat, q) / lp_norm(f, p),
+        norm_f=norm_f,
+        norm_fhat=norm_fhat,
+        ratio=norm_fhat / norm_f,
         prediction=None,
         prediction_kind=None,
     )

@@ -7,6 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from abelfourier import witnesses
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import GroupSpec
 from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
@@ -191,6 +192,20 @@ def test_estimate_is_exact_and_exits_0(capsys, group, p, q, expected, extremal):
     assert payload["estimate"] == pytest.approx(expected, rel=1e-12)
     assert payload["extremal"] == extremal
     assert payload["converged"] is True and payload["iterations"] == 0
+
+
+def test_estimate_builds_no_extremal_function(monkeypatch, capsys):
+    argv = ["estimate", "--group", "cyclic:16x16", "--p", "6", "--q", "0.8"]
+    _, expected, _ = run(capsys, *argv)
+
+    def refuse(spec):
+        raise AssertionError("estimate built an extremal function")
+
+    for family in witnesses.EXTREMALS:
+        monkeypatch.setitem(witnesses.EXTREMALS, family, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
 
 
 def test_estimate_search_flags_have_no_effect(capsys):

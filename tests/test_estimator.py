@@ -16,7 +16,7 @@ from abelfourier.estimator import (
     structured_search,
 )
 from abelfourier.groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, all_subgroups
-from abelfourier.norms import EXTREMAL_FAMILIES, INF, closed_form_cpq, finite_cpq
+from abelfourier.norms import EXTREMAL_FAMILIES, INF, closed_form_cpq, family_ratio, finite_cpq
 from abelfourier.transform import MeasuredFunction, TIME, character_function, delta, forward
 from abelfourier.witnesses import bi_unimodular_values
 
@@ -240,6 +240,8 @@ def test_finite_cpq_is_best_of_three_candidate_ratios(orders, view, mass, p, q):
     value, family = finite_cpq(spec, p, q)
     ratios = {name: ratio(build(spec), p, q) for name, build in estimator.EXTREMALS.items()}
     assert tuple(ratios) == EXTREMAL_FAMILIES
+    for name, measured in ratios.items():
+        assert measured == pytest.approx(family_ratio(spec, name, p, q), rel=1e-12)
     assert value == pytest.approx(max(ratios.values()), rel=1e-12)
     assert ratios[family] == pytest.approx(value, rel=1e-12)
 

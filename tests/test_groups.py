@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelfourier.groups import (
     COMPACT,
@@ -11,6 +13,8 @@ from abelfourier.groups import (
     Subgroup,
     all_subgroups,
 )
+from abelfourier.norms import lp_norm
+from abelfourier.transform import MeasuredFunction, TIME, read_csv, write_csv
 
 
 def test_spec_validation():
@@ -122,6 +126,37 @@ def test_describe_parse_roundtrip():
         GroupSpec(orders=(7,), view=COMPACT, mass=2.25),
     ]:
         assert GroupSpec.parse(spec.describe()) == spec
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.one_of(
+        st.sampled_from([1.0, 0.5, 1.25, 1.23456789, 1 / 3, 1e-300, 1e300, 5e-324]),
+        st.floats(min_value=5e-324, max_value=1e300),
+    ),
+)
+def test_describe_parse_and_csv_roundtrip_keep_the_spec(orders, view, mass):
+    spec = GroupSpec(orders=orders, view=view, mass=mass)
+    assert GroupSpec.parse(spec.describe()) == spec
+    f = MeasuredFunction(spec, TIME, np.arange(spec.size) + 0.5j)
+    back = read_csv(write_csv(f))
+    assert back.spec == spec
+    assert lp_norm(back, 3.0) == lp_norm(f, 3.0)
+
+
+@pytest.mark.parametrize(
+    "mass, text",
+    [
+        (1.0, "cyclic:2x3;view=discrete;mass=1"),
+        (0.5, "cyclic:2x3;view=discrete;mass=0.5"),
+        (1.25, "cyclic:2x3;view=discrete;mass=1.25"),
+        (1.23456789, "cyclic:2x3;view=discrete;mass=1.23456789"),  # was mass=1.23457
+    ],
+)
+def test_describe_mass_bytes(mass, text):
+    assert GroupSpec(orders=(2, 3), view=DISCRETE, mass=mass).describe() == text
 
 
 def test_parse_examples():

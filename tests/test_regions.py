@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
+    EXTREMAL_FAMILIES,
     FINITE_LABELS,
     INF,
     Exponent,
     classify,
     closed_form_cpq,
     exponent_value,
+    family_exponents,
+    family_ratio,
     finite_cpq,
     finite_exponent,
     hausdorff_young_check,
@@ -133,6 +136,42 @@ def test_finite_cpq_equals_closed_form_on_finite_regions(orders, side, mass, u, 
         assert finite_exponent(side, recip(p), recip(q))[0] > 0.0
     else:
         assert value == pytest.approx(closed, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 64), min_size=1, max_size=3).map(tuple),
+    side=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+    u=_RECIP,
+    v=_RECIP,
+)
+def test_finite_cpq_is_the_largest_family_ratio(orders, side, mass, u, v):
+    spec = GroupSpec(orders=orders, view=side, mass=mass)
+    p, q = exponent_value(u), exponent_value(v)
+    ratios = [family_ratio(spec, family, p, q) for family in EXTREMAL_FAMILIES]
+    value, family = finite_cpq(spec, p, q)
+    assert value == max(ratios) == ratios[EXTREMAL_FAMILIES.index(family)]
+    exps = family_exponents(side, recip(p), recip(q))
+    assert family == EXTREMAL_FAMILIES[exps.index(max(exps))]
+
+
+@pytest.mark.parametrize(
+    "side, u, v, family",
+    [
+        (COMPACT, 0.5, 0.5, "constant"),  # all three exponents 0
+        (COMPACT, 0.5, 0.75, "delta"),  # delta and bi-unimodular tie at 1/4
+        (DISCRETE, 0.25, 0.5, "constant"),  # constant and bi-unimodular tie at 1/4
+        (DISCRETE, 0.5, 0.5, "constant"),
+    ],
+)
+def test_finite_cpq_ties_go_to_the_earlier_family(side, u, v, family):
+    spec = GroupSpec(orders=(6, 10), view=side, mass=1.5)
+    value, found = finite_cpq(spec, 1 / u, 1 / v)
+    assert found == family
+    ratios = [family_ratio(spec, f, 1 / u, 1 / v) for f in EXTREMAL_FAMILIES]
+    assert ratios.index(max(ratios)) == EXTREMAL_FAMILIES.index(family)
+    assert value == max(ratios)
 
 
 def test_finite_cpq_past_the_float_range():

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abelfourier.groups import CapacityError
-from abelfourier.norms import INF
+from abelfourier import witnesses
+from abelfourier.groups import CapacityError, GroupSpec
+from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_ratio, lp_norm
+from abelfourier.transform import forward
 from abelfourier.witnesses import (
     TrigPolynomial,
     arc_indicator_witness,
@@ -75,6 +79,57 @@ def test_chirp_flat_modulus():
     # 9 dual atoms of modulus 1/3 with unit weight: l1 norm 3
     assert pt.norm_fhat == pytest.approx(3.0, rel=1e-12)
     assert pt.prediction_kind == "exact"
+
+
+_EXPONENT = st.one_of(st.just(INF), st.floats(0.5, 0.99), st.floats(1.0, 8.0))
+
+
+def _assert_exact(pt, extremal, p, q):
+    spec = GroupSpec.parse(pt.group_descr)
+    assert pt.prediction_kind == "exact"
+    assert pt.prediction == family_ratio(spec, extremal, p, q)
+    assert abs(pt.ratio - pt.prediction) <= 1e-12 * pt.prediction
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rn=st.sampled_from([(2, n) for n in range(1, 13)] + [(3, 1), (3, 4), (5, 3), (7, 2)]),
+       p=_EXPONENT, q=_EXPONENT)
+def test_subgroup_indicator_ratio_is_family_ratio(rn, p, q):
+    r, n = rn
+    _assert_exact(subgroup_indicator_witness(r, n, p, q), DELTA, p, q)
+
+
+# q >= 1 only: the constant's transform is a delta, and for q < 1 the FFT's
+# roundoff at its zero frequencies, raised to the power q, moves the measured
+# ratio (5e-9 relative at m = 4097, q = 0.7).
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(m=st.integers(2, 4096), p=_EXPONENT, q=st.one_of(st.just(INF), st.floats(1.0, 8.0)))
+def test_full_orbit_ratio_is_family_ratio(m, p, q):
+    _assert_exact(full_orbit_witness(m, p, q), CONSTANT, p, q)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rn=st.sampled_from([(2, n) for n in range(1, 7)] + [(3, 1), (3, 2), (5, 1), (7, 1)]),
+       p=_EXPONENT, q=_EXPONENT)
+def test_chirp_ratio_is_family_ratio(rn, p, q):
+    r, n = rn
+    _assert_exact(chirp_witness(r, n, q, p=p), BI_UNIMODULAR, p, q)
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 1)])
+def test_chirp_is_bi_unimodular(monkeypatch, r, n):
+    seen = []
+
+    def spy(f):
+        fhat = forward(f)
+        seen.append((f, fhat))
+        return fhat
+
+    monkeypatch.setattr(witnesses, "forward", spy)
+    chirp_witness(r, n, 1.5)
+    (f, fhat), = seen
+    assert np.max(np.abs(np.abs(f.values) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.abs(fhat.values) * r**n - 1.0)) <= 1e-12
 
 
 def test_arc_indicator_lower_bound():
@@ -180,6 +235,19 @@ def test_clt_witness_norms():
     w2 = clt_delta_witness(2, 8, 2.0, 2.0)
     assert w2.point.norm_fhat == pytest.approx(w2.point.norm_f, rel=1e-10)
     assert w.threshold == pytest.approx(math.sqrt(sum(1.0 / k for k in range(1, 9))))
+
+
+def test_clt_witness_computes_each_norm_once(monkeypatch):
+    calls = []
+
+    def counting(f, p):
+        calls.append(p)
+        return lp_norm(f, p)
+
+    monkeypatch.setattr(witnesses, "lp_norm", counting)
+    w = clt_delta_witness(3, 5, 3.0, 1.0)
+    assert sorted(calls) == [1.0, 3.0]
+    assert w.point.ratio == w.point.norm_fhat / w.point.norm_f
 
 
 def test_clt_witness_reproducible():
