@@ -25,8 +25,7 @@ from .norms import finite_cpq, lp_norm, recip
 from .transform import (
     MeasuredFunction,
     TIME,
-    _fftn_flat,
-    _ifftn_flat,
+    _fft_flat,
     character_function,
     delta,
     forward,
@@ -99,14 +98,14 @@ def log_ratio_and_grad(vals, spec: GroupSpec, p: float, q: float, eps: float):
     """
     vals = np.asarray(vals, dtype=np.complex128)
     wp, wq = spec.primal_atom, spec.dual_atom
-    fhat = wp * _fftn_flat(vals, spec.orders)
+    fhat = wp * _fft_flat(vals, spec.orders, inverse=False)
     mp = np.abs(vals) ** 2 + eps * eps
     mq = np.abs(fhat) ** 2 + eps * eps
     sp = wp * float(np.sum(mp ** (p / 2.0)))
     sq = wq * float(np.sum(mq ** (q / 2.0)))
     value = math.log(sq) / q - math.log(sp) / p
     dual_weight = wq * mq ** (q / 2.0 - 1.0) * fhat / (2.0 * sq)
-    adjoint = wp * spec.size * _ifftn_flat(dual_weight, spec.orders)  # forward's adjoint
+    adjoint = wp * spec.size * _fft_flat(dual_weight, spec.orders, inverse=True)  # forward's adjoint
     grad = adjoint - wp * mp ** (p / 2.0 - 1.0) * vals / (2.0 * sp)
     return value, grad
 

@@ -61,16 +61,26 @@ class TrigPolynomial:
             out = out + coef * np.exp(1j * freq * theta)
         return out
 
+    def grid_values(self, points: int) -> MeasuredFunction:
+        """The polynomial at the M = ``points`` grid angles 2 pi x / M, as a
+        time-side function on compact Z/M with mass 1 (the circle's
+        probability measure, sampled).
+
+        It is one ``inverse`` transform: the dual atom is 1, so putting each
+        coefficient at bin freq mod M gives the polynomial's exact value at
+        every grid point, aliased frequencies included."""
+        spec = GroupSpec(orders=(points,), view=COMPACT, mass=1.0)
+        coefs = np.zeros(points, dtype=np.complex128)
+        for freq, coef in self.terms:
+            coefs[freq % points] += coef
+        return inverse(MeasuredFunction(spec, FREQUENCY, coefs))
+
     def quadrature_lq(self, q: float, points: int) -> float:
         """L^q norm on the circle with probability measure, by an M-point
-        uniform Riemann sum.  Exact for trig-polynomial moments of degree
-        below M, so oversampling past the max frequency controls aliasing."""
-        theta = 2.0 * np.pi * np.arange(points) / points
-        mags = np.abs(self.evaluate(theta))
-        u = recip(q)
-        if u == 0.0:
-            return float(mags.max())
-        return float(np.mean(mags**q) ** u)
+        uniform Riemann sum: ``lp_norm`` of ``grid_values``.  Exact for
+        trig-polynomial moments of degree below M, so oversampling past the
+        max frequency controls aliasing."""
+        return lp_norm(self.grid_values(points), q)
 
 
 @dataclass(frozen=True)
@@ -270,6 +280,10 @@ class LacunaryDiscreteWitness:
 def lacunary_discrete_witness(
     n: int, p: float, q: float, grid_points: int | None = None
 ) -> LacunaryDiscreteWitness:
+    """The integers' witness at scale n, its transform's L^q and L^2 norms
+    taken by ``lp_norm`` on one set of quadrature values: the polynomial's
+    ``grid_values`` on at least 8 * 2^n points (default exactly that), one
+    inverse transform.  The L^2 norm must match Parseval to 1e-6."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not p > 2:
@@ -282,8 +296,8 @@ def lacunary_discrete_witness(
     k = np.arange(1, n + 1, dtype=np.float64)
     norm_f = float(np.sum(k ** (-p / 2.0)) ** (1.0 / p))
     poly = lacunary_trig_polynomial(n)
-    norm_fhat = poly.quadrature_lq(q, grid_points)
-    l2 = poly.quadrature_lq(2.0, grid_points)
+    fhat = poly.grid_values(grid_points)
+    norm_fhat, l2 = lp_norm(fhat, q), lp_norm(fhat, 2.0)
     parseval = float(math.sqrt(np.sum(1.0 / k)))
     if abs(l2 - parseval) > 1e-6:
         raise ArithmeticError(

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -55,6 +56,19 @@ def test_region_example(capsys):
 def test_witness_chirp_example(capsys):
     payload = run_json(capsys, "witness", "--family", "chirp", "--r", "2", "--n", "2", "--q", "1")
     assert payload["ratio"] == 4.0
+
+
+def test_witness_lacunary_discrete_large_q_is_finite(capsys):
+    # |fhat|^3000 overflows unscaled: this once printed "norm_fhat": "inf"
+    argv = ["witness", "--family", "lacunary_discrete", "--n", "10", "--p", "3", "--q", "3000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(capsys, *argv)
+    mags = np.abs(witnesses.lacunary_trig_polynomial(10).evaluate(
+        2.0 * np.pi * np.arange(8 * 2**10) / (8 * 2**10)))
+    want = mags.max() * float(np.mean((mags / mags.max()) ** 3000.0)) ** (1.0 / 3000.0)
+    assert isinstance(payload["norm_fhat"], float)
+    assert payload["norm_fhat"] == pytest.approx(want, rel=1e-12)
 
 
 def test_witness_missing_flags_usage_error(capsys):

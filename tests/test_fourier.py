@@ -13,10 +13,12 @@ from abelfourier.transform import (
     TIME,
     MeasuredFunction,
     SideError,
+    _fft_flat,
     character_function,
     delta,
     dft_matrix,
     double_transform,
+    dual_forward,
     forward,
     inverse,
     l2_norm,
@@ -128,6 +130,57 @@ def test_double_transform_is_reflection():
         twice = double_transform(f)
         refl = reflect(f)
         assert np.max(np.abs(twice.values - refl.values)) < 1e-10
+
+
+def _within_cap(orders, cap=2**16):
+    """The longest prefix of orders whose group has at most cap points."""
+    size, kept = 1, []
+    for m in orders:
+        size *= m
+        if size > cap:
+            break
+        kept.append(m)
+    return tuple(kept)
+
+
+def _bits(values):
+    return values.view(np.uint64)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    orders=st.lists(st.sampled_from([2, 2, 2, 3, 4, 5, 8]), min_size=1, max_size=20).map(_within_cap),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_are_numpy_fftn_bitwise(orders, view, mass, seed):
+    """Order-2 axes take a hand-written butterfly; every transform still equals
+    the atom times ``numpy.fft.fftn``/``ifftn`` bit for bit."""
+    spec = GroupSpec(orders=orders, view=view, mass=mass)
+    rng = np.random.default_rng(seed)
+    f, F = random_function(rng, spec), random_function(rng, spec, side=FREQUENCY)
+    fhat = forward(f)
+    assert np.array_equal(_bits(fhat.values),
+                          _bits(spec.primal_atom * np.fft.fftn(f.grid()).ravel()))
+    assert np.array_equal(_bits(inverse(F).values),
+                          _bits(spec.dual_atom * (spec.size * np.fft.ifftn(F.grid()).ravel())))
+    assert np.array_equal(_bits(dual_forward(F).values),
+                          _bits(spec.dual_atom * np.fft.fftn(F.grid()).ravel()))
+    scale = np.max(np.abs(f.values))
+    assert parseval_defect(f) <= 1e-12 * l2_norm(f)
+    assert np.max(np.abs(inverse(fhat).values - f.values)) <= 1e-12 * scale
+    assert np.max(np.abs(double_transform(f).values - reflect(f).values)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("orders", [(2,), (2, 2, 2), (2, 3, 2)])
+def test_inverse_butterfly_keeps_signed_zeros(orders):
+    # -0 + -0 = -0 beside a negative imaginary part: numpy halves the real
+    # and imaginary parts apart, where a complex product by 0.5 gives +0.
+    # (inverse's own complex scaling by N then turns both into +0.)
+    values = np.full(math.prod(orders), complex(-0.0, -1.0))
+    want = np.fft.ifftn(values.reshape(orders)).ravel()
+    assert np.array_equal(_bits(_fft_flat(values, orders, inverse=True)), _bits(want))
 
 
 def test_reflect_involution():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from abelfourier import witnesses
 from abelfourier.groups import CapacityError, GroupSpec
 from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_ratio, lp_norm
-from abelfourier.transform import forward
+from abelfourier.transform import TIME, forward
 from abelfourier.witnesses import (
     TrigPolynomial,
     arc_indicator_witness,
@@ -195,6 +196,38 @@ def test_trig_polynomial():
     assert const.quadrature_lq(INF, 64) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         TrigPolynomial(terms=((1, 1.0 + 0j), (1, 2.0 + 0j)))
+
+
+def _grid_oracle(poly, points):
+    """The polynomial at the grid angles 2 pi x / M, pointwise."""
+    return poly.evaluate(2.0 * np.pi * np.arange(points) / points)
+
+
+# evaluate's phase freq * theta carries an error of about freq * ulp(2 pi),
+# some 5e-13 of max |f| at n = 12; the grid values are exact up to FFT roundoff.
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lacunary_grid_values_match_pointwise_evaluation(n):
+    poly = lacunary_trig_polynomial(n)
+    for points in (8 * 2**n, 8 * 2**n + 37):  # the default grid and a non-power of two
+        f = poly.grid_values(points)
+        assert f.spec == GroupSpec(orders=(points,)) and f.side == TIME
+        want = _grid_oracle(poly, points)
+        assert np.max(np.abs(f.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_values_negative_and_aliased_frequencies():
+    # -3 sits at bin 37 and 45 aliases onto 5's bin: both add in exactly
+    poly = TrigPolynomial(terms=((-3, 1.0 + 0.5j), (5, 2.0 + 0j), (45, -0.7j), (0, 0.25 + 0j)))
+    want = _grid_oracle(poly, 40)
+    assert np.max(np.abs(poly.grid_values(40).values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_quadrature_lq_does_not_underflow():
+    # 1e-3 ** 200 underflows to 0 when the powers are summed unscaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lq = TrigPolynomial(terms=((0, 1e-3 + 0j),)).quadrature_lq(200, 64)
+    assert lq == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_lacunary_trig_polynomial_terms():
