@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -79,6 +80,16 @@ def _exponent(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not an exponent: {text!r}")
     if not val > 0:
         raise argparse.ArgumentTypeError("exponent must be positive")
+    return val
+
+
+def _positive_int(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if val < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
     return val
 
 
@@ -477,7 +488,25 @@ def _selftest() -> int:
 
 # -- parser -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Building it takes about 2 ms, far more than an ``estimate`` call's own
+    work, so ``main`` reuses it.  The returned parser is shared: do not
+    mutate it (add arguments, set defaults).  ``build_parser.__wrapped__()``
+    builds a fresh one.  Reuse is safe because:
+
+    - ``parse_args`` makes a new ``Namespace`` on every call and does not
+      mutate the parser;
+    - every default is immutable (``str``, ``int``, ``float``, ``None`` or
+      ``False``);
+    - the ``type=`` callables (``_exponent``, ``_positive_int``,
+      ``_int_list``, ``_float_list``) return new objects;
+    - the ``--family`` choices come from the static ``FAMILIES`` table;
+    - argparse looks up ``sys.stdout``/``sys.stderr`` for help, usage and
+      error text at call time, so redirected streams still capture it.
+    """
     parser = argparse.ArgumentParser(prog="abelfourier")
     parser.add_argument("--selftest", action="store_true", help="run a fast acceptance subset")
     sub = parser.add_subparsers(dest="subcommand")
@@ -522,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="CSV sweep over witness parameters or region grid")
     sp.add_argument("--kind", choices=["witness", "region"], default="witness")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1)
     sp.add_argument("--output", default="-")
     sp.add_argument("--family", choices=list(FAMILIES))
     sp.add_argument("--params", type=_int_list, help="comma-separated family parameters")
@@ -569,6 +598,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one CLI command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    May be called repeatedly in one process; the parser is built on the
+    first call (see ``build_parser``).  An argparse usage error, or
+    ``--help``, raises ``SystemExit`` (code 2, or 0 for help) as argparse
+    does; every other outcome is returned.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.selftest:

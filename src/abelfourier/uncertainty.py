@@ -164,8 +164,11 @@ def weighted_up_violator(
     side: the constant on Z/2^n, weighted sum (1/p + 1/q - 1) n log 2.  The
     parameter is the least n at which the closed-form value passes the
     target; the witness is materialized when the group fits under the
-    exhaustive cap and described symbolically otherwise.
+    exhaustive cap and described symbolically otherwise.  A non-finite
+    ``target`` raises ValueError.
     """
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
     u, v = recip(p), recip(q)
     if not in_violation_region(side, u, v):
         raise ValueError(

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,15 +9,25 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abelfourier import witnesses
+from abelfourier import cli, witnesses
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import GroupSpec
 from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
 
 
+def _exit_code(argv):
+    """The exit code of one ``main`` call; a SystemExit's code counts."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = _exit_code(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -444,3 +456,106 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["compact", "discrete"])
+def test_uncertainty_violate_non_finite_target_is_usage_error(capsys, side, target):
+    p, q = ("1.111", "2.5") if side == "compact" else (str(1 / 0.6), "5")
+    code, out, err = run(
+        capsys, "uncertainty", "--mode", "violate", f"--target={target}",
+        "--p", p, "--q", q, "--side", side,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: target must be finite\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--kind", "witness", "--family", "full_orbit", "--params", "4,8",
+         "--p", "1", "--q", "1"],
+        ["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.25",
+         "--v-values", "0.75"],
+    ],
+    ids=["witness", "region"],
+)
+def test_sweep_rejects_workers_below_one_before_writing(capsys, argv, workers):
+    code, out, err = run(capsys, *argv, f"--workers={workers}")
+    assert code == 2
+    assert out == ""
+    assert "argument --workers" in err
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    argv = ["estimate", "--group", "cyclic:4", "--p", "2", "--q", "2"]
+    run(capsys, *argv)  # builds the parser if no earlier call did
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert built == []
+
+
+# (argv, exit code): valid commands, help, every kind of usage error and one
+# witness past the 2^20 cap, all fast.  Only the last exits 3.
+ARGV_MENU = [
+    (["info", "--group", "cyclic:2x3;view=discrete;mass=0.5"], 0),
+    (["cpq", "--group", "cyclic:4", "--p", "2", "--q", "2"], 0),
+    (["region", "--side", "discrete", "--u", "0.25", "--v", "0.8"], 0),
+    (["estimate", "--group", "cyclic:4x6;view=discrete;mass=0.5", "--p", "6", "--q", "0.8"], 0),
+    (["witness", "--family", "chirp", "--r", "2", "--n", "2", "--q", "1"], 0),
+    (["sweep", "--family", "full_orbit", "--params", "4,8", "--p", "1", "--q", "1",
+      "--workers", "2"], 0),
+    (["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.25,0.75",
+      "--v-values", "0.5"], 0),
+    (["uncertainty", "--mode", "violate", "--target", "-1", "--p", "1.111", "--q", "2.5"], 0),
+    (["--help"], 0),
+    *(([name, "--help"], 0) for name in cli._HANDLERS),
+    ([], 2),
+    (["nosuch"], 2),
+    (["--bogus"], 2),
+    (["estimate", "--group", "cyclic:4", "--p", "2", "--q", "2", "--bogus", "1"], 2),
+    (["cpq", "--group", "cyclic:4", "--p", "0", "--q", "2"], 2),
+    (["cpq", "--group", "cyclic:4", "--p", "-1", "--q", "2"], 2),
+    (["estimate", "--group", "cyclic:4", "--p", "abc", "--q", "2"], 2),
+    (["region", "--side", "middle", "--u", "0.25", "--v", "0.8"], 2),
+    (["witness", "--family", "nosuch", "--n", "2"], 2),
+    (["witness", "--family", "chirp", "--r", "2", "--q", "1"], 2),
+    (["estimate", "--group", "cyclic:4", "--p", "2"], 2),
+    (["info", "--group", "cyclic:4x;view=compact"], 2),
+    (["uncertainty", "--mode", "violate", "--target=nan", "--p", "1.111", "--q", "2.5"], 2),
+    (["sweep", "--family", "full_orbit", "--params", "4", "--workers", "0"], 2),
+    (["witness", "--family", "subgroup_indicator", "--r", "2", "--n", "21",
+      "--p", "1", "--q", "1"], 3),
+]
+
+
+def _outcome(argv):
+    """Like ``run``, but captured without capsys, which hypothesis's examples would share."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Reusing one parser is safe only while argparse keeps no state between
+# parse_args calls; its internals change between Python versions.
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_MENU), min_size=1, max_size=8))
+def test_shared_parser_matches_fresh_parser(entries):
+    for argv, expected_code in entries:
+        shared = _outcome(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = _outcome(argv)
+        assert shared == fresh, argv
+        assert shared[0] == expected_code, (argv, shared)

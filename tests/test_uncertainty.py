@@ -205,6 +205,13 @@ def test_violator_guards():
         weighted_up_violator(-1.0, 1.5, 3.0, COMPACT)  # validity region, not violation
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side, p, q", [(COMPACT, 1.111, 2.5), (DISCRETE, 1.0 / 0.6, 5.0)])
+def test_violator_rejects_non_finite_target(side, p, q, target):
+    with pytest.raises(ValueError, match="target must be finite"):
+        weighted_up_violator(target, p, q, side)
+
+
 def test_unweighted_margin():
     rng = np.random.default_rng(79)
     for view in (COMPACT, DISCRETE):
