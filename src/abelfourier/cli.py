@@ -87,7 +87,7 @@ def _positive_int(text: str) -> int:
     try:
         val = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if val < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return val

@@ -18,16 +18,8 @@ from abelfourier.groups import GroupSpec
 from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
 
 
-def _exit_code(argv):
-    """The exit code of one ``main`` call; a SystemExit's code counts."""
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
-
-
 def run(capsys, *argv):
-    code = _exit_code(argv)
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -483,10 +475,18 @@ def test_uncertainty_violate_non_finite_target_is_usage_error(capsys, side, targ
     ids=["witness", "region"],
 )
 def test_sweep_rejects_workers_below_one_before_writing(capsys, argv, workers):
-    code, out, err = run(capsys, *argv, f"--workers={workers}")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--workers={workers}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
     assert out == ""
     assert "argument --workers" in err
+
+
+def test_sweep_non_integer_workers_keeps_argparse_wording(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--family", "full_orbit", "--params", "4", "--workers", "abc"])
+    assert capsys.readouterr().err.endswith("argument --workers: invalid int value: 'abc'\n")
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):
@@ -540,10 +540,14 @@ ARGV_MENU = [
 
 
 def _outcome(argv):
-    """Like ``run``, but captured without capsys, which hypothesis's examples would share."""
+    """Like ``run``, but a SystemExit's code counts as the exit code, and the
+    streams are captured without capsys, which hypothesis's examples would share."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _exit_code(argv)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
