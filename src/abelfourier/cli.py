@@ -312,40 +312,39 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Every row is computed before --output is opened, so a usage or capacity
+    # error leaves no partial CSV on stdout and no output file.
+    if args.kind == "region":
+        header = ["u", "v", "side", "label", "finite", "value"]
+        spec = GroupSpec.parse(args.group) if args.group else None
+        todo = [(u, v) for u in args.u_values for v in args.v_values]
+
+        def one(uv):
+            u, v = uv
+            verdict = classify(args.side, u, v, spec=spec)
+            return [
+                repr(u),
+                repr(v),
+                verdict.side,
+                verdict.label,
+                verdict.finite,
+                "" if verdict.value is None else repr(verdict.value),
+            ]
+
+    else:
+        header = WITNESS_SWEEP_HEADER
+        family = FAMILIES[args.family]
+        todo = args.params
+
+        def one(value):
+            sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
+            return family.row(_witness(sub))
+
+    with ThreadPoolExecutor(max_workers=args.workers) as ex:
+        rows = list(ex.map(one, todo))
     out, close = _open_out(args.output)
-    writer = csv.writer(out, lineterminator="\n")
     try:
-        if args.kind == "region":
-            writer.writerow(["u", "v", "side", "label", "finite", "value"])
-            spec = GroupSpec.parse(args.group) if args.group else None
-            grid = [(u, v) for u in args.u_values for v in args.v_values]
-
-            def region_one(uv):
-                u, v = uv
-                verdict = classify(args.side, u, v, spec=spec)
-                return [
-                    repr(u),
-                    repr(v),
-                    verdict.side,
-                    verdict.label,
-                    verdict.finite,
-                    "" if verdict.value is None else repr(verdict.value),
-                ]
-
-            with ThreadPoolExecutor(max_workers=args.workers) as ex:
-                for row in ex.map(region_one, grid):
-                    writer.writerow(row)
-        else:
-            writer.writerow(WITNESS_SWEEP_HEADER)
-            family = FAMILIES[args.family]
-
-            def witness_one(value):
-                sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
-                return family.row(_witness(sub))
-
-            with ThreadPoolExecutor(max_workers=args.workers) as ex:
-                for row in ex.map(witness_one, args.params):
-                    writer.writerow(row)
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
     finally:
         if close:
             out.close()
@@ -482,6 +481,17 @@ def _selftest() -> int:
         _, _, product = donoho_stark_check(psi)
         ok = ok and product >= 16
     check("support products", ok)
+
+    ok = True
+    for orders in ((12,), (3, 4, 5)):
+        spec = GroupSpec(orders=orders, view=DISCRETE, mass=0.5)
+        vals = rng.standard_normal(spec.size) + 1j * rng.standard_normal(spec.size)
+        vals[0] = complex(-0.0, -0.0)
+        header, columns, *rows = write_csv(MeasuredFunction(spec, TIME, vals)).splitlines(True)
+        for order in (range(spec.size), rng.permutation(spec.size)):
+            got = read_csv("".join([header, columns, *(rows[i] for i in order)])).values
+            ok = ok and np.array_equal(got.view(np.uint64), vals.view(np.uint64))
+    check("function CSV round trip, canonical and shuffled rows", ok)
 
     return EXIT_OK if failures == 0 else 1
 

@@ -16,8 +16,11 @@ the tests compare the FFT path against, and no production path uses it.
 ``write_csv`` and ``read_csv`` carry a function as CSV: a header row with
 the spec string and side, the column header ``index_tuple,re,im``, then one
 row per element.  The writer lists elements in canonical order with floats
-in shortest round-trip form.  The reader takes the rows in any order and
-places them by their parsed keys, whole columns at a time; it requires each
+in shortest round-trip form, streaming the value rows quoted by hand, which
+gives ``csv.writer``'s bytes (see ``write_csv``).  The reader takes the rows
+in any order and places them whole columns at a time: it looks each key up
+in the table of canonical keys, and only a file with some key spelled
+otherwise falls back to parsing every key with a regex.  It requires each
 element exactly once and takes coordinates mod the factor orders.
 """
 
@@ -29,7 +32,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import cycle, product
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -208,7 +211,13 @@ def _index_keys(orders) -> list[str]:
     digits = [[str(i) for i in range(m)] for m in orders]
     if len(orders) == 1:
         return [f"({d},)" for d in digits[0]]
-    return ["(" + ", ".join(t) + ")" for t in product(*digits)]
+    # Extended one factor at a time, so each key is built by two concatenations
+    # per factor rather than a join over a fresh tuple.
+    keys = ["(" + d for d in digits[0]]
+    for factor in digits[1:-1]:
+        keys = [k + ", " + d for k in keys for d in factor]
+    tails = [", " + d + ")" for d in digits[-1]]
+    return [k + t for k in keys for t in tails]
 
 
 def _key_pattern(k: int) -> re.Pattern:
@@ -221,21 +230,42 @@ def _key_pattern(k: int) -> re.Pattern:
 def write_csv(f: MeasuredFunction, stream=None) -> str:
     """Serialize as CSV with a header line carrying the spec string and side.
 
-    Rows come in canonical order, values in shortest round-trip form."""
+    Rows come in canonical order, values in shortest round-trip form.  The
+    two header rows go through ``csv.writer``; the value rows are streamed as
+    ``"key",re,im`` by hand, byte for byte what ``csv.writer`` writes for
+    them: every index key holds a comma and no quote, so the csv module always
+    quotes it, and the ``repr`` of a finite float holds no comma, quote or
+    line break, so it never quotes a value."""
     out = stream if stream is not None else io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([f.spec.describe(), f.side])
-    writer.writerow(_COLUMNS)
-    re_part, im_part = f.values.real.tolist(), f.values.imag.tolist()
-    writer.writerows(zip(_index_keys(f.spec.orders), map(repr, re_part), map(repr, im_part)))
+    csv.writer(out, lineterminator="\n").writerows([[f.spec.describe(), f.side], _COLUMNS])
+    rows = zip(_index_keys(f.spec.orders), f.values.real.tolist(), f.values.imag.tolist())
+    out.writelines(f'"{key}",{x!r},{y!r}\n' for key, x, y in rows)
     return out.getvalue() if stream is None else ""
+
+
+def _parse_keys(keys, orders) -> np.ndarray:
+    """Canonical indices of index keys in any spelling the reader accepts."""
+    fullmatch = _key_pattern(len(orders)).fullmatch
+    if not all(map(fullmatch, keys)):
+        bad = next(key for key in keys if not fullmatch(key))
+        raise ValueError(f"bad index tuple {bad!r}: expected {len(orders)} integer coordinates")
+    # Each key holds exactly k integers, so dropping spaces, parentheses and
+    # trailing commas leaves them comma-separated: "(0, 1)", "(2,)" -> "0,1,2".
+    text = ",".join(keys).translate(_SPACES_AND_OPEN)
+    tokens = text.replace(",)", "").replace(")", "").split(",")
+    coords = np.fromiter(map(operator.mod, map(int, tokens), cycle(orders)),
+                         dtype=np.int64, count=len(tokens))
+    return np.ravel_multi_index(coords.reshape(-1, len(orders)).T, orders)
 
 
 def read_csv(stream) -> MeasuredFunction:
     """Parse the format ``write_csv`` writes, with value rows in any order.
 
     Each element must have exactly one row; its coordinates are taken mod the
-    factor orders.  Anything malformed raises ValueError."""
+    factor orders.  Keys are looked up in the table of canonical keys, the
+    spelling ``write_csv`` uses; only a file with some other spelling (spacing,
+    a bare integer, a trailing comma, unreduced coordinates) has all its keys
+    parsed by the key regex.  Anything malformed raises ValueError."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -247,25 +277,17 @@ def read_csv(stream) -> MeasuredFunction:
     columns = next(reader, [])
     if [c.strip() for c in columns] != _COLUMNS:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
-    rows = [row for row in reader if row]
+    rows = list(filter(None, reader))  # blank lines parse as empty rows
     if set(map(len, rows)) - {3}:
         bad = next(row for row in rows if len(row) != 3)
         raise ValueError(f"value rows need 3 fields index_tuple,re,im, got {bad!r}")
     if len(rows) != spec.size:
         raise ValueError(f"expected {spec.size} value rows, got {len(rows)}")
     keys, re_col, im_col = zip(*rows)
-    orders = spec.orders
-    fullmatch = _key_pattern(len(orders)).fullmatch
-    if not all(map(fullmatch, keys)):
-        bad = next(key for key in keys if not fullmatch(key))
-        raise ValueError(f"bad index tuple {bad!r}: expected {len(orders)} integer coordinates")
-    # Each key holds exactly k integers, so dropping spaces, parentheses and
-    # trailing commas leaves them comma-separated: "(0, 1)", "(2,)" -> "0,1,2".
-    text = ",".join(keys).translate(_SPACES_AND_OPEN)
-    tokens = text.replace(",)", "").replace(")", "").split(",")
-    coords = np.fromiter(map(operator.mod, map(int, tokens), cycle(orders)),
-                         dtype=np.int64, count=len(tokens))
-    flat = np.ravel_multi_index(coords.reshape(-1, len(orders)).T, orders)
+    canonical = dict(zip(_index_keys(spec.orders), range(spec.size)))
+    flat = np.fromiter(map(canonical.get, keys, repeat(-1)), dtype=np.intp, count=spec.size)
+    if flat.min() < 0:
+        flat = _parse_keys(keys, spec.orders)
     counts = np.bincount(flat, minlength=spec.size)
     if not np.all(counts == 1):
         i = int(np.flatnonzero(counts != 1)[0])

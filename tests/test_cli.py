@@ -435,6 +435,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "--selftest")
     assert code == 0
     assert "FAIL" not in out
+    assert "PASS function CSV round trip, canonical and shuffled rows" in out
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -481,6 +482,29 @@ def test_sweep_rejects_workers_below_one_before_writing(capsys, argv, workers):
     assert exc.value.code == 2
     assert out == ""
     assert "argument --workers" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["sweep", "--family", "subgroup_indicator", "--params", "2,3", "--p", "1", "--q", "1"], 2),
+        (["sweep", "--family", "subgroup_indicator", "--r", "2", "--params", "2,30",
+          "--p", "1", "--q", "1"], 3),
+        (["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.25",
+          "--v-values", "0.25", "--group", "cyclic:4x"], 2),
+    ],
+    ids=["no_r", "capacity_after_first_row", "bad_group"],
+)
+def test_failed_sweep_writes_nothing(capsys, tmp_path, argv, want):
+    """A sweep that fails prints no partial CSV and creates no output file,
+    even when an earlier row was computed."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want, "")
+    assert err
+    target = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (want, "")
+    assert not target.exists()
 
 
 def test_sweep_non_integer_workers_keeps_argparse_wording(capsys):

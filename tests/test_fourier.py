@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelfourier import transform
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.transform import (
     FREQUENCY,
@@ -305,6 +306,13 @@ def _values(rng, size, special=()) -> np.ndarray:
     return values
 
 
+def _signed_values(rng, size) -> np.ndarray:
+    """``_values`` with about a tenth of them set to -0.0 - 0.0j."""
+    values = _values(rng, size)
+    values[rng.random(size) < 0.1] = complex(-0.0, -0.0)
+    return values
+
+
 @pytest.mark.parametrize("orders", [(5,), (2, 3), (4, 3, 2), (2, 2, 2, 2), (12, 11)])
 def test_write_csv_matches_per_row_formula(orders):
     spec = GroupSpec(orders=orders, view=DISCRETE, mass=0.5)
@@ -345,8 +353,7 @@ def _respell(rng, coords, orders) -> str:
 def test_csv_reads_shuffled_respelled_rows_exactly(orders, view, side, seed):
     rng = np.random.default_rng(seed)
     spec = GroupSpec(orders=orders, view=view, mass=int(rng.integers(1, 16)) / 4)
-    values = _values(rng, spec.size)
-    values[rng.random(spec.size) < 0.1] = complex(-0.0, -0.0)
+    values = _signed_values(rng, spec.size)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([spec.describe(), side])
@@ -364,3 +371,93 @@ def test_csv_stream_write():
     buf = io.StringIO()
     write_csv(delta(spec), stream=buf)
     assert read_csv(buf.getvalue()).spec == spec
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    view=st.sampled_from([COMPACT, DISCRETE]),
+    side=st.sampled_from([TIME, FREQUENCY]),
+    data=st.data(),
+)
+def test_write_csv_bytes_equal_csv_writer(orders, view, side, data):
+    """The hand-quoted value rows equal ``csv.writer``'s for any finite floats,
+    both as the returned string and written to a stream."""
+    spec = GroupSpec(orders=orders, view=view, mass=0.5)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    parts = data.draw(st.lists(finite, min_size=2 * spec.size, max_size=2 * spec.size))
+    values = np.empty(spec.size, dtype=np.complex128)
+    values.real, values.imag = np.reshape(parts, (2, spec.size))
+    f = MeasuredFunction(spec, side, values)
+    want = _old_write_csv(f)
+    assert write_csv(f) == want
+    buf = io.StringIO()
+    assert write_csv(f, stream=buf) == ""
+    assert buf.getvalue() == want
+
+
+def _value_rows(f: MeasuredFunction):
+    """The two header lines and the value lines of ``write_csv(f)``."""
+    header, columns, *rows = write_csv(f).splitlines(keepends=True)
+    return [header, columns], rows
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    orders=_csv_orders(),
+    side=st.sampled_from([TIME, FREQUENCY]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_reads_shuffled_canonical_rows_exactly(orders, side, seed):
+    rng = np.random.default_rng(seed)
+    spec = GroupSpec(orders=orders, view=DISCRETE, mass=0.5)
+    values = _signed_values(rng, spec.size)
+    head, rows = _value_rows(MeasuredFunction(spec, side, values))
+    g = read_csv("".join(head + [rows[i] for i in rng.permutation(spec.size)]))
+    assert g.spec == spec and g.side == side
+    assert np.array_equal(_bits(g.values), _bits(values))
+
+
+@pytest.mark.parametrize("orders", [(7,), (3, 4), (2, 3, 2)])
+def test_csv_reads_canonical_file_with_one_respelled_key(orders):
+    rng = np.random.default_rng(len(orders))
+    spec = GroupSpec(orders=orders)
+    values = _signed_values(rng, spec.size)
+    head, rows = _value_rows(MeasuredFunction(spec, TIME, values))
+    rows[2] = rows[2].replace("(", "( ", 1)
+    g = read_csv("".join(head + rows))
+    assert np.array_equal(_bits(g.values), _bits(values))
+
+
+def test_csv_duplicate_canonical_key_has_the_regex_paths_message():
+    spec = GroupSpec(orders=(3, 4))
+    head, rows = _value_rows(random_function(np.random.default_rng(5), spec))
+    _, re_part, im_part = rows[7].rsplit(",", 2)
+    rows[7] = ",".join([rows[3].rsplit(",", 2)[0], re_part, im_part])  # (0, 3) in place of (1, 3)
+    canonical_file = "".join(head + rows)
+    respelled_file = "".join(head + [row.replace("(", "( ", 1) for row in rows])
+    messages = []
+    for text in (canonical_file, respelled_file):
+        with pytest.raises(ValueError) as exc:
+            read_csv(text)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "element (0, 3) has 2 rows, not exactly one"
+
+
+def test_canonical_csv_never_runs_the_key_regex(monkeypatch):
+    compiled = []
+    key_pattern = transform._key_pattern
+
+    def spy(k):
+        compiled.append(k)
+        return key_pattern(k)
+
+    monkeypatch.setattr(transform, "_key_pattern", spy)
+    rng = np.random.default_rng(9)
+    spec = GroupSpec(orders=(4, 5))
+    head, rows = _value_rows(random_function(rng, spec))
+    read_csv("".join(head + rows))
+    read_csv("".join(head + [rows[i] for i in rng.permutation(spec.size)]))
+    assert compiled == []
+    read_csv("".join(head + [rows[0].replace("(", "( ", 1)] + rows[1:]))
+    assert compiled == [2]
