@@ -33,7 +33,6 @@ from .transform import (
 )
 from .norms import (
     INF,
-    Exponent,
     RegionVerdict,
     classify,
     closed_form_cpq,
@@ -45,6 +44,7 @@ from .norms import (
     hausdorff_young_check,
     holder_conjugate,
     lp_norm,
+    ratio,
     recip,
 )
 from .witnesses import (
@@ -70,7 +70,6 @@ from .estimator import (
     ascent_estimate,
     estimate_norm,
     log_convexity_check,
-    ratio,
     structured_search,
 )
 from .uncertainty import (

@@ -32,12 +32,11 @@ from .transform import (
     read_csv,
     write_csv,
 )
-from .norms import INF, classify, closed_form_cpq, finite_cpq, lp_norm, recip
+from .norms import INF, classify, closed_form_cpq, finite_cpq, lp_norm, ratio, recip
 from . import witnesses as wit
-from .estimator import ratio
 from .uncertainty import (
     donoho_stark_check,
-    support_product,
+    support_measure,
     unweighted_up_margin,
     weighted_up_margin,
     weighted_up_violator,
@@ -240,12 +239,6 @@ def _lacunary_discrete_payload(w: wit.LacunaryDiscreteWitness) -> dict:
     return {"family": "lacunary_discrete", **{k: getattr(w, k) for k in keys}}
 
 
-def _clt_payload(w: wit.CltWitness) -> dict:
-    payload = asdict(w.point)
-    payload.update(tail_probability=w.tail_probability, threshold=w.threshold, sigma_sq=w.sigma_sq)
-    return payload
-
-
 class Family(NamedTuple):
     """How the CLI builds, sweeps and prints one witness family."""
 
@@ -286,11 +279,7 @@ FAMILIES = {
         lambda w: _sweep_row(w, "lacunary_discrete", 2**w.param_n),
     ),
     "clt_delta": Family(
-        lambda a, p, q: wit.clt_delta_witness(a.r, a.n, p, q),
-        ("r", "n"),
-        _sets("n"),
-        _clt_payload,
-        lambda w: _point_row(w.point),
+        lambda a, p, q: wit.clt_delta_witness(a.r, a.n, p, q), ("r", "n"), _sets("n")
     ),
 }
 
@@ -425,7 +414,7 @@ def _cmd_uncertainty(args) -> int:
         {
             "mode": "support",
             "group": psi.spec.describe(),
-            "support_product": support_product(psi),
+            "support_product": support_measure(psi.spec, n_t, n_w),
             "n_t": n_t,
             "n_w": n_w,
             "product": product,

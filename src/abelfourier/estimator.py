@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import EXHAUSTIVE_CAP, GroupSpec
-from .norms import finite_cpq, lp_norm, recip
+from .norms import finite_cpq, ratio, recip
 from .transform import (
     MeasuredFunction,
     TIME,
     _fft_flat,
     character_function,
     delta,
-    forward,
 )
 from .witnesses import EXTREMALS
 
@@ -61,14 +60,6 @@ class NormEstimate:
     iterations: int
     converged: bool
     extremal: str | None = None  # the winning family of ``EXTREMALS``, if one won
-
-
-def ratio(f: MeasuredFunction, p: float, q: float) -> float:
-    """The unsmoothed objective ||fhat||_q / ||f||_p."""
-    nf = lp_norm(f, p)
-    if nf == 0.0:
-        return 0.0
-    return lp_norm(forward(f), q) / nf
 
 
 def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:

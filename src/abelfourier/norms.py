@@ -43,29 +43,6 @@ def exponent_value(u: float) -> float:
     return INF if u == 0 else 1.0 / u
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """An extended exponent p in (0, inf] stored via its reciprocal."""
-
-    reciprocal: float
-
-    def __post_init__(self):
-        if self.reciprocal < 0 or not math.isfinite(self.reciprocal):
-            raise ValueError("reciprocal must be finite and >= 0")
-
-    @classmethod
-    def of(cls, p: float) -> "Exponent":
-        return cls(recip(p))
-
-    @property
-    def value(self) -> float:
-        return exponent_value(self.reciprocal)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.reciprocal == 0.0
-
-
 def holder_conjugate(p: float) -> float:
     """p' with 1/p + 1/p' = 1, for p in [1, inf]."""
     u = recip(p)
@@ -74,18 +51,14 @@ def holder_conjugate(p: float) -> float:
     return exponent_value(1.0 - u)
 
 
-def lp_norm(f: MeasuredFunction, p) -> float:
+def lp_norm(f: MeasuredFunction, p: float) -> float:
     """(sum |f|^p atom)^(1/p) for finite p; max |f| for p = inf.
 
     For 0 < p < 1 this is the usual quasi-norm; it is absolutely homogeneous
     but not subadditive.  The sum is taken over |f| / max |f|, so a large p
     neither underflows small values to 0 nor overflows large ones to inf.
     """
-    if isinstance(p, Exponent):
-        u = p.reciprocal
-        p = p.value
-    else:
-        u = recip(p)
+    u = recip(p)
     mags = np.abs(f.values)
     top = float(mags.max()) if mags.size else 0.0
     if u == 0.0 or top == 0.0:
@@ -93,6 +66,14 @@ def lp_norm(f: MeasuredFunction, p) -> float:
     mags /= top
     mags **= p
     return top * float(np.sum(mags) * f.atom) ** u
+
+
+def ratio(f: MeasuredFunction, p: float, q: float) -> float:
+    """The unsmoothed objective ||fhat||_q / ||f||_p."""
+    nf = lp_norm(f, p)
+    if nf == 0.0:
+        return 0.0
+    return lp_norm(forward(f), q) / nf
 
 
 @dataclass(frozen=True)

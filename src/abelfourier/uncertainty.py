@@ -223,16 +223,16 @@ def unweighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
     return UPReport(lhs=lhs, rhs=0.0, margin=margin, satisfied=margin >= -1e-9)
 
 
+def support_measure(spec: GroupSpec, n_t: int, n_w: int) -> float:
+    """alpha(supp psi) * alphahat(supp psihat) on spec from the support counts
+    N_t and N_w: each count times its side's Haar atom."""
+    return n_t * spec.primal_atom * n_w * spec.dual_atom
+
+
 def support_product(psi: MeasuredFunction) -> float:
     """alpha(supp psi) * alphahat(supp psihat); at least 1 for psi != 0."""
-    if psi.side != TIME:
-        raise ValueError("support_product expects a time-side function")
-    n_t = _support_count(psi.values)
-    if n_t == 0:
-        raise ValueError("support_product is undefined for the zero function")
-    fhat = forward(psi)
-    n_w = _support_count(fhat.values)
-    return n_t * psi.atom * n_w * fhat.atom
+    n_t, n_w, _ = donoho_stark_check(psi)
+    return support_measure(psi.spec, n_t, n_w)
 
 
 def donoho_stark_check(psi: MeasuredFunction) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ quadrature) follow the adequacy rules noted on each constructor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class TrigPolynomial:
         It is one ``inverse`` transform: the dual atom is 1, so putting each
         coefficient at bin freq mod M gives the polynomial's exact value at
         every grid point, aliased frequencies included."""
-        spec = GroupSpec(orders=(points,), view=COMPACT, mass=1.0)
+        spec = _capped_spec(points, COMPACT)
         coefs = np.zeros(points, dtype=np.complex128)
         for freq, coef in self.terms:
             coefs[freq % points] += coef
@@ -91,11 +91,13 @@ class GrowthFit:
 
 
 @dataclass(frozen=True)
-class CltWitness:
-    point: WitnessPoint
-    tail_probability: float
-    threshold: float
-    sigma_sq: float
+class CltWitness(WitnessPoint):
+    """A CLT delta comb's ``WitnessPoint`` plus the finite-scale tail bound:
+    the share of dual points with Re fhat >= threshold."""
+
+    tail_probability: float = field(kw_only=True)
+    threshold: float = field(kw_only=True)
+    sigma_sq: float = field(kw_only=True)
 
 
 def _is_prime(r: int) -> bool:
@@ -129,13 +131,38 @@ EXTREMALS = {
 }
 
 
-def _measured_point(family, param_n, spec, f, p, q, prediction, kind) -> WitnessPoint:
+def _capped_spec(order: int, view: str, power: int = 1) -> GroupSpec:
+    """The mass-1 group (Z/order)^power in ``view``, the one exhaustive-cap
+    gate of the families that materialize values.
+
+    Its point count is multiplied out in Python ints, stopping once past the
+    cap, so the check allocates nothing and a huge order or power (past the
+    2^62 that ``GroupSpec`` accepts) raises CapacityError, not ValueError.
+    An order past 64 bits (a discrete lacunary grid of 8 * 2^n points) is
+    named by its bit length, so the message stays short."""
+    size = 1
+    for _ in range(power):
+        size *= order
+        if size > EXHAUSTIVE_CAP:
+            bits = order.bit_length()
+            group = f"(Z/{order})^{power}" if bits <= 64 else f"(Z/m)^{power}, m of {bits} bits,"
+            raise CapacityError(
+                f"group {group} has more than {EXHAUSTIVE_CAP} elements, the exhaustive cap"
+            )
+    return GroupSpec(orders=(order,) * power, view=view, mass=1.0)
+
+
+def _measured_point(
+    family, param_n, f, fhat, p, q, prediction=None, kind=None, point=WitnessPoint, **extra
+) -> WitnessPoint:
+    """The ``point`` (``WitnessPoint`` or a subclass taking ``extra``) of ``f``
+    and its transform ``fhat``, which the family supplies."""
     norm_f = lp_norm(f, p)
-    norm_fhat = lp_norm(forward(f), q)
-    return WitnessPoint(
+    norm_fhat = lp_norm(fhat, q)
+    return point(
         family=family,
         param_n=param_n,
-        group_descr=spec.describe(),
+        group_descr=f.spec.describe(),
         p=p,
         q=q,
         norm_f=norm_f,
@@ -143,6 +170,7 @@ def _measured_point(family, param_n, spec, f, p, q, prediction, kind) -> Witness
         ratio=norm_fhat / norm_f,
         prediction=prediction,
         prediction_kind=kind,
+        **extra,
     )
 
 
@@ -153,7 +181,7 @@ def _exact_point(name, param_n, spec, extremal, p, q, scale=1.0) -> WitnessPoint
     if scale != 1.0:
         f = MeasuredFunction(spec, TIME, scale * f.values)
     prediction = family_ratio(spec, extremal, p, q)
-    return _measured_point(name, param_n, spec, f, p, q, prediction, "exact")
+    return _measured_point(name, param_n, f, forward(f), p, q, prediction, "exact")
 
 
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
@@ -167,7 +195,7 @@ def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
         raise ValueError("k must be >= 1")
     if m < 100 * k:
         raise ValueError(f"m={m} too small: need m >= 100k = {100 * k}")
-    spec = GroupSpec(orders=(m,), view=COMPACT, mass=1.0)
+    spec = _capped_spec(m, COMPACT)
     x = np.arange(m)
     dist = np.minimum(x, m - x)
     indicator = (dist * 6 * k < m).astype(np.complex128)
@@ -175,7 +203,7 @@ def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
     f = MeasuredFunction(spec, TIME, indicator / prob)
     u, v = recip(p), recip(q)
     prediction = (3.0 ** (u - 1.0) / 2.0) * k ** (u + v - 1.0)
-    return _measured_point("arc_indicator", k, spec, f, p, q, prediction, "lower_bound")
+    return _measured_point("arc_indicator", k, f, forward(f), p, q, prediction, "lower_bound")
 
 
 def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoint:
@@ -184,9 +212,7 @@ def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoi
     is identically 1, so the ratio is exactly N^(1/p+1/q-1)."""
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    if r**n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"r^n = {r**n} exceeds cap {EXHAUSTIVE_CAP}")
-    spec = GroupSpec(orders=(r,) * n, view=COMPACT, mass=1.0)
+    spec = _capped_spec(r, COMPACT, n)
     return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
 
 
@@ -195,7 +221,7 @@ def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
     discrete Z/m with unit atoms; ratio exactly m^(1-1/p-1/q)."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    spec = GroupSpec(orders=(m,), view=DISCRETE, mass=1.0)
+    spec = _capped_spec(m, DISCRETE)
     return _exact_point("full_orbit", m, spec, CONSTANT, p, q)
 
 
@@ -207,9 +233,7 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     everywhere, giving ratio exactly r^(n(2-q)/q)."""
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    if r ** (2 * n) > EXHAUSTIVE_CAP:
-        raise CapacityError(f"r^2n = {r ** (2 * n)} exceeds cap {EXHAUSTIVE_CAP}")
-    spec = GroupSpec(orders=(r,) * (2 * n), view=COMPACT, mass=1.0)
+    spec = _capped_spec(r, COMPACT, 2 * n)
     return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
 
 
@@ -232,22 +256,26 @@ def lacunary_compact_witness(
     m: int, p: float, q: float, beta: float = 1.5, c: float = 1.0
 ) -> WitnessPoint:
     """Partial sum f = sum_{k=2}^{m-1} a_k chi^k on Z/m with probability
-    mass, a_k the lacunary coefficients.  ||fhat||_q equals the coefficient
-    l^q sum exactly; that sum is the stored prediction (a lower bound on
-    ||fhat||_q that diverges for q < 2 while ||f||_p stays bounded)."""
+    mass, a_k the lacunary coefficients.  fhat is the coefficient vector F
+    itself (unit dual atoms), so ||fhat||_q is ``lp_norm`` of F with no
+    forward transform; the coefficient l^q sum is the stored prediction (a
+    lower bound on ||fhat||_q that diverges for q < 2 while ||f||_p stays
+    bounded)."""
     if m < 4:
         raise ValueError("m must be >= 4")
+    spec = _capped_spec(m, COMPACT)
     coeffs = lacunary_coefficients(m - 1, beta, c)
-    spec = GroupSpec(orders=(m,), view=COMPACT, mass=1.0)
     freq = np.zeros(m, dtype=np.complex128)
     freq[2:m] = coeffs
-    f = inverse(MeasuredFunction(spec, FREQUENCY, freq))
-    u, v = recip(p), recip(q)
+    fhat = MeasuredFunction(spec, FREQUENCY, freq)
+    v = recip(q)
     if v == 0.0:
         prediction = float(np.abs(coeffs).max())
     else:
         prediction = float(np.sum(np.abs(coeffs) ** q) ** v)
-    return _measured_point("lacunary_compact", m, spec, f, p, q, prediction, "lower_bound")
+    return _measured_point(
+        "lacunary_compact", m, inverse(fhat), fhat, p, q, prediction, "lower_bound"
+    )
 
 
 def lacunary_trig_polynomial(n: int) -> TrigPolynomial:
@@ -293,6 +321,7 @@ def lacunary_discrete_witness(
         grid_points = min_grid
     if grid_points < min_grid:
         raise ValueError(f"grid too coarse: need at least {min_grid} points")
+    _capped_spec(grid_points, COMPACT)  # so a large n fails before its n terms are built
     k = np.arange(1, n + 1, dtype=np.float64)
     norm_f = float(np.sum(k ** (-p / 2.0)) ** (1.0 / p))
     poly = lacunary_trig_polynomial(n)
@@ -324,9 +353,7 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     P(N(0,1) >= 1) ~ 0.1587)."""
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    if r**n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"r^n = {r**n} exceeds cap {EXHAUSTIVE_CAP}")
-    spec = GroupSpec(orders=(r,) * n, view=DISCRETE, mass=1.0)
+    spec = _capped_spec(r, DISCRETE, n)
     vals = np.zeros(spec.size, dtype=np.complex128)
     for k in range(1, n + 1):
         e_k = tuple(1 if j == k - 1 else 0 for j in range(n))
@@ -338,21 +365,9 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     threshold = math.sqrt(sigma_sq * harmonic)
     tail = float(np.count_nonzero(fhat.values.real >= threshold)) / spec.size
-    norm_f, norm_fhat = lp_norm(f, p), lp_norm(fhat, q)
-    point = WitnessPoint(
-        family="clt_delta",
-        param_n=n,
-        group_descr=spec.describe(),
-        p=p,
-        q=q,
-        norm_f=norm_f,
-        norm_fhat=norm_fhat,
-        ratio=norm_fhat / norm_f,
-        prediction=None,
-        prediction_kind=None,
-    )
-    return CltWitness(
-        point=point, tail_probability=tail, threshold=threshold, sigma_sq=sigma_sq
+    return _measured_point(
+        "clt_delta", n, f, fhat, p, q, point=CltWitness,
+        tail_probability=tail, threshold=threshold, sigma_sq=sigma_sq,
     )
 
 

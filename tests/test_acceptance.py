@@ -220,7 +220,7 @@ def test_criterion_7_lacunary_discrete():
 def test_criterion_8_clt_witness():
     w16 = clt_delta_witness(2, 16, 3.0, 1.0)
     tail_ok = w16.tail_probability >= 0.05
-    l1 = [clt_delta_witness(2, n, 3.0, 1.0).point.norm_fhat for n in (8, 12, 16)]
+    l1 = [clt_delta_witness(2, n, 3.0, 1.0).norm_fhat for n in (8, 12, 16)]
     increasing = all(b > a for a, b in zip(l1, l1[1:]))
     ok = tail_ok and increasing
     report(

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+import time
 import warnings
 from decimal import Decimal
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelfourier import cli, witnesses
+from abelfourier import cli, uncertainty, witnesses
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import GroupSpec
 from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
@@ -131,6 +132,43 @@ def test_witness_family(capsys, family, fixed, values, swept):
         assert [float(x) for x in row[5:8]] == [
             point["norm_f"], point["norm_fhat"], point["ratio"]
         ]
+
+
+# Per family, two sweep values whose group is past the 2^20 cap: one just
+# past it and one past the 2^62 that GroupSpec accepts.
+PAST_CAP = {
+    "arc_indicator": (5243, 10**17),  # m = 200 k
+    "subgroup_indicator": (21, 63),  # 2^n
+    "full_orbit": (2**20 + 1, 10**19),
+    "chirp": (11, 32),  # 2^2n
+    "lacunary_compact": (2**20 + 1, 10**19),
+    "lacunary_discrete": (18, 60),  # a grid of 8 * 2^n points
+    "clt_delta": (13, 40),  # 3^n
+}
+
+
+@pytest.mark.parametrize(
+    "family, fixed, values, swept", FAMILY_CASES, ids=[case[0] for case in FAMILY_CASES]
+)
+def test_every_family_exits_3_past_the_cap(capsys, family, fixed, values, swept):
+    for value in PAST_CAP[family]:
+        for argv in (
+            ["witness", "--family", family, *PQ, *_flag_args({**fixed, **swept(value)})],
+            ["sweep", "--family", family, "--params", str(value), *PQ, *_flag_args(fixed)],
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("capacity error: group (Z/") and "Traceback" not in err
+
+
+def test_witness_clt_delta_json_keys(capsys):
+    payload = run_json(capsys, "witness", "--family", "clt_delta", "--r", "3", "--n", "3")
+    assert list(payload) == [
+        "family", "param_n", "group_descr", "p", "q", "norm_f", "norm_fhat", "ratio",
+        "prediction", "prediction_kind", "tail_probability", "threshold", "sigma_sq",
+    ]
 
 
 def test_capacity_exit_code(capsys):
@@ -431,6 +469,24 @@ def test_uncertainty_support(tmp_path, capsys):
     assert payload["support_product"] >= 1 - 1e-12
 
 
+def test_uncertainty_support_transforms_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return forward(f)
+
+    monkeypatch.setattr(uncertainty, "forward", counting)
+    monkeypatch.setattr(cli, "forward", counting)
+    spec = GroupSpec.parse("cyclic:3x4;view=discrete;mass=0.5")
+    f = MeasuredFunction(spec, TIME, np.arange(12) + 1j)
+    src = tmp_path / "psi.csv"
+    src.write_text(write_csv(f))
+    payload = run_json(capsys, "uncertainty", "--mode", "support", "--input", str(src))
+    assert len(calls) == 1
+    assert payload["support_product"] == uncertainty.support_product(f)
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "--selftest")
     assert code == 0
@@ -529,8 +585,8 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert built == []
 
 
-# (argv, exit code): valid commands, help, every kind of usage error and one
-# witness past the 2^20 cap, all fast.  Only the last exits 3.
+# (argv, exit code): valid commands, help, every kind of usage error and two
+# witnesses past the 2^20 cap, all fast.  Only the last two exit 3.
 ARGV_MENU = [
     (["info", "--group", "cyclic:2x3;view=discrete;mass=0.5"], 0),
     (["cpq", "--group", "cyclic:4", "--p", "2", "--q", "2"], 0),
@@ -560,6 +616,7 @@ ARGV_MENU = [
     (["sweep", "--family", "full_orbit", "--params", "4", "--workers", "0"], 2),
     (["witness", "--family", "subgroup_indicator", "--r", "2", "--n", "21",
       "--p", "1", "--q", "1"], 3),
+    (["witness", "--family", "full_orbit", "--m", "1048577"], 3),
 ]
 
 
