@@ -463,6 +463,30 @@ def _selftest() -> int:
     check("chirp exact ratio", abs(cw.ratio - 4.0) <= 1e-12)
 
     ok = True
+    for r, n in ((2, 8), (3, 4)):
+        spec = GroupSpec(orders=(r,) * n, view=COMPACT)
+        dspec = GroupSpec(orders=(r,) * n, view=DISCRETE)
+        comb = np.zeros(dspec.size, dtype=np.complex128)
+        for k in range(1, n + 1):
+            comb[(r - 1) * r ** (n - k)] = 1.0 / math.sqrt(k)  # the atom at -e_k
+        for p, q in ((3.0, 1.5), (INF, 0.5)):
+            for point, f in (  # each witness, and its function on the whole group
+                (wit.subgroup_indicator_witness(r, n, p, q),
+                 MeasuredFunction(spec, TIME, spec.size * delta(spec).values)),
+                (wit.chirp_witness(r, n // 2, q, p=p),
+                 MeasuredFunction(spec, TIME, wit.bi_unimodular_values(spec.orders))),
+                (wit.clt_delta_witness(r, n, p, q), MeasuredFunction(dspec, TIME, comb)),
+            ):
+                norm_f, norm_fhat = lp_norm(f, p), lp_norm(forward(f), q)
+                for got, want in (
+                    (point.norm_f, norm_f),
+                    (point.norm_fhat, norm_fhat),
+                    (point.ratio, norm_fhat / norm_f),
+                ):
+                    ok = ok and abs(got - want) <= 1e-12 * want
+    check("separable witness routes match the full FFT", ok)
+
+    ok = True
     for _ in range(100):
         spec = GroupSpec(orders=(16,), view=DISCRETE, mass=1.0)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)

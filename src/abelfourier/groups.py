@@ -27,7 +27,8 @@ DISCRETE = "discrete"
 #: annihilators, full transforms) are allowed.
 EXHAUSTIVE_CAP = 2**20
 
-_MAX_SIZE = 2**62
+#: Largest group size ``GroupSpec`` accepts: the range of a machine integer.
+MAX_SIZE = 2**62
 
 
 class CapacityError(Exception):
@@ -66,7 +67,7 @@ class GroupSpec:
         size = 1
         for m in self.orders:
             size *= m
-            if size > _MAX_SIZE:
+            if size > MAX_SIZE:
                 raise ValueError("group size exceeds machine integer range")
         if self.view not in (COMPACT, DISCRETE):
             raise ValueError(f"unknown view {self.view!r}")

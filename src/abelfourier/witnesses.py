@@ -8,6 +8,13 @@ the constant, chirp = the bi-unimodular function), whose prediction is
 ``norms.family_ratio``; a proven lower bound otherwise.  Truncation choices
 (torus modeled by Z/m, the integers modeled by a sparse support with circle
 quadrature) follow the adequacy rules noted on each constructor.
+
+Three families are separable and never transform their whole group.  The
+subgroup indicator and the chirp are tensor powers of one function on Z/r,
+so their norms are those of that factor raised to the number of factors.
+The CLT comb's transform is a sum of one-coordinate functions, built by
+outer sums.  Only values that are materialized count against the 2^20
+exhaustive cap: the factor for the first two, the whole group for the comb.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, GroupSpec
-from .norms import BI_UNIMODULAR, CONSTANT, DELTA, family_ratio, lp_norm, recip
+from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, MAX_SIZE, GroupSpec
+from .norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_ratio, lp_norm, recip
 from .transform import FREQUENCY, MeasuredFunction, TIME, delta, forward, inverse
 
 
@@ -131,38 +138,41 @@ EXTREMALS = {
 }
 
 
-def _capped_spec(order: int, view: str, power: int = 1) -> GroupSpec:
-    """The mass-1 group (Z/order)^power in ``view``, the one exhaustive-cap
-    gate of the families that materialize values.
+def _capped_spec(order: int, view: str, power: int = 1, materialized: bool = True) -> GroupSpec:
+    """The mass-1 group (Z/order)^power in ``view``, the one capacity gate of
+    the witness families.  It raises CapacityError past the exhaustive cap
+    when the family builds values on the group (``materialized``), else past
+    the 2^62 points that ``GroupSpec`` accepts.
 
     Its point count is multiplied out in Python ints, stopping once past the
-    cap, so the check allocates nothing and a huge order or power (past the
-    2^62 that ``GroupSpec`` accepts) raises CapacityError, not ValueError.
-    An order past 64 bits (a discrete lacunary grid of 8 * 2^n points) is
-    named by its bit length, so the message stays short."""
+    cap, so the check allocates nothing and a huge order or power raises
+    CapacityError, not GroupSpec's ValueError.  An order past 64 bits (a
+    discrete lacunary grid of 8 * 2^n points) is named by its bit length, so
+    the message stays short."""
+    if materialized:
+        cap, name = EXHAUSTIVE_CAP, "the exhaustive cap"
+    else:
+        cap, name = MAX_SIZE, "the largest group size"
     size = 1
     for _ in range(power):
         size *= order
-        if size > EXHAUSTIVE_CAP:
+        if size > cap:
             bits = order.bit_length()
             group = f"(Z/{order})^{power}" if bits <= 64 else f"(Z/m)^{power}, m of {bits} bits,"
-            raise CapacityError(
-                f"group {group} has more than {EXHAUSTIVE_CAP} elements, the exhaustive cap"
-            )
+            raise CapacityError(f"group {group} has more than {cap} elements, {name}")
     return GroupSpec(orders=(order,) * power, view=view, mass=1.0)
 
 
 def _measured_point(
-    family, param_n, f, fhat, p, q, prediction=None, kind=None, point=WitnessPoint, **extra
+    family, param_n, spec, norm_f, norm_fhat, p, q, prediction=None, kind=None,
+    point=WitnessPoint, **extra,
 ) -> WitnessPoint:
-    """The ``point`` (``WitnessPoint`` or a subclass taking ``extra``) of ``f``
-    and its transform ``fhat``, which the family supplies."""
-    norm_f = lp_norm(f, p)
-    norm_fhat = lp_norm(fhat, q)
+    """The ``point`` (``WitnessPoint`` or a subclass taking ``extra``) on spec
+    with the norms that the family measured."""
     return point(
         family=family,
         param_n=param_n,
-        group_descr=f.spec.describe(),
+        group_descr=spec.describe(),
         p=p,
         q=q,
         norm_f=norm_f,
@@ -174,14 +184,39 @@ def _measured_point(
     )
 
 
-def _exact_point(name, param_n, spec, extremal, p, q, scale=1.0) -> WitnessPoint:
-    """``scale`` times the ``EXTREMALS[extremal]`` function on spec; its ratio
-    is exactly ``family_ratio``."""
-    f = EXTREMALS[extremal](spec)
+def _tensor_power_norm(f: MeasuredFunction, p: float, k: int) -> float:
+    """||f||_p ** k, the p-norm of the k-fold tensor power of f, taken as
+    || |f|^2 ||_(p/2) ** (k/2).  The squared modulus re^2 + im^2 is exact
+    where the modulus is not: |1/2 + i/2| = sqrt(1/2) rounds, and its 4th
+    power would put the chirp on (Z/2)^4 at ratio 4.000000000000001, not the
+    4.0 of the full transform.  A norm past the float range is inf, as in
+    ``family_ratio``: the group may have 2^62 points, and at a small p its
+    norm overflows where no group within the exhaustive cap did."""
+    squared = MeasuredFunction(f.spec, f.side, f.values.real**2 + f.values.imag**2)
+    try:
+        return lp_norm(squared, p / 2) ** (k / 2)
+    except OverflowError:
+        return INF
+
+
+def _exact_point(name, param_n, factor, factors, extremal, p, q, scale=1.0) -> WitnessPoint:
+    """The point of the ``factors``-fold tensor power of ``scale`` times the
+    ``EXTREMALS[extremal]`` function on ``factor``; its ratio is exactly
+    ``family_ratio``.
+
+    Each extremal function on (Z/r)^k is the tensor power of its version on
+    Z/r, the measures are products, and the transform of a tensor product is
+    the tensor product of the transforms.  So both norms are the factor's
+    norms to the power ``factors``, and only the factor is transformed."""
+    f = EXTREMALS[extremal](factor)
     if scale != 1.0:
-        f = MeasuredFunction(spec, TIME, scale * f.values)
+        f = MeasuredFunction(factor, TIME, scale * f.values)
+    (order,) = factor.orders
+    spec = _capped_spec(order, factor.view, factors, materialized=False)
+    norm_f = _tensor_power_norm(f, p, factors)
+    norm_fhat = _tensor_power_norm(forward(f), q, factors)
     prediction = family_ratio(spec, extremal, p, q)
-    return _measured_point(name, param_n, f, forward(f), p, q, prediction, "exact")
+    return _measured_point(name, param_n, spec, norm_f, norm_fhat, p, q, prediction, "exact")
 
 
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
@@ -203,17 +238,24 @@ def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
     f = MeasuredFunction(spec, TIME, indicator / prob)
     u, v = recip(p), recip(q)
     prediction = (3.0 ** (u - 1.0) / 2.0) * k ** (u + v - 1.0)
-    return _measured_point("arc_indicator", k, f, forward(f), p, q, prediction, "lower_bound")
+    return _measured_point(
+        "arc_indicator", k, spec, lp_norm(f, p), lp_norm(forward(f), q), p, q,
+        prediction, "lower_bound",
+    )
 
 
 def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoint:
     """Scaled point mass N*delta_0 on (Z/r)^n with probability mass: the
     trivial-subgroup member of the subgroup-indicator family.  Its transform
-    is identically 1, so the ratio is exactly N^(1/p+1/q-1)."""
+    is identically 1, so the ratio is exactly N^(1/p+1/q-1).
+
+    It is the n-th tensor power of r*delta_0 on Z/r, whose norms are taken
+    and raised to the power n, so only r (not N) is held to the exhaustive
+    cap; N may go up to 2^62."""
+    factor = _capped_spec(r, COMPACT)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    spec = _capped_spec(r, COMPACT, n)
-    return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
+    return _exact_point("subgroup_indicator", n, factor, n, DELTA, p, q, scale=r)
 
 
 def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
@@ -221,8 +263,7 @@ def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
     discrete Z/m with unit atoms; ratio exactly m^(1-1/p-1/q)."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    spec = _capped_spec(m, DISCRETE)
-    return _exact_point("full_orbit", m, spec, CONSTANT, p, q)
+    return _exact_point("full_orbit", m, _capped_spec(m, DISCRETE), 1, CONSTANT, p, q)
 
 
 def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
@@ -230,11 +271,13 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     tensor product of Zadoff-Chu sequences (``bi_unimodular_values``).
 
     |f| = 1 everywhere (so every L^p norm is 1) while |fhat| = r^-n
-    everywhere, giving ratio exactly r^(n(2-q)/q)."""
+    everywhere, giving ratio exactly r^(n(2-q)/q).  Its norms are those of
+    the one Zadoff-Chu sequence on Z/r raised to the power 2n, so only r (not
+    r^2n) is held to the exhaustive cap; r^2n may go up to 2^62."""
+    factor = _capped_spec(r, COMPACT)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    spec = _capped_spec(r, COMPACT, 2 * n)
-    return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
+    return _exact_point("chirp", n, factor, 2 * n, BI_UNIMODULAR, p, q)
 
 
 def lacunary_coefficients(count: int, beta: float, c: float) -> np.ndarray:
@@ -274,7 +317,8 @@ def lacunary_compact_witness(
     else:
         prediction = float(np.sum(np.abs(coeffs) ** q) ** v)
     return _measured_point(
-        "lacunary_compact", m, inverse(fhat), fhat, p, q, prediction, "lower_bound"
+        "lacunary_compact", m, spec, lp_norm(inverse(fhat), p), lp_norm(fhat, q), p, q,
+        prediction, "lower_bound",
     )
 
 
@@ -350,23 +394,33 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     The transform is enumerated exactly over all r^n dual points; the tail
     probability P(Re fhat >= h(n)) with h(n)^2 = sigma^2 sum 1/k is the
     finite-scale version of the central-limit lower bound (asymptotically
-    P(N(0,1) >= 1) ~ 0.1587)."""
+    P(N(0,1) >= 1) ~ 0.1587).
+
+    No forward transform runs: fhat(chi) = sum_k a_k w^chi_k with w the
+    r-th root e^(2 pi i / r), a sum of one-coordinate functions, so it is
+    built by one outer sum per coordinate.  ||f||_p is taken from the comb's
+    n atoms, so f itself is never built; fhat is, so the group keeps the
+    exhaustive cap."""
+    spec = _capped_spec(r, DISCRETE, n)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    spec = _capped_spec(r, DISCRETE, n)
-    vals = np.zeros(spec.size, dtype=np.complex128)
-    for k in range(1, n + 1):
-        e_k = tuple(1 if j == k - 1 else 0 for j in range(n))
-        vals[spec.index_of(spec.negate(e_k))] += 1.0 / math.sqrt(k)
-    f = MeasuredFunction(spec, TIME, vals)
-    fhat = forward(f)
+    coefs = 1.0 / np.sqrt(np.arange(1, n + 1))
+    # The comb's n atoms, padded with a zero at n = 1 (a group has 2 points).
+    atoms = np.zeros(max(n, 2), dtype=np.complex128)
+    atoms[:n] = coefs
+    norm_f = lp_norm(MeasuredFunction(GroupSpec((atoms.size,), DISCRETE), TIME, atoms), p)
+    roots = np.exp(2j * np.pi * np.arange(r) / r)
+    values = np.zeros(1, dtype=np.complex128)
+    for a in coefs:  # canonical order: the last coordinate runs fastest
+        values = np.add.outer(values, a * roots).ravel()
+    fhat = MeasuredFunction(spec, FREQUENCY, values)
     # Var(cos(2 pi U/r)) over a uniform r-th root: 1 for r=2, 1/2 for odd prime r.
     sigma_sq = 1.0 if r == 2 else 0.5
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     threshold = math.sqrt(sigma_sq * harmonic)
-    tail = float(np.count_nonzero(fhat.values.real >= threshold)) / spec.size
+    tail = float(np.count_nonzero(values.real >= threshold)) / spec.size
     return _measured_point(
-        "clt_delta", n, f, fhat, p, q, point=CltWitness,
+        "clt_delta", n, spec, norm_f, lp_norm(fhat, q), p, q, point=CltWitness,
         tail_probability=tail, threshold=threshold, sigma_sq=sigma_sq,
     )
 

@@ -63,6 +63,25 @@ def test_witness_chirp_example(capsys):
     assert payload["ratio"] == 4.0
 
 
+def test_witness_chirp_on_2_40_points(capsys):
+    start = time.perf_counter()
+    payload = run_json(
+        capsys, "witness", "--family", "chirp", "--r", "2", "--n", "20", "--p", "3", "--q", "1.5"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert payload["group_descr"] == GroupSpec((2,) * 40).describe()
+    assert abs(payload["ratio"] - payload["prediction"]) <= 1e-12 * payload["prediction"]
+
+
+def test_witness_norm_past_the_float_range_is_inf(capsys):
+    # ||fhat||_q = 2^(30 (2/q - 1)) on (Z/2)^60 at q = 0.02; this group used to exit 3
+    payload = run_json(
+        capsys, "witness", "--family", "chirp", "--r", "2", "--n", "30", "--p", "3", "--q", "0.02"
+    )
+    assert (payload["norm_f"], payload["norm_fhat"]) == (1.0, "inf")
+    assert payload["ratio"] == payload["prediction"] == "inf"
+
+
 def test_witness_lacunary_discrete_large_q_is_finite(capsys):
     # |fhat|^3000 overflows unscaled: this once printed "norm_fhat": "inf"
     argv = ["witness", "--family", "lacunary_discrete", "--n", "10", "--p", "3", "--q", "3000"]
@@ -135,7 +154,9 @@ def test_witness_family(capsys, family, fixed, values, swept):
 
 
 # Per family, two sweep values whose group is past the 2^20 cap: one just
-# past it and one past the 2^62 that GroupSpec accepts.
+# past it and one past the 2^62 that GroupSpec accepts.  The subgroup
+# indicator and the chirp build only their factor Z/r, so just past 2^20
+# they answer (exit 0); they exit 3 past 2^62, or when r itself is past 2^20.
 PAST_CAP = {
     "arc_indicator": (5243, 10**17),  # m = 200 k
     "subgroup_indicator": (21, 63),  # 2^n
@@ -145,22 +166,63 @@ PAST_CAP = {
     "lacunary_discrete": (18, 60),  # a grid of 8 * 2^n points
     "clt_delta": (13, 40),  # 3^n
 }
+SEPARABLE = ("subgroup_indicator", "chirp")
+LEAST_PRIME_PAST_CAP = 1048583
+
+
+def _past_cap_cases(family, fixed):
+    """(flags a sweep value does not set, sweep value, exit code) past the cap."""
+    just_past, past_range = PAST_CAP[family]
+    if family not in SEPARABLE:
+        return [(fixed, just_past, 3), (fixed, past_range, 3)]
+    return [(fixed, just_past, 0), (fixed, past_range, 3),
+            ({**fixed, "r": LEAST_PRIME_PAST_CAP}, 1, 3)]
 
 
 @pytest.mark.parametrize(
     "family, fixed, values, swept", FAMILY_CASES, ids=[case[0] for case in FAMILY_CASES]
 )
 def test_every_family_exits_3_past_the_cap(capsys, family, fixed, values, swept):
-    for value in PAST_CAP[family]:
+    for flags, value, want in _past_cap_cases(family, fixed):
         for argv in (
-            ["witness", "--family", family, *PQ, *_flag_args({**fixed, **swept(value)})],
-            ["sweep", "--family", family, "--params", str(value), *PQ, *_flag_args(fixed)],
+            ["witness", "--family", family, *PQ, *_flag_args({**flags, **swept(value)})],
+            ["sweep", "--family", family, "--params", str(value), *PQ, *_flag_args(flags)],
         ):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 1.0, argv
-            assert (code, out) == (3, ""), argv
-            assert err.startswith("capacity error: group (Z/") and "Traceback" not in err
+            if want == 3:
+                assert (code, out) == (3, ""), argv
+                assert err.startswith("capacity error: group (Z/") and "Traceback" not in err
+                continue
+            assert code == 0, err
+            if argv[0] == "witness":
+                ratio, prediction = (json.loads(out)[k] for k in ("ratio", "prediction"))
+            else:
+                ratio, prediction = map(float, list(csv.reader(io.StringIO(out)))[1][7:9])
+            assert abs(ratio - prediction) <= 1e-12 * prediction, argv
+
+
+@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "clt_delta"])
+def test_huge_prime_r_exits_3_at_once(capsys, family):
+    """r = 2^61 - 1 is prime: the cap on r is checked before trial division,
+    which would take minutes."""
+    for argv in (
+        ["witness", "--family", family, "--r", "2305843009213693951", "--n", "1", *PQ],
+        ["sweep", "--family", family, "--r", "2305843009213693951", "--params", "1", *PQ],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("capacity error: group (Z/2305843009213693951)^1 ")
+
+
+@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "clt_delta"])
+@pytest.mark.parametrize("r, want", [(4, 2), (2**21, 3)], ids=["composite", "composite_past_cap"])
+def test_composite_r_exits_2_within_the_cap_and_3_past_it(capsys, family, r, want):
+    code, out, _ = run(capsys, "witness", "--family", family, "--r", str(r), "--n", "1", *PQ)
+    assert (code, out) == (want, "")
 
 
 def test_witness_clt_delta_json_keys(capsys):
@@ -173,7 +235,7 @@ def test_witness_clt_delta_json_keys(capsys):
 
 def test_capacity_exit_code(capsys):
     code, _, err = run(
-        capsys, "witness", "--family", "subgroup_indicator", "--r", "2", "--n", "25",
+        capsys, "witness", "--family", "subgroup_indicator", "--r", "1048583", "--n", "1",
         "--p", "1", "--q", "1",
     )
     assert code == 3
@@ -492,6 +554,7 @@ def test_selftest(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS function CSV round trip, canonical and shuffled rows" in out
+    assert "PASS separable witness routes match the full FFT" in out
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -544,7 +607,7 @@ def test_sweep_rejects_workers_below_one_before_writing(capsys, argv, workers):
     "argv, want",
     [
         (["sweep", "--family", "subgroup_indicator", "--params", "2,3", "--p", "1", "--q", "1"], 2),
-        (["sweep", "--family", "subgroup_indicator", "--r", "2", "--params", "2,30",
+        (["sweep", "--family", "subgroup_indicator", "--r", "2", "--params", "2,63",
           "--p", "1", "--q", "1"], 3),
         (["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.25",
           "--v-values", "0.25", "--group", "cyclic:4x"], 2),
@@ -586,13 +649,15 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
 
 
 # (argv, exit code): valid commands, help, every kind of usage error and two
-# witnesses past the 2^20 cap, all fast.  Only the last two exit 3.
+# witnesses past the 2^20 cap, all fast.  Only the last two exit 3; the chirp
+# on 2^40 points exits 0, as it builds only its factor Z/2.
 ARGV_MENU = [
     (["info", "--group", "cyclic:2x3;view=discrete;mass=0.5"], 0),
     (["cpq", "--group", "cyclic:4", "--p", "2", "--q", "2"], 0),
     (["region", "--side", "discrete", "--u", "0.25", "--v", "0.8"], 0),
     (["estimate", "--group", "cyclic:4x6;view=discrete;mass=0.5", "--p", "6", "--q", "0.8"], 0),
     (["witness", "--family", "chirp", "--r", "2", "--n", "2", "--q", "1"], 0),
+    (["witness", "--family", "chirp", "--r", "2", "--n", "20"], 0),
     (["sweep", "--family", "full_orbit", "--params", "4,8", "--p", "1", "--q", "1",
       "--workers", "2"], 0),
     (["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.25,0.75",
@@ -614,7 +679,7 @@ ARGV_MENU = [
     (["info", "--group", "cyclic:4x;view=compact"], 2),
     (["uncertainty", "--mode", "violate", "--target=nan", "--p", "1.111", "--q", "2.5"], 2),
     (["sweep", "--family", "full_orbit", "--params", "4", "--workers", "0"], 2),
-    (["witness", "--family", "subgroup_indicator", "--r", "2", "--n", "21",
+    (["witness", "--family", "clt_delta", "--r", "3", "--n", "13",
       "--p", "1", "--q", "1"], 3),
     (["witness", "--family", "full_orbit", "--m", "1048577"], 3),
 ]

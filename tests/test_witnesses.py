@@ -51,8 +51,11 @@ def test_subgroup_indicator_exact(r, n, p, q, expected):
 def test_subgroup_indicator_guards():
     with pytest.raises(ValueError):
         subgroup_indicator_witness(4, 2, 1.0, 1.0)
-    with pytest.raises(CapacityError):
-        subgroup_indicator_witness(2, 25, 1.0, 1.0)
+    # The group may pass 2^20 (only the factor Z/r is built), but not 2^62;
+    # a factor past 2^20 is refused before r is tested for primality.
+    for r, n in [(2, 63), (1048583, 1), (2**21, 1)]:
+        with pytest.raises(CapacityError):
+            subgroup_indicator_witness(r, n, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -118,19 +121,95 @@ def test_chirp_ratio_is_family_ratio(rn, p, q):
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 1)])
-def test_chirp_is_bi_unimodular(monkeypatch, r, n):
-    seen = []
-
-    def spy(f):
-        fhat = forward(f)
-        seen.append((f, fhat))
-        return fhat
-
-    monkeypatch.setattr(witnesses, "forward", spy)
-    chirp_witness(r, n, 1.5)
-    (f, fhat), = seen
+def test_chirp_is_bi_unimodular(r, n):
+    spec = GroupSpec((r,) * (2 * n))
+    f = MeasuredFunction(spec, TIME, witnesses.bi_unimodular_values(spec.orders))
+    fhat = forward(f)
     assert np.max(np.abs(np.abs(f.values) - 1.0)) <= 1e-12
     assert np.max(np.abs(np.abs(fhat.values) * r**n - 1.0)) <= 1e-12
+
+
+# The separable routes against the full FFT on the whole group (the oracle),
+# on groups of at most 2^16 points.
+_ROUTE_EXPONENT = st.one_of(st.just(INF), st.floats(0.25, 8.0))
+
+
+def _assert_matches_full_fft(pt, f, p, q):
+    norm_f, norm_fhat = lp_norm(f, p), lp_norm(forward(f), q)
+    assert pt.group_descr == f.spec.describe()
+    for got, want in ((pt.norm_f, norm_f), (pt.norm_fhat, norm_fhat),
+                      (pt.ratio, norm_fhat / norm_f)):
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _clt_comb(r, n):
+    """The CLT comb sum_k (1/sqrt k) delta_{-e_k}, materialized on (Z/r)^n."""
+    spec = GroupSpec((r,) * n, view="discrete")
+    vals = np.zeros(spec.size, dtype=np.complex128)
+    for k in range(1, n + 1):
+        e_k = tuple(int(j == k - 1) for j in range(n))
+        vals[spec.index_of(spec.negate(e_k))] += 1.0 / math.sqrt(k)
+    return MeasuredFunction(spec, TIME, vals)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(rn=st.sampled_from([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 11)]
+                          + [(5, n) for n in range(1, 7)] + [(7, 2), (7, 5), (11, 4), (251, 2)]),
+       p=_ROUTE_EXPONENT, q=_ROUTE_EXPONENT)
+def test_subgroup_indicator_route_matches_full_fft(rn, p, q):
+    r, n = rn
+    spec = GroupSpec((r,) * n)
+    f = MeasuredFunction(spec, TIME, spec.size * witnesses.EXTREMALS[DELTA](spec).values)
+    _assert_matches_full_fft(subgroup_indicator_witness(r, n, p, q), f, p, q)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(rn=st.sampled_from([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+                          + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 2), (251, 1)]),
+       p=_ROUTE_EXPONENT, q=_ROUTE_EXPONENT)
+def test_chirp_route_matches_full_fft(rn, p, q):
+    r, n = rn
+    f = witnesses.EXTREMALS[BI_UNIMODULAR](GroupSpec((r,) * (2 * n)))
+    _assert_matches_full_fft(chirp_witness(r, n, q, p=p), f, p, q)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(rn=st.sampled_from([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 11)]
+                          + [(5, n) for n in range(1, 7)]),
+       p=_ROUTE_EXPONENT, q=_ROUTE_EXPONENT)
+def test_clt_route_matches_full_fft(rn, p, q):
+    r, n = rn
+    seen = []
+
+    def spy(f, p):
+        seen.append(f)
+        return lp_norm(f, p)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(witnesses, "lp_norm", spy)
+        pt = clt_delta_witness(r, n, p, q)
+    comb = _clt_comb(r, n)
+    _assert_matches_full_fft(pt, comb, p, q)
+    (fhat,) = [f for f in seen if f.side == FREQUENCY]
+    want = forward(comb).values
+    assert np.max(np.abs(fhat.values - want)) <= 1e-12
+    assert pt.tail_probability == np.count_nonzero(want.real >= pt.threshold) / comb.spec.size
+
+
+@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "clt_delta"])
+def test_separable_routes_transform_no_whole_group(monkeypatch, family):
+    """The subgroup indicator and the chirp transform only their factor Z/r;
+    the CLT comb runs no forward transform at all."""
+    sizes = []
+
+    def spy(f):
+        sizes.append(f.spec.size)
+        return forward(f)
+
+    monkeypatch.setattr(witnesses, "forward", spy)
+    for r, n in [(2, 8), (3, 4), (5, 2)]:
+        getattr(witnesses, f"{family}_witness")(r, n, 1.5, 3.0)
+    assert sizes == ([] if family == "clt_delta" else [2, 3, 5])
 
 
 def test_arc_indicator_lower_bound():
