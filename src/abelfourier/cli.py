@@ -484,7 +484,7 @@ def _selftest() -> int:
                     (point.ratio, norm_fhat / norm_f),
                 ):
                     ok = ok and abs(got - want) <= 1e-12 * want
-    check("separable witness routes match the full FFT", ok)
+    check("closed-form and outer-sum witness norms match the full FFT", ok)
 
     ok = True
     for _ in range(100):

@@ -51,12 +51,22 @@ def holder_conjugate(p: float) -> float:
     return exponent_value(1.0 - u)
 
 
+def _power(base: float, e: float) -> float:
+    """base ** e for base > 0, inf when it is past the float range."""
+    try:
+        return base**e
+    except OverflowError:
+        return INF
+
+
 def lp_norm(f: MeasuredFunction, p: float) -> float:
     """(sum |f|^p atom)^(1/p) for finite p; max |f| for p = inf.
 
     For 0 < p < 1 this is the usual quasi-norm; it is absolutely homogeneous
     but not subadditive.  The sum is taken over |f| / max |f|, so a large p
-    neither underflows small values to 0 nor overflows large ones to inf.
+    neither underflows small values to 0 nor overflows large ones to inf.  Its
+    power 1/p can still be past the float range at a small p; the norm is
+    then inf, as in ``family_ratio``.
     """
     u = recip(p)
     mags = np.abs(f.values)
@@ -65,7 +75,7 @@ def lp_norm(f: MeasuredFunction, p: float) -> float:
         return top
     mags /= top
     mags **= p
-    return top * float(np.sum(mags) * f.atom) ** u
+    return top * _power(float(np.sum(mags) * f.atom), u)
 
 
 def ratio(f: MeasuredFunction, p: float, q: float) -> float:
@@ -179,6 +189,22 @@ def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
         return math.exp(log_value)
     except OverflowError:
         return INF
+
+
+def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[float, float]:
+    """(||f||_p, ||fhat||_q) of ``witnesses.EXTREMALS[family]`` on spec: with
+    T the primal total and A the primal atom, (T^u, T^(1-v)) for the
+    constant, (A^u, A^(1-v)) for the delta and (T^u, A^(1-v) N^(1/2)) for the
+    bi-unimodular function.  Analytic, like ``family_ratio``; each power has
+    one base, so it is inf only past the float range."""
+    u, w = recip(p), 1.0 - recip(q)
+    total, atom = spec.primal_total, spec.primal_atom
+    f_base, fhat_base, fhat_scale = {
+        CONSTANT: (total, total, 1.0),
+        DELTA: (atom, atom, 1.0),
+        BI_UNIMODULAR: (total, atom, math.sqrt(spec.size)),
+    }[family]
+    return _power(f_base, u), fhat_scale * _power(fhat_base, w)
 
 
 def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:

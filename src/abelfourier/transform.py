@@ -73,15 +73,8 @@ class MeasuredFunction:
     def atom(self) -> float:
         return self.spec.primal_atom if self.side == TIME else self.spec.dual_atom
 
-    @property
-    def total_mass(self) -> float:
-        return self.spec.primal_total if self.side == TIME else self.spec.dual_total
-
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.spec.orders)
-
-    def copy(self) -> "MeasuredFunction":
-        return MeasuredFunction(self.spec, self.side, self.values.copy())
 
 
 def delta(spec: GroupSpec, at=None, side: str = TIME) -> MeasuredFunction:

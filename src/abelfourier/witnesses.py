@@ -1,20 +1,18 @@
 """Witness families: the concrete extremal functions whose norm ratios grow
 without bound in the infinite regions, realized at finite scale.
 
-Each constructor returns a :class:`WitnessPoint` carrying the measured norms,
-the ratio, and the predicted value for the ratio -- exact for the families
-built from ``EXTREMALS`` (subgroup indicator = N times the delta, full orbit =
-the constant, chirp = the bi-unimodular function), whose prediction is
+Each constructor returns a :class:`WitnessPoint` carrying the norms, the
+ratio, and the predicted value for the ratio -- exact for the families of
+``EXTREMALS`` (subgroup indicator = N times the delta, full orbit = the
+constant, chirp = the bi-unimodular function), whose prediction is
 ``norms.family_ratio``; a proven lower bound otherwise.  Truncation choices
 (torus modeled by Z/m, the integers modeled by a sparse support with circle
 quadrature) follow the adequacy rules noted on each constructor.
 
-Three families are separable and never transform their whole group.  The
-subgroup indicator and the chirp are tensor powers of one function on Z/r,
-so their norms are those of that factor raised to the number of factors.
-The CLT comb's transform is a sum of one-coordinate functions, built by
-outer sums.  Only values that are materialized count against the 2^20
-exhaustive cap: the factor for the first two, the whole group for the comb.
+The three exact families build no function and run no transform: their
+norms are the closed forms ``norms.family_norms``, which the tests check
+against the full FFT on small groups.  The CLT comb's transform is a sum of
+one-coordinate functions, built by outer sums with no transform either.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, MAX_SIZE, GroupSpec
-from .norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_ratio, lp_norm, recip
+from .norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_norms, family_ratio, lp_norm, recip
 from .transform import FREQUENCY, MeasuredFunction, TIME, delta, forward, inverse
 
 
@@ -141,8 +139,9 @@ EXTREMALS = {
 def _capped_spec(order: int, view: str, power: int = 1, materialized: bool = True) -> GroupSpec:
     """The mass-1 group (Z/order)^power in ``view``, the one capacity gate of
     the witness families.  It raises CapacityError past the exhaustive cap
-    when the family builds values on the group (``materialized``), else past
-    the 2^62 points that ``GroupSpec`` accepts.
+    when ``materialized``, else past the 2^62 points that ``GroupSpec``
+    accepts.  The exact families build nothing; they use the first form to
+    keep the README's exit codes, on r or on the full orbit's group.
 
     Its point count is multiplied out in Python ints, stopping once past the
     cap, so the check allocates nothing and a huge order or power raises
@@ -168,7 +167,8 @@ def _measured_point(
     point=WitnessPoint, **extra,
 ) -> WitnessPoint:
     """The ``point`` (``WitnessPoint`` or a subclass taking ``extra``) on spec
-    with the norms that the family measured."""
+    with the norms that the family measured.  The ratio is inf when norm_f
+    underflows to 0."""
     return point(
         family=family,
         param_n=param_n,
@@ -177,46 +177,23 @@ def _measured_point(
         q=q,
         norm_f=norm_f,
         norm_fhat=norm_fhat,
-        ratio=norm_fhat / norm_f,
+        ratio=norm_fhat / norm_f if norm_f else INF,
         prediction=prediction,
         prediction_kind=kind,
         **extra,
     )
 
 
-def _tensor_power_norm(f: MeasuredFunction, p: float, k: int) -> float:
-    """||f||_p ** k, the p-norm of the k-fold tensor power of f, taken as
-    || |f|^2 ||_(p/2) ** (k/2).  The squared modulus re^2 + im^2 is exact
-    where the modulus is not: |1/2 + i/2| = sqrt(1/2) rounds, and its 4th
-    power would put the chirp on (Z/2)^4 at ratio 4.000000000000001, not the
-    4.0 of the full transform.  A norm past the float range is inf, as in
-    ``family_ratio``: the group may have 2^62 points, and at a small p its
-    norm overflows where no group within the exhaustive cap did."""
-    squared = MeasuredFunction(f.spec, f.side, f.values.real**2 + f.values.imag**2)
-    try:
-        return lp_norm(squared, p / 2) ** (k / 2)
-    except OverflowError:
-        return INF
-
-
-def _exact_point(name, param_n, factor, factors, extremal, p, q, scale=1.0) -> WitnessPoint:
-    """The point of the ``factors``-fold tensor power of ``scale`` times the
-    ``EXTREMALS[extremal]`` function on ``factor``; its ratio is exactly
-    ``family_ratio``.
-
-    Each extremal function on (Z/r)^k is the tensor power of its version on
-    Z/r, the measures are products, and the transform of a tensor product is
-    the tensor product of the transforms.  So both norms are the factor's
-    norms to the power ``factors``, and only the factor is transformed."""
-    f = EXTREMALS[extremal](factor)
-    if scale != 1.0:
-        f = MeasuredFunction(factor, TIME, scale * f.values)
-    (order,) = factor.orders
-    spec = _capped_spec(order, factor.view, factors, materialized=False)
-    norm_f = _tensor_power_norm(f, p, factors)
-    norm_fhat = _tensor_power_norm(forward(f), q, factors)
+def _exact_point(name, param_n, spec, extremal, p, q, scale=1.0) -> WitnessPoint:
+    """The point of ``scale`` times the ``EXTREMALS[extremal]`` function on
+    spec.  Its norms are ``family_norms`` times ``scale``, so no function is
+    built and no transform runs, and its ratio is ``family_ratio`` up to
+    rounding."""
+    norm_f, norm_fhat = family_norms(spec, extremal, p, q)
     prediction = family_ratio(spec, extremal, p, q)
-    return _measured_point(name, param_n, spec, norm_f, norm_fhat, p, q, prediction, "exact")
+    return _measured_point(
+        name, param_n, spec, scale * norm_f, scale * norm_fhat, p, q, prediction, "exact"
+    )
 
 
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
@@ -249,13 +226,13 @@ def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoi
     trivial-subgroup member of the subgroup-indicator family.  Its transform
     is identically 1, so the ratio is exactly N^(1/p+1/q-1).
 
-    It is the n-th tensor power of r*delta_0 on Z/r, whose norms are taken
-    and raised to the power n, so only r (not N) is held to the exhaustive
+    Its norms are closed forms, so only r (not N) is held to the exhaustive
     cap; N may go up to 2^62."""
-    factor = _capped_spec(r, COMPACT)
+    _capped_spec(r, COMPACT)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    return _exact_point("subgroup_indicator", n, factor, n, DELTA, p, q, scale=r)
+    spec = _capped_spec(r, COMPACT, n, materialized=False)
+    return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
 
 
 def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
@@ -263,7 +240,7 @@ def full_orbit_witness(m: int, p: float, q: float) -> WitnessPoint:
     discrete Z/m with unit atoms; ratio exactly m^(1-1/p-1/q)."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    return _exact_point("full_orbit", m, _capped_spec(m, DISCRETE), 1, CONSTANT, p, q)
+    return _exact_point("full_orbit", m, _capped_spec(m, DISCRETE), CONSTANT, p, q)
 
 
 def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
@@ -271,13 +248,14 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     tensor product of Zadoff-Chu sequences (``bi_unimodular_values``).
 
     |f| = 1 everywhere (so every L^p norm is 1) while |fhat| = r^-n
-    everywhere, giving ratio exactly r^(n(2-q)/q).  Its norms are those of
-    the one Zadoff-Chu sequence on Z/r raised to the power 2n, so only r (not
-    r^2n) is held to the exhaustive cap; r^2n may go up to 2^62."""
-    factor = _capped_spec(r, COMPACT)
+    everywhere, giving ratio exactly r^(n(2-q)/q).  Its norms are closed
+    forms, so only r (not r^2n) is held to the exhaustive cap; r^2n may go up
+    to 2^62."""
+    _capped_spec(r, COMPACT)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    return _exact_point("chirp", n, factor, 2 * n, BI_UNIMODULAR, p, q)
+    spec = _capped_spec(r, COMPACT, 2 * n, materialized=False)
+    return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
 
 
 def lacunary_coefficients(count: int, beta: float, c: float) -> np.ndarray:
@@ -301,9 +279,9 @@ def lacunary_compact_witness(
     """Partial sum f = sum_{k=2}^{m-1} a_k chi^k on Z/m with probability
     mass, a_k the lacunary coefficients.  fhat is the coefficient vector F
     itself (unit dual atoms), so ||fhat||_q is ``lp_norm`` of F with no
-    forward transform; the coefficient l^q sum is the stored prediction (a
-    lower bound on ||fhat||_q that diverges for q < 2 while ||f||_p stays
-    bounded)."""
+    forward transform.  It is also the coefficient l^q sum, the stored
+    prediction: a lower bound on ||fhat||_q (met with equality here) that
+    diverges for q < 2 while ||f||_p stays bounded."""
     if m < 4:
         raise ValueError("m must be >= 4")
     spec = _capped_spec(m, COMPACT)
@@ -311,15 +289,19 @@ def lacunary_compact_witness(
     freq = np.zeros(m, dtype=np.complex128)
     freq[2:m] = coeffs
     fhat = MeasuredFunction(spec, FREQUENCY, freq)
-    v = recip(q)
-    if v == 0.0:
-        prediction = float(np.abs(coeffs).max())
-    else:
-        prediction = float(np.sum(np.abs(coeffs) ** q) ** v)
+    norm_fhat = lp_norm(fhat, q)
     return _measured_point(
-        "lacunary_compact", m, spec, lp_norm(inverse(fhat), p), lp_norm(fhat, q), p, q,
-        prediction, "lower_bound",
+        "lacunary_compact", m, spec, lp_norm(inverse(fhat), p), norm_fhat, p, q,
+        norm_fhat, "lower_bound",
     )
+
+
+def _comb_norm(n: int, p: float) -> float:
+    """||f||_p of sum_{k=1}^{n} k^(-1/2) delta_{x_k}, x_k distinct, on unit
+    atoms; a zero pads n = 1 (a group has 2 points)."""
+    atoms = np.zeros(max(n, 2), dtype=np.complex128)
+    atoms[:n] = 1.0 / np.sqrt(np.arange(1, n + 1))
+    return lp_norm(MeasuredFunction(GroupSpec((atoms.size,), DISCRETE), TIME, atoms), p)
 
 
 def lacunary_trig_polynomial(n: int) -> TrigPolynomial:
@@ -366,12 +348,10 @@ def lacunary_discrete_witness(
     if grid_points < min_grid:
         raise ValueError(f"grid too coarse: need at least {min_grid} points")
     _capped_spec(grid_points, COMPACT)  # so a large n fails before its n terms are built
-    k = np.arange(1, n + 1, dtype=np.float64)
-    norm_f = float(np.sum(k ** (-p / 2.0)) ** (1.0 / p))
     poly = lacunary_trig_polynomial(n)
     fhat = poly.grid_values(grid_points)
     norm_fhat, l2 = lp_norm(fhat, q), lp_norm(fhat, 2.0)
-    parseval = float(math.sqrt(np.sum(1.0 / k)))
+    parseval = float(math.sqrt(np.sum(1.0 / np.arange(1, n + 1))))
     if abs(l2 - parseval) > 1e-6:
         raise ArithmeticError(
             f"quadrature L2 {l2} disagrees with Parseval value {parseval}"
@@ -380,7 +360,7 @@ def lacunary_discrete_witness(
         param_n=n,
         p=p,
         q=q,
-        norm_f=norm_f,
+        norm_f=_comb_norm(n, p),
         norm_fhat=norm_fhat,
         norm_fhat_l2=l2,
         parseval_l2=parseval,
@@ -398,17 +378,12 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
 
     No forward transform runs: fhat(chi) = sum_k a_k w^chi_k with w the
     r-th root e^(2 pi i / r), a sum of one-coordinate functions, so it is
-    built by one outer sum per coordinate.  ||f||_p is taken from the comb's
-    n atoms, so f itself is never built; fhat is, so the group keeps the
-    exhaustive cap."""
+    built by one outer sum per coordinate.  ||f||_p is ``_comb_norm``, so f
+    itself is never built; fhat is, so the group keeps the exhaustive cap."""
     spec = _capped_spec(r, DISCRETE, n)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
     coefs = 1.0 / np.sqrt(np.arange(1, n + 1))
-    # The comb's n atoms, padded with a zero at n = 1 (a group has 2 points).
-    atoms = np.zeros(max(n, 2), dtype=np.complex128)
-    atoms[:n] = coefs
-    norm_f = lp_norm(MeasuredFunction(GroupSpec((atoms.size,), DISCRETE), TIME, atoms), p)
     roots = np.exp(2j * np.pi * np.arange(r) / r)
     values = np.zeros(1, dtype=np.complex128)
     for a in coefs:  # canonical order: the last coordinate runs fastest
@@ -420,7 +395,7 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     threshold = math.sqrt(sigma_sq * harmonic)
     tail = float(np.count_nonzero(values.real >= threshold)) / spec.size
     return _measured_point(
-        "clt_delta", n, spec, norm_f, lp_norm(fhat, q), p, q, point=CltWitness,
+        "clt_delta", n, spec, _comb_norm(n, p), lp_norm(fhat, q), p, q, point=CltWitness,
         tail_probability=tail, threshold=threshold, sigma_sq=sigma_sq,
     )
 

@@ -3,10 +3,12 @@ import contextlib
 import csv
 import io
 import json
+import shlex
 import sys
 import time
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,13 +75,27 @@ def test_witness_chirp_on_2_40_points(capsys):
     assert abs(payload["ratio"] - payload["prediction"]) <= 1e-12 * payload["prediction"]
 
 
-def test_witness_norm_past_the_float_range_is_inf(capsys):
+# (witness flags, norm_f, norm_fhat, prediction); float stands for any finite value
+FLOAT_RANGE_CASES = [
     # ||fhat||_q = 2^(30 (2/q - 1)) on (Z/2)^60 at q = 0.02; this group used to exit 3
-    payload = run_json(
-        capsys, "witness", "--family", "chirp", "--r", "2", "--n", "30", "--p", "3", "--q", "0.02"
-    )
-    assert (payload["norm_f"], payload["norm_fhat"]) == (1.0, "inf")
-    assert payload["ratio"] == payload["prediction"] == "inf"
+    (["chirp", "--r", "2", "--n", "30", "--p", "3", "--q", "0.02"], 1.0, "inf", "inf"),
+    # the transform's l^0.01 sum over 10^6 points, raised to the power 100
+    (["arc_indicator", "--k", "1", "--m", "1000000", "--p", "3", "--q", "0.01"],
+     float, "inf", float),
+    (["lacunary_compact", "--m", "1000000", "--p", "3", "--q", "0.01"], float, "inf", "inf"),
+    # ||f||_p = 4096^(1 - 100) underflows to 0, so the ratio is past the range
+    (["subgroup_indicator", "--r", "2", "--n", "12", "--p", "0.01", "--q", "1"],
+     0.0, 4096.0, "inf"),
+]
+
+
+def test_witness_norm_past_the_float_range_is_inf(capsys):
+    for argv, *wants in FLOAT_RANGE_CASES:
+        payload = run_json(capsys, "witness", "--family", *argv)
+        for key, want in zip(("norm_f", "norm_fhat", "prediction"), wants):
+            ok = isinstance(payload[key], float) if want is float else payload[key] == want
+            assert ok, (argv, key, payload[key])
+        assert payload["ratio"] == "inf", argv
 
 
 def test_witness_lacunary_discrete_large_q_is_finite(capsys):
@@ -155,8 +171,9 @@ def test_witness_family(capsys, family, fixed, values, swept):
 
 # Per family, two sweep values whose group is past the 2^20 cap: one just
 # past it and one past the 2^62 that GroupSpec accepts.  The subgroup
-# indicator and the chirp build only their factor Z/r, so just past 2^20
-# they answer (exit 0); they exit 3 past 2^62, or when r itself is past 2^20.
+# indicator and the chirp build nothing (their norms are closed forms), so
+# just past 2^20 they answer (exit 0); they exit 3 past 2^62, or when r
+# itself is past 2^20.
 PAST_CAP = {
     "arc_indicator": (5243, 10**17),  # m = 200 k
     "subgroup_indicator": (21, 63),  # 2^n
@@ -554,7 +571,35 @@ def test_selftest(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS function CSV round trip, canonical and shuffled rows" in out
-    assert "PASS separable witness routes match the full FFT" in out
+    assert "PASS closed-form and outer-sum witness norms match the full FFT" in out
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block exits 0, run in a directory
+    holding the f.csv it reads; fhat.csv is written by the line before it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    spec = GroupSpec.parse("cyclic:2x3;view=compact;mass=1")
+    f = MeasuredFunction(spec, TIME, np.arange(6) + 0.5j)
+    (tmp_path / "f.csv").write_text(write_csv(f))
+    seen = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv or argv[0] != "abelfourier":
+            continue
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        seen.append(argv[1])
+        if argv[1] == "witness":
+            assert json.loads(out)["ratio"] == 4.0
+        elif argv[1] == "estimate":
+            comment = line.partition("#")[2]
+            assert json.loads(out)["estimate"] == pytest.approx(float(comment), rel=1e-12)
+        elif "--inverse" in argv:  # the README says it round-trips to f.csv
+            back = read_csv(io.StringIO(out))
+            assert np.max(np.abs(back.values - f.values)) <= 1e-12
+    assert "witness" in seen and "estimate" in seen and "--selftest" in seen
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -650,7 +695,7 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
 
 # (argv, exit code): valid commands, help, every kind of usage error and two
 # witnesses past the 2^20 cap, all fast.  Only the last two exit 3; the chirp
-# on 2^40 points exits 0, as it builds only its factor Z/2.
+# on 2^40 points exits 0, as its norms are closed forms.
 ARGV_MENU = [
     (["info", "--group", "cyclic:2x3;view=discrete;mass=0.5"], 0),
     (["cpq", "--group", "cyclic:4", "--p", "2", "--q", "2"], 0),

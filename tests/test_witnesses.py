@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelfourier import witnesses
-from abelfourier.groups import CapacityError, GroupSpec
-from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_ratio, lp_norm
+from abelfourier.groups import COMPACT, DISCRETE, CapacityError, GroupSpec
+from abelfourier.norms import (
+    BI_UNIMODULAR, CONSTANT, DELTA, EXTREMAL_FAMILIES, INF, family_norms, family_ratio, lp_norm,
+)
 from abelfourier.transform import FREQUENCY, TIME, MeasuredFunction, forward, inverse
 from abelfourier.witnesses import (
     TrigPolynomial,
@@ -51,8 +53,8 @@ def test_subgroup_indicator_exact(r, n, p, q, expected):
 def test_subgroup_indicator_guards():
     with pytest.raises(ValueError):
         subgroup_indicator_witness(4, 2, 1.0, 1.0)
-    # The group may pass 2^20 (only the factor Z/r is built), but not 2^62;
-    # a factor past 2^20 is refused before r is tested for primality.
+    # The group may pass 2^20 (nothing is built), but not 2^62; an r past
+    # 2^20 is refused before it is tested for primality.
     for r, n in [(2, 63), (1048583, 1), (2**21, 1)]:
         with pytest.raises(CapacityError):
             subgroup_indicator_witness(r, n, 1.0, 1.0)
@@ -103,11 +105,8 @@ def test_subgroup_indicator_ratio_is_family_ratio(rn, p, q):
     _assert_exact(subgroup_indicator_witness(r, n, p, q), DELTA, p, q)
 
 
-# q >= 1 only: the constant's transform is a delta, and for q < 1 the FFT's
-# roundoff at its zero frequencies, raised to the power q, moves the measured
-# ratio (5e-9 relative at m = 4097, q = 0.7).
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(m=st.integers(2, 4096), p=_EXPONENT, q=st.one_of(st.just(INF), st.floats(1.0, 8.0)))
+@given(m=st.integers(2, 4096), p=_EXPONENT, q=st.one_of(st.just(INF), st.floats(0.25, 8.0)))
 def test_full_orbit_ratio_is_family_ratio(m, p, q):
     _assert_exact(full_orbit_witness(m, p, q), CONSTANT, p, q)
 
@@ -129,9 +128,32 @@ def test_chirp_is_bi_unimodular(r, n):
     assert np.max(np.abs(np.abs(fhat.values) * r**n - 1.0)) <= 1e-12
 
 
-# The separable routes against the full FFT on the whole group (the oracle),
-# on groups of at most 2^16 points.
+# The closed-form norms and the separable routes against the full FFT on the
+# whole group (the oracle), on groups of at most 2^16 points.
 _ROUTE_EXPONENT = st.one_of(st.just(INF), st.floats(0.25, 8.0))
+
+
+# The constant's transform is a delta; below q = 1 the FFT's roundoff at its
+# zero frequencies, raised to the power q, moves the oracle itself (2e-5
+# relative on discrete Z/4097 at q = 0.5), so that family is checked at q >= 1.
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(orders=st.lists(st.integers(2, 12), min_size=1, max_size=3).map(tuple),
+       view=st.sampled_from([COMPACT, DISCRETE]), mass=st.floats(0.25, 4.0),
+       family=st.sampled_from(EXTREMAL_FAMILIES), p=_ROUTE_EXPONENT, q=_ROUTE_EXPONENT)
+def test_family_norms_match_full_fft(orders, view, mass, family, p, q):
+    assume(family != CONSTANT or q >= 1)
+    f = witnesses.EXTREMALS[family](GroupSpec(orders, view=view, mass=mass))
+    got = family_norms(f.spec, family, p, q)
+    for value, want in zip(got, (lp_norm(f, p), lp_norm(forward(f), q))):
+        assert abs(value - want) <= 1e-12 * want
+    assert got[1] / got[0] == pytest.approx(family_ratio(f.spec, family, p, q), rel=1e-12)
+
+
+def test_family_norms_take_each_power_of_one_base():
+    # ||delta||_p = (4/2)^1000 on Z/2 of mass 4 at p = 0.001: mass^1000 alone
+    # overflows and 2^-1000 does not, so separate powers would give inf
+    spec = GroupSpec((2,), view=COMPACT, mass=4.0)
+    assert family_norms(spec, DELTA, 0.001, 1.0) == (2.0**1000, 1.0)
 
 
 def _assert_matches_full_fft(pt, f, p, q):
@@ -196,10 +218,10 @@ def test_clt_route_matches_full_fft(rn, p, q):
     assert pt.tail_probability == np.count_nonzero(want.real >= pt.threshold) / comb.spec.size
 
 
-@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "clt_delta"])
+@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "full_orbit", "clt_delta"])
 def test_separable_routes_transform_no_whole_group(monkeypatch, family):
-    """The subgroup indicator and the chirp transform only their factor Z/r;
-    the CLT comb runs no forward transform at all."""
+    """The exact families take closed-form norms and the CLT comb sums its
+    transform, so none of them runs a forward transform at all."""
     sizes = []
 
     def spy(f):
@@ -208,8 +230,11 @@ def test_separable_routes_transform_no_whole_group(monkeypatch, family):
 
     monkeypatch.setattr(witnesses, "forward", spy)
     for r, n in [(2, 8), (3, 4), (5, 2)]:
-        getattr(witnesses, f"{family}_witness")(r, n, 1.5, 3.0)
-    assert sizes == ([] if family == "clt_delta" else [2, 3, 5])
+        if family == "full_orbit":
+            witnesses.full_orbit_witness(r**n, 1.5, 3.0)
+        else:
+            getattr(witnesses, f"{family}_witness")(r, n, 1.5, 3.0)
+    assert sizes == []
 
 
 def test_arc_indicator_lower_bound():
