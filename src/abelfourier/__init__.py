@@ -43,6 +43,7 @@ from .norms import (
     finite_exponent,
     hausdorff_young_check,
     holder_conjugate,
+    log_lp_norm,
     lp_norm,
     ratio,
     recip,

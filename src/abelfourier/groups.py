@@ -32,7 +32,7 @@ MAX_SIZE = 2**62
 
 
 class CapacityError(Exception):
-    """An exhaustive operation was requested on a group that is too large."""
+    """A group too large for the request: past the exhaustive cap, or ``MAX_SIZE``."""
 
 
 def _lcm_all(values):
@@ -68,7 +68,7 @@ class GroupSpec:
         for m in self.orders:
             size *= m
             if size > MAX_SIZE:
-                raise ValueError("group size exceeds machine integer range")
+                raise CapacityError("group size exceeds machine integer range")
         if self.view not in (COMPACT, DISCRETE):
             raise ValueError(f"unknown view {self.view!r}")
         if not (self.mass > 0 and math.isfinite(self.mass)):
@@ -255,11 +255,13 @@ class Subgroup:
 
 
 def all_subgroups(spec: GroupSpec, max_generators: int = 2) -> list[Subgroup]:
-    """Subgroups generated by up to ``max_generators`` elements, deduplicated.
+    """Subgroups generated by up to ``max_generators`` (1 or 2) elements, deduplicated.
 
     Exhaustive for cyclic groups with max_generators=1; for products it is a
     sample of the subgroup lattice, not a complete enumeration.
     """
+    if max_generators not in (1, 2):
+        raise ValueError(f"max_generators must be 1 or 2, got {max_generators}")
     spec._check_capacity()
     elems = spec.elements()
     seen: dict[frozenset, Subgroup] = {}
@@ -269,18 +271,10 @@ def all_subgroups(spec: GroupSpec, max_generators: int = 2) -> list[Subgroup]:
             seen[sub.members] = sub
 
     record(Subgroup.from_generators(spec, []))
-    singles = []
     for x in elems:
-        sub = Subgroup.from_generators(spec, [x])
-        singles.append(sub)
-        record(sub)
-    if max_generators >= 2:
+        record(Subgroup.from_generators(spec, [x]))
+    if max_generators == 2:
         for i, x in enumerate(elems):
             for y in elems[i + 1:]:
                 record(Subgroup.from_generators(spec, [x, y]))
-    if max_generators >= 3:
-        for i, x in enumerate(elems):
-            for j in range(i + 1, len(elems)):
-                for k in range(j + 1, len(elems)):
-                    record(Subgroup.from_generators(spec, [x, elems[j], elems[k]]))
     return sorted(seen.values(), key=lambda s: (len(s), s.sorted_members()))

@@ -59,23 +59,37 @@ def _power(base: float, e: float) -> float:
         return INF
 
 
+def _scaled_power_sum(f: MeasuredFunction, p: float) -> tuple[float, float]:
+    """(max |f|, sum (|f| / max |f|)^p atom), the sum 1 at p = inf or f = 0.
+    Over |f| / max |f|, a large p neither underflows nor overflows the sum."""
+    mags = np.abs(f.values)
+    top = float(mags.max()) if mags.size else 0.0
+    if p == INF or top == 0.0:
+        return top, 1.0
+    mags /= top
+    mags **= p
+    return top, float(np.sum(mags) * f.atom)
+
+
 def lp_norm(f: MeasuredFunction, p: float) -> float:
     """(sum |f|^p atom)^(1/p) for finite p; max |f| for p = inf.
 
     For 0 < p < 1 this is the usual quasi-norm; it is absolutely homogeneous
-    but not subadditive.  The sum is taken over |f| / max |f|, so a large p
-    neither underflows small values to 0 nor overflows large ones to inf.  Its
-    power 1/p can still be past the float range at a small p; the norm is
-    then inf, as in ``family_ratio``.
+    but not subadditive.  The sum is ``_scaled_power_sum``'s; its power 1/p
+    can be past the float range at a small p, and the norm is then inf.
     """
     u = recip(p)
-    mags = np.abs(f.values)
-    top = float(mags.max()) if mags.size else 0.0
-    if u == 0.0 or top == 0.0:
-        return top
-    mags /= top
-    mags **= p
-    return top * _power(float(np.sum(mags) * f.atom), u)
+    top, total = _scaled_power_sum(f, p)
+    return top * _power(total, u)
+
+
+def log_lp_norm(f: MeasuredFunction, p: float) -> float:
+    """log ||f||_p = log max |f| + log(sum) / p from the same sum as
+    ``lp_norm``, so it is finite for every f != 0 at every p, even where the
+    norm itself is past the float range; -inf for f = 0."""
+    u = recip(p)
+    top, total = _scaled_power_sum(f, p)
+    return math.log(top) + u * math.log(total) if top else -INF
 
 
 def ratio(f: MeasuredFunction, p: float, q: float) -> float:
@@ -180,15 +194,11 @@ def finite_exponent(side: str, u: float, v: float) -> tuple[float, str]:
 def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
     """The exact ratio ||fhat||_q / ||f||_p of ``family``'s function on spec.
 
-    Analytic, so it answers past the exhaustive cap; computed through its
-    logarithm, so it is inf only when the ratio is past the float range."""
+    Analytic, so it answers past the exhaustive cap; one power of 2, so it is
+    inf only past the float range and an exact power such as 64 is exact."""
     u, v = recip(p), recip(q)
     e = family_exponents(spec.view, u, v)[EXTREMAL_FAMILIES.index(family)]
-    log_value = (1.0 - (u + v)) * math.log(spec.mass) + e * math.log(spec.size)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return INF
+    return _power(2.0, (1.0 - (u + v)) * math.log2(spec.mass) + e * math.log2(spec.size))
 
 
 def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[float, float]:

@@ -12,12 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, describe_group
-from .norms import CONSTANT, DELTA, closed_form_cpq, recip
+from .norms import CONSTANT, DELTA, closed_form_cpq, log_lp_norm, lp_norm, recip
 from .transform import MeasuredFunction, TIME, forward
 from .witnesses import EXTREMALS
 
 #: Relative threshold deciding "nonzero" for support counting.
 SUPPORT_RTOL = 1e-12
+
+#: How far a density's mass, or a wavefunction's squared L2 norm, may be from 1.
+MASS_TOL = 1e-10
 
 
 @dataclass
@@ -30,9 +33,9 @@ class Density:
         vals = self.base.values
         if np.any(vals.imag != 0.0) or np.any(vals.real < 0.0):
             raise ValueError("density values must be nonnegative reals")
-        total = float(vals.real.sum() * self.base.atom)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"density mass {total} is not 1 within 1e-10")
+        total = lp_norm(self.base, 1.0)
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"density mass {total} is not 1 within {MASS_TOL}")
 
     @property
     def values(self) -> np.ndarray:
@@ -43,13 +46,8 @@ class Density:
         return self.base.atom
 
     @classmethod
-    def from_wavefunction(cls, psi: MeasuredFunction, normalize: bool = False) -> "Density":
+    def from_wavefunction(cls, psi: MeasuredFunction) -> "Density":
         vals = np.abs(psi.values) ** 2
-        if normalize:
-            total = vals.sum() * psi.atom
-            if total == 0.0:
-                raise ValueError("cannot normalize the zero function")
-            vals = vals / total
         return cls(MeasuredFunction(psi.spec, psi.side, vals.astype(np.complex128)))
 
 
@@ -61,27 +59,21 @@ def _support_count(values: np.ndarray) -> int:
     return int(np.count_nonzero(mags > SUPPORT_RTOL * peak))
 
 
-def renyi_entropy(density: Density, order: float, limits: bool = True) -> float:
-    """(1/(1-order)) log sum f^order atom.
+def renyi_entropy(density: Density, order: float) -> float:
+    """(1/(1-order)) log sum f^order atom, which is log ||f||_order / (1/order - 1).
 
-    Orders 0, 1 and infinity are limit extensions (log support measure,
-    Shannon, -log max) and are only accepted with ``limits=True``; the base
-    definition covers order in (0,1) union (1,inf).
+    Order 0 is the log support measure and order 1 Shannon's entropy, the
+    limits of that formula.  Every other order, infinity (-log max f)
+    included, goes through ``log_lp_norm``, so no order overflows or
+    underflows.  A negative or NaN order raises ValueError.
     """
-    if order in (0.0, 1.0, math.inf) and not limits:
-        raise ValueError(f"order {order} requires the limit extension")
-    if order < 0 or math.isnan(order):
-        raise ValueError(f"entropy order must be >= 0, got {order}")
     vals = density.values
-    atom = density.atom
-    if order == math.inf:
-        return -math.log(float(vals.max()))
     if order == 0.0:
-        return math.log(_support_count(vals) * atom)
+        return math.log(_support_count(vals) * density.atom)
     if order == 1.0:
         positive = vals[vals > 0.0]
-        return float(-np.sum(positive * np.log(positive)) * atom)
-    return float(math.log(np.sum(vals**order) * atom) / (1.0 - order))
+        return float(-np.sum(positive * np.log(positive)) * density.atom)
+    return log_lp_norm(density.base, order) / (recip(order) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -92,20 +84,22 @@ class UPReport:
     satisfied: bool
 
 
-def _unit_l2(psi: MeasuredFunction, tol: float = 1e-8):
-    total = float(np.sum(np.abs(psi.values) ** 2) * psi.atom)
-    if abs(total - 1.0) > tol:
+def _unit_l2(psi: MeasuredFunction):
+    total = lp_norm(psi, 2.0) ** 2
+    if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"psi must have unit L2 norm; got squared mass {total}")
 
 
 def weighted_entropy_sum(psi: MeasuredFunction, p: float, q: float) -> float:
-    """(1/p - 1/2) h_{p/2}(|psi|^2) + (1/2 - 1/q) h_{q/2}(|psihat|^2)."""
-    u, v = recip(p), recip(q)
-    dens_time = Density.from_wavefunction(psi)
-    dens_freq = Density.from_wavefunction(forward(psi))
-    h_time = renyi_entropy(dens_time, p / 2.0)
-    h_freq = renyi_entropy(dens_freq, q / 2.0)
-    return (u - 0.5) * h_time + (0.5 - v) * h_freq
+    """(1/p - 1/2) h_{p/2}(|psi|^2) + (1/2 - 1/q) h_{q/2}(|psihat|^2) for a
+    unit-L2 psi.
+
+    The two terms are log ||psi||_p and -log ||psihat||_q, so the sum is
+    -log of the norm ratio ||psihat||_q / ||psi||_p.  It is taken as a
+    difference of ``log_lp_norm``s, finite even where a norm is past the
+    float range."""
+    _unit_l2(psi)
+    return log_lp_norm(psi, p) - log_lp_norm(forward(psi), q)
 
 
 def in_weighted_region(view: str, u: float, v: float) -> bool:
@@ -129,7 +123,6 @@ def in_violation_region(view: str, u: float, v: float) -> bool:
 def weighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
     """The weighted uncertainty inequality at a point of its validity region:
     weighted entropy sum >= -log C_{p,q}."""
-    _unit_l2(psi)
     u, v = recip(p), recip(q)
     if not in_weighted_region(psi.spec.view, u, v):
         raise ValueError(
@@ -196,8 +189,7 @@ def weighted_up_violator(
     psi = None
     if size <= EXHAUSTIVE_CAP:
         f = EXTREMALS[extremal](GroupSpec(orders=orders, view=side, mass=1.0))
-        unit = math.sqrt(1.0 / f.atom) / np.linalg.norm(f.values)  # so sum |psi|^2 atom = 1
-        psi = MeasuredFunction(f.spec, TIME, f.values * unit)
+        psi = MeasuredFunction(f.spec, TIME, f.values / lp_norm(f, 2.0))
     return ViolatorResult(
         side=side,
         family=family,

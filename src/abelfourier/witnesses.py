@@ -144,10 +144,9 @@ def _capped_spec(order: int, view: str, power: int = 1, materialized: bool = Tru
     keep the README's exit codes, on r or on the full orbit's group.
 
     Its point count is multiplied out in Python ints, stopping once past the
-    cap, so the check allocates nothing and a huge order or power raises
-    CapacityError, not GroupSpec's ValueError.  An order past 64 bits (a
-    discrete lacunary grid of 8 * 2^n points) is named by its bit length, so
-    the message stays short."""
+    cap, so the check allocates nothing however large the power.  An order
+    past 64 bits (a discrete lacunary grid of 8 * 2^n points) is named by its
+    bit length, so the message stays short."""
     if materialized:
         cap, name = EXHAUSTIVE_CAP, "the exhaustive cap"
     else:

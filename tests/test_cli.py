@@ -595,7 +595,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
             assert json.loads(out)["ratio"] == 4.0
         elif argv[1] == "estimate":
             comment = line.partition("#")[2]
-            assert json.loads(out)["estimate"] == pytest.approx(float(comment), rel=1e-12)
+            assert json.loads(out)["estimate"] == float(comment)
         elif "--inverse" in argv:  # the README says it round-trips to f.csv
             back = read_csv(io.StringIO(out))
             assert np.max(np.abs(back.values - f.values)) <= 1e-12
@@ -693,9 +693,10 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert built == []
 
 
-# (argv, exit code): valid commands, help, every kind of usage error and two
-# witnesses past the 2^20 cap, all fast.  Only the last two exit 3; the chirp
-# on 2^40 points exits 0, as its norms are closed forms.
+# (argv, exit code): valid commands, help, every kind of usage error, two
+# witnesses past the 2^20 cap and a group past 2^62 points, all fast.  Only
+# the last three exit 3; the chirp on 2^40 points exits 0, as its norms are
+# closed forms.
 ARGV_MENU = [
     (["info", "--group", "cyclic:2x3;view=discrete;mass=0.5"], 0),
     (["cpq", "--group", "cyclic:4", "--p", "2", "--q", "2"], 0),
@@ -727,6 +728,7 @@ ARGV_MENU = [
     (["witness", "--family", "clt_delta", "--r", "3", "--n", "13",
       "--p", "1", "--q", "1"], 3),
     (["witness", "--family", "full_orbit", "--m", "1048577"], 3),
+    (["info", "--group", "cyclic:4294967296x4294967296"], 3),
 ]
 
 

@@ -28,6 +28,10 @@ def test_spec_validation():
         GroupSpec(orders=(4,), mass=0.0)
     with pytest.raises(ValueError):
         GroupSpec(orders=(4,), mass=-1.0)
+    # past 2^62 points, the machine integer range, is a capacity error
+    with pytest.raises(CapacityError, match="machine integer range"):
+        GroupSpec(orders=(2**32, 2**32))
+    assert GroupSpec(orders=(2**31, 2**31)).size == 2**62
 
 
 @pytest.mark.parametrize("orders,size", [((2,), 2), ((3, 4), 12), ((2, 2, 2), 8)])
@@ -215,6 +219,12 @@ def test_all_subgroups_deterministic():
     a = all_subgroups(spec, max_generators=2)
     b = all_subgroups(spec, max_generators=2)
     assert [s.sorted_members() for s in a] == [s.sorted_members() for s in b]
+
+
+@pytest.mark.parametrize("max_generators", [0, 3, -1])
+def test_all_subgroups_takes_one_or_two_generators(max_generators):
+    with pytest.raises(ValueError, match="max_generators must be 1 or 2"):
+        all_subgroups(GroupSpec(orders=(2, 2)), max_generators=max_generators)
 
 
 def test_element_order_divides_lcm():

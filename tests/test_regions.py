@@ -20,6 +20,7 @@ from abelfourier.norms import (
     finite_exponent,
     hausdorff_young_check,
     holder_conjugate,
+    log_lp_norm,
     lp_norm,
     recip,
 )
@@ -96,6 +97,20 @@ def test_lp_norm_large_p_neither_underflows_nor_overflows(side, level, p):
     g = MeasuredFunction(spec, side, vals)
     expected = level * ((1.0 + 71 * 1e-3**p) * atom) ** (1.0 / p)
     assert lp_norm(g, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_log_lp_norm_is_log_of_lp_norm_and_finite_past_the_float_range():
+    rng = np.random.default_rng(43)
+    spec = GroupSpec(orders=(4, 3), view=DISCRETE, mass=0.5)
+    f = MeasuredFunction(spec, TIME, rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    for p in (0.25, 1.0, 2.5, 1e4, INF):
+        assert log_lp_norm(f, p) == pytest.approx(math.log(lp_norm(f, p)), rel=1e-12, abs=1e-12)
+    # 6^(1/p) past the float range: lp_norm is inf, its logarithm is not
+    ones = MeasuredFunction(spec, TIME, np.ones(12, dtype=np.complex128))
+    assert lp_norm(ones, 1e-3) == INF
+    assert log_lp_norm(ones, 1e-3) == pytest.approx(1e3 * math.log(6.0), rel=1e-12)
+    zero = MeasuredFunction(spec, TIME, np.zeros(12, dtype=np.complex128))
+    assert log_lp_norm(zero, 2.0) == -INF
 
 
 def test_structured_search_sees_the_delta_at_large_q():

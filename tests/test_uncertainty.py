@@ -1,11 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from abelfourier.cli import main
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import INF
-from abelfourier.transform import MeasuredFunction, TIME, character_function, delta
+from abelfourier.transform import (
+    MeasuredFunction,
+    TIME,
+    character_function,
+    delta,
+    forward,
+    write_csv,
+)
 from abelfourier.uncertainty import (
     Density,
     donoho_stark_check,
@@ -26,6 +35,28 @@ def unit_random(rng, spec):
     return MeasuredFunction(spec, TIME, vals)
 
 
+def renyi_oracle(density, atom, order):
+    """The Renyi entropy from its definition: -log max at infinity, Shannon at
+    order 1, else log(sum density^order atom) / (1 - order) with the sum taken
+    as a log-sum-exp, so no power overflows or underflows."""
+    density = density[density > 0.0]
+    if order == INF:
+        return -math.log(float(density.max()))
+    if order == 1.0:
+        return float(-np.sum(density * np.log(density)) * atom)
+    logs = order * np.log(density) + math.log(atom)
+    top = float(logs.max())
+    return (top + math.log(float(np.sum(np.exp(logs - top))))) / (1.0 - order)
+
+
+def weighted_oracle(psi, p, q):
+    u, v = 1.0 / p, 1.0 / q
+    psihat = forward(psi)
+    h_time = renyi_oracle(np.abs(psi.values) ** 2, psi.atom, p / 2.0)
+    h_freq = renyi_oracle(np.abs(psihat.values) ** 2, psihat.atom, q / 2.0)
+    return (u - 0.5) * h_time + (0.5 - v) * h_freq
+
+
 def test_density_validation():
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
     good = Density(MeasuredFunction(spec, TIME, np.ones(4, dtype=np.complex128)))
@@ -40,9 +71,11 @@ def test_density_validation():
 
 def test_density_from_wavefunction():
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
-    psi = MeasuredFunction(spec, TIME, np.full(4, 3.0 + 0j))
-    d = Density.from_wavefunction(psi, normalize=True)
+    psi = MeasuredFunction(spec, TIME, np.array([1.0, -1.0, 1.0j, -1.0j]))
+    d = Density.from_wavefunction(psi)
     assert np.allclose(d.values, 1.0)
+    with pytest.raises(ValueError, match="density mass"):
+        Density.from_wavefunction(MeasuredFunction(spec, TIME, np.full(4, 3.0 + 0j)))
 
 
 def test_renyi_uniform_density_zero():
@@ -70,14 +103,26 @@ def test_renyi_order_zero_is_log_support_measure():
     assert renyi_entropy(d, 0.0) == pytest.approx(math.log(2 * 0.125))
 
 
-def test_renyi_limit_flag_and_guards():
+@pytest.mark.parametrize("order", [-0.5, math.nan])
+def test_renyi_rejects_negative_and_nan_order(order):
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
     d = Density(MeasuredFunction(spec, TIME, np.ones(4, dtype=np.complex128)))
     with pytest.raises(ValueError):
-        renyi_entropy(d, 1.0, limits=False)
-    with pytest.raises(ValueError):
-        renyi_entropy(d, -0.5)
-    assert renyi_entropy(d, 0.5, limits=False) == pytest.approx(0.0, abs=1e-12)
+        renyi_entropy(d, order)
+
+
+@pytest.mark.parametrize("view, mass", [(DISCRETE, 1.0), (COMPACT, 0.1)])
+def test_renyi_at_order_1500_below_and_above_one(view, mass):
+    # every value below 1 or every value above 1, so each value's own power
+    # underflows to 0 or overflows to inf
+    rng = np.random.default_rng(101)
+    spec = GroupSpec(orders=(8,), view=view, mass=mass)
+    raw = rng.uniform(0.5, 1.5, size=8)
+    raw /= raw.sum() * spec.primal_atom
+    assert np.all(raw < 1.0) if view == DISCRETE else np.all(raw > 1.0)
+    d = Density(MeasuredFunction(spec, TIME, raw.astype(np.complex128)))
+    want = renyi_oracle(raw, spec.primal_atom, 1500.0)
+    assert renyi_entropy(d, 1500.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_renyi_monotone_in_order():
@@ -91,6 +136,18 @@ def test_renyi_monotone_in_order():
         ents = [renyi_entropy(d, o) for o in orders]
         for a, b in zip(ents, ents[1:]):
             assert b <= a + 1e-10
+
+
+@pytest.mark.parametrize("p", [2.0, INF])
+@pytest.mark.parametrize("q", [2.0, INF])
+def test_weighted_entropy_sum_is_the_renyi_definition(p, q):
+    rng = np.random.default_rng(103)
+    for orders in [(2,), (3,), (2, 2), (5,), (2, 3)]:
+        for view in (COMPACT, DISCRETE):
+            spec = GroupSpec(orders=orders, view=view, mass=float(rng.uniform(0.25, 4.0)))
+            psi = unit_random(rng, spec)
+            got = weighted_entropy_sum(psi, p, q)
+            assert got == pytest.approx(weighted_oracle(psi, p, q), rel=1e-12, abs=1e-12)
 
 
 def test_region_predicates():
@@ -139,6 +196,19 @@ def test_weighted_margin_guards():
     bad = MeasuredFunction(spec, TIME, 2 * chi.values)
     with pytest.raises(ValueError):
         weighted_up_margin(bad, 1.5, 3.0)
+
+
+@pytest.mark.parametrize("excess, ok", [(5e-11, True), (5e-10, False)])
+def test_both_margins_hold_psi_to_unit_l2_within_1e_10(excess, ok):
+    spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
+    psi = character_function(spec, (1,))
+    psi = MeasuredFunction(spec, TIME, psi.values * math.sqrt(1.0 + excess))
+    for margin, p, q in [(weighted_up_margin, 1.5, 3.0), (unweighted_up_margin, 1.0, 2.0)]:
+        if ok:
+            assert margin(psi, p, q).satisfied
+        else:
+            with pytest.raises(ValueError, match="unit L2 norm"):
+                margin(psi, p, q)
 
 
 def test_violator_compact():
@@ -258,3 +328,33 @@ def test_zero_function_guards():
         support_product(zero)
     with pytest.raises(ValueError):
         donoho_stark_check(zero)
+
+
+@pytest.mark.parametrize(
+    "view, p, q, weighted",
+    [
+        (COMPACT, 1.5, 3000.0, True),  # |psihat|^3000 underflows
+        (DISCRETE, 3000.0, 1.0001, False),  # |psi|^3000 underflows
+        (COMPACT, 3000.0, 1.0001, False),  # |psi|^3000 overflows
+        (DISCRETE, 0.9, 3000.0, True),  # |psihat|^3000 overflows
+        (DISCRETE, 0.001, 3.0, True),  # ||psi||_p is past the float range
+        (DISCRETE, 0.0002, 2.0, False),  # and so is ||psi||_p here
+    ],
+)
+def test_check_at_extreme_orders_matches_the_oracle(tmp_path, capsys, view, p, q, weighted):
+    rng = np.random.default_rng(107)
+    psi = unit_random(rng, GroupSpec(orders=(16,), view=view, mass=1.0))
+    path = tmp_path / "psi.csv"
+    path.write_text(write_csv(psi))
+    argv = ["uncertainty", "--mode", "check", "--input", str(path), "--p", repr(p), "--q", repr(q)]
+    code = main(argv if weighted else argv + ["--unweighted"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["satisfied"] is True
+    if weighted:
+        want = weighted_oracle(psi, p, q)
+    else:
+        psihat = forward(psi)
+        want = (renyi_oracle(np.abs(psi.values) ** 2, psi.atom, p / 2.0)
+                + renyi_oracle(np.abs(psihat.values) ** 2, psihat.atom, q / 2.0))
+    assert out["lhs"] == pytest.approx(want, rel=1e-12)
