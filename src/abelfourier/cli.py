@@ -462,7 +462,7 @@ def _selftest() -> int:
     cw = wit.chirp_witness(2, 2, 1.0)
     check("chirp exact ratio", abs(cw.ratio - 4.0) <= 1e-12)
 
-    ok = True
+    cases = []  # (witness, its function on the whole group, its full FFT)
     for r, n in ((2, 8), (3, 4)):
         spec = GroupSpec(orders=(r,) * n, view=COMPACT)
         dspec = GroupSpec(orders=(r,) * n, view=DISCRETE)
@@ -470,20 +470,34 @@ def _selftest() -> int:
         for k in range(1, n + 1):
             comb[(r - 1) * r ** (n - k)] = 1.0 / math.sqrt(k)  # the atom at -e_k
         for p, q in ((3.0, 1.5), (INF, 0.5)):
-            for point, f in (  # each witness, and its function on the whole group
+            for point, f in (
                 (wit.subgroup_indicator_witness(r, n, p, q),
                  MeasuredFunction(spec, TIME, spec.size * delta(spec).values)),
                 (wit.chirp_witness(r, n // 2, q, p=p),
                  MeasuredFunction(spec, TIME, wit.bi_unimodular_values(spec.orders))),
                 (wit.clt_delta_witness(r, n, p, q), MeasuredFunction(dspec, TIME, comb)),
             ):
-                norm_f, norm_fhat = lp_norm(f, p), lp_norm(forward(f), q)
-                for got, want in (
-                    (point.norm_f, norm_f),
-                    (point.norm_fhat, norm_fhat),
-                    (point.ratio, norm_fhat / norm_f),
-                ):
-                    ok = ok and abs(got - want) <= 1e-12 * want
+                cases.append((point, f, forward(f)))
+    for k, m in ((8, 1600), (2, 402)):
+        x = np.arange(m)
+        arc = (np.minimum(x, m - x) * 6 * k < m).astype(np.complex128)
+        n = np.count_nonzero(arc)
+        f = MeasuredFunction(GroupSpec(orders=(m,), view=COMPACT), TIME, arc * (m / n))
+        fhat = forward(f)
+        # the FFT leaves roundoff where the Dirichlet kernel is exactly 0,
+        # which a power q < 1 inflates (6% at (2, 402) and q = 0.1)
+        fhat.values[(n * x % m == 0) & (x > 0)] = 0.0
+        for p, q in ((3.0, 1.5), (INF, 0.5)):
+            cases.append((wit.arc_indicator_witness(k, m, p, q), f, fhat))
+    ok = True
+    for point, f, fhat in cases:
+        norm_f, norm_fhat = lp_norm(f, point.p), lp_norm(fhat, point.q)
+        for got, want in (
+            (point.norm_f, norm_f),
+            (point.norm_fhat, norm_fhat),
+            (point.ratio, norm_fhat / norm_f),
+        ):
+            ok = ok and abs(got - want) <= 1e-12 * want
     check("closed-form and outer-sum witness norms match the full FFT", ok)
 
     ok = True

@@ -145,9 +145,9 @@ def classify(side: str, u: float, v: float, spec: GroupSpec | None = None) -> Re
         if spec.view != side:
             raise ValueError(f"spec view {spec.view!r} does not match side {side!r}")
         if side == COMPACT:
-            value = spec.primal_total ** (1.0 - u - v)
+            value = _power(spec.primal_total, 1.0 - u - v)
         else:
-            value = spec.dual_total ** (u + v - 1.0)
+            value = _power(spec.dual_total, u + v - 1.0)
     return RegionVerdict(side=side, label=label, finite=finite, value=value)
 
 

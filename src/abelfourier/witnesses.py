@@ -9,10 +9,13 @@ constant, chirp = the bi-unimodular function), whose prediction is
 (torus modeled by Z/m, the integers modeled by a sparse support with circle
 quadrature) follow the adequacy rules noted on each constructor.
 
-The three exact families build no function and run no transform: their
-norms are the closed forms ``norms.family_norms``, which the tests check
-against the full FFT on small groups.  The CLT comb's transform is a sum of
-one-coordinate functions, built by outer sums with no transform either.
+The three exact families and the arc indicator build no function and run no
+transform: the exact families' norms are the closed forms
+``norms.family_norms``, and the arc's come from its Dirichlet kernel; the
+tests check both against the full FFT on small groups.  The CLT comb's
+transform is a sum of one-coordinate functions, built by outer sums with no
+transform either.  The lacunary series still run one inverse transform
+each: the compact one on its group, the discrete one on its quadrature grid.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, MAX_SIZE, GroupSpec
-from .norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, family_norms, family_ratio, lp_norm, recip
-from .transform import FREQUENCY, MeasuredFunction, TIME, delta, forward, inverse
+from .norms import (
+    BI_UNIMODULAR, CONSTANT, DELTA, INF, _power, family_norms, family_ratio, lp_norm, recip,
+)
+from .transform import FREQUENCY, MeasuredFunction, TIME, delta, inverse
 
 
 @dataclass(frozen=True)
@@ -195,27 +200,47 @@ def _exact_point(name, param_n, spec, extremal, p, q, scale=1.0) -> WitnessPoint
     )
 
 
+def _dirichlet_magnitudes(n: int, m: int) -> np.ndarray:
+    """|D(xi)| for xi = 1..floor(m/2), where D is the normalized Dirichlet
+    kernel of n points on Z/m, D(xi) = sin(pi n xi / m) / (n sin(pi xi / m)).
+
+    n xi is reduced mod m in integers and folded into [0, m/2], so each sine
+    is taken at an angle in [0, pi/2], and |D| is exactly 0 where m | n xi."""
+    xi = np.arange(1, m // 2 + 1, dtype=np.int64)
+    r = n * xi % m
+    return np.sin(np.pi * np.minimum(r, m - r) / m) / (n * np.sin(np.pi * xi / m))
+
+
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
     """Normalized indicator of the arc preimage {x : angle(x/m) < pi/(3k)}
     under the order-m character on Z/m with probability mass.
 
     The ratio is bounded below by (3^(1/p-1)/2) * k^(1/p+1/q-1); the bound
     needs the arc to resolve on the grid, hence the adequacy rule m >= 100k.
-    """
+
+    The arc is {|x| <= L}, L = ceil(m/(6k)) - 1, of n = 2L+1 points, so f is
+    m/n on it and ||f||_p = (m/n)^(1-1/p).  Its transform is the real, even
+    Dirichlet kernel D(xi) = sin(pi n xi / m) / (n sin(pi xi / m)), D(0) = 1
+    its maximum, on unit dual atoms: ||fhat||_inf = 1 and ||fhat||_q^q is
+    1 + 2 sum_{xi=1}^{floor((m-1)/2)} |D(xi)|^q, plus |D(m/2)|^q for even m.
+    So no function is built and no transform runs."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 100 * k:
         raise ValueError(f"m={m} too small: need m >= 100k = {100 * k}")
     spec = _capped_spec(m, COMPACT)
-    x = np.arange(m)
-    dist = np.minimum(x, m - x)
-    indicator = (dist * 6 * k < m).astype(np.complex128)
-    prob = indicator.real.sum() / m
-    f = MeasuredFunction(spec, TIME, indicator / prob)
+    n = 2 * ((m - 1) // (6 * k)) + 1
     u, v = recip(p), recip(q)
+    norm_fhat = 1.0
+    if v:
+        powers = _dirichlet_magnitudes(n, m) ** q
+        total = 1.0 + 2.0 * float(np.sum(powers))
+        if m % 2 == 0:
+            total -= float(powers[-1])  # xi = m/2 is its own negative
+        norm_fhat = _power(total, v)
     prediction = (3.0 ** (u - 1.0) / 2.0) * k ** (u + v - 1.0)
     return _measured_point(
-        "arc_indicator", k, spec, lp_norm(f, p), lp_norm(forward(f), q), p, q,
+        "arc_indicator", k, spec, _power(m / n, 1.0 - u), norm_fhat, p, q,
         prediction, "lower_bound",
     )
 
@@ -269,7 +294,8 @@ def lacunary_coefficients(count: int, beta: float, c: float) -> np.ndarray:
     if not c > 0:
         raise ValueError("c must be positive")
     n = np.arange(2, count + 1, dtype=np.float64)
-    return np.exp(1j * c * n * np.log(n)) / (np.sqrt(n) * np.log(n) ** beta)
+    log_n = np.log(n)
+    return np.exp(1j * c * n * log_n) / (np.sqrt(n) * log_n**beta)
 
 
 def lacunary_compact_witness(

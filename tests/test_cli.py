@@ -52,6 +52,12 @@ def test_cpq_infinite_as_string(capsys):
         capsys, "cpq", "--group", "cyclic:4;view=compact;mass=1", "--p", "1", "--q", "1"
     )
     assert payload["value"] == "inf"
+    # a finite region whose closed form is past the float range
+    payload = run_json(
+        capsys, "cpq", "--group", "cyclic:4;view=discrete;mass=1e-10", "--p", "0.001", "--q", "1"
+    )
+    assert payload["finite_norm"] == "inf"
+    assert payload["value"] == "inf"
 
 
 def test_region_example(capsys):
@@ -700,6 +706,7 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
 ARGV_MENU = [
     (["info", "--group", "cyclic:2x3;view=discrete;mass=0.5"], 0),
     (["cpq", "--group", "cyclic:4", "--p", "2", "--q", "2"], 0),
+    (["cpq", "--group", "cyclic:4;view=discrete;mass=1e-10", "--p", "0.001", "--q", "1"], 0),
     (["region", "--side", "discrete", "--u", "0.25", "--v", "0.8"], 0),
     (["estimate", "--group", "cyclic:4x6;view=discrete;mass=0.5", "--p", "6", "--q", "0.8"], 0),
     (["witness", "--family", "chirp", "--r", "2", "--n", "2", "--q", "1"], 0),

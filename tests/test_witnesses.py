@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abelfourier import witnesses
+from abelfourier import transform, witnesses
 from abelfourier.groups import COMPACT, DISCRETE, CapacityError, GroupSpec
 from abelfourier.norms import (
     BI_UNIMODULAR, CONSTANT, DELTA, EXTREMAL_FAMILIES, INF, family_norms, family_ratio, lp_norm,
@@ -156,8 +156,10 @@ def test_family_norms_take_each_power_of_one_base():
     assert family_norms(spec, DELTA, 0.001, 1.0) == (2.0**1000, 1.0)
 
 
-def _assert_matches_full_fft(pt, f, p, q):
-    norm_f, norm_fhat = lp_norm(f, p), lp_norm(forward(f), q)
+def _assert_matches_full_fft(pt, f, p, q, fhat=None):
+    """pt's norms and ratio against f's and its transform's (forward(f) unless
+    given), to 1e-12."""
+    norm_f, norm_fhat = lp_norm(f, p), lp_norm(forward(f) if fhat is None else fhat, q)
     assert pt.group_descr == f.spec.describe()
     for got, want in ((pt.norm_f, norm_f), (pt.norm_fhat, norm_fhat),
                       (pt.ratio, norm_fhat / norm_f)):
@@ -218,22 +220,73 @@ def test_clt_route_matches_full_fft(rn, p, q):
     assert pt.tail_probability == np.count_nonzero(want.real >= pt.threshold) / comb.spec.size
 
 
-@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "full_orbit", "clt_delta"])
+def _arc_indicator(k, m):
+    """The arc indicator {x : 6k |x| < m} normalized to mean 1, materialized
+    on compact Z/m."""
+    x = np.arange(m)
+    indicator = (np.minimum(x, m - x) * 6 * k < m).astype(np.complex128)
+    return MeasuredFunction(GroupSpec((m,)), TIME, indicator / (indicator.real.sum() / m))
+
+
+# (k, m) with 100k <= m <= 2^16: any m, the least, or (2j, 402j), an arc of
+# n = 67 points whose kernel has exact zeros at the multiples of 6j.
+_ARC_SCALES = st.one_of(
+    st.integers(1, 64).flatmap(lambda k: st.tuples(st.just(k), st.integers(100 * k, 2**16))),
+    st.integers(1, 64).map(lambda k: (k, 100 * k)),
+    st.integers(1, 163).map(lambda j: (2 * j, 402 * j)),
+)
+# split at 1 so that q < 1, where the oracle's zero bins are cleared, is drawn often
+_ARC_EXPONENT = st.one_of(st.just(INF), st.floats(0.25, 0.99), st.floats(1.0, 8.0))
+
+
+# The FFT leaves about 1e-17 in the kernel's exact-zero bins (m | n xi),
+# which raised to a power q < 1 moves the oracle itself, so below q = 1 those
+# bins are set to 0 in it.
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(km=_ARC_SCALES, p=_ARC_EXPONENT, q=_ARC_EXPONENT)
+def test_arc_route_matches_full_fft(km, p, q):
+    k, m = km
+    f = _arc_indicator(k, m)
+    fhat = forward(f)
+    if q < 1:
+        n = np.count_nonzero(f.values)
+        zeros = n * np.arange(m) % m == 0
+        zeros[0] = False
+        fhat.values[zeros] = 0.0
+    _assert_matches_full_fft(arc_indicator_witness(k, m, p, q), f, p, q, fhat)
+
+
+def test_arc_exact_zeros_below_q_one():
+    # n = 67 points on Z/402: D vanishes at every sixth bin.  The FFT's
+    # roundoff there once made this norm 4.393e23.  The value is the kernel's
+    # nonzero bins summed with mpmath 1.3.0 at 40 digits.
+    pt = arc_indicator_witness(2, 402, 2.0, 0.1)
+    assert pt.norm_fhat == pytest.approx(4.13204089611456204e23, rel=1e-12)
+
+
+SEPARABLE_CALLS = {
+    "subgroup_indicator": [(2, 8), (3, 4), (5, 2)],
+    "chirp": [(2, 8), (3, 4), (5, 2)],
+    "full_orbit": [(256,), (81,), (25,)],
+    "clt_delta": [(2, 8), (3, 4), (5, 2)],
+    "arc_indicator": [(1, 256), (2, 402), (8, 1600)],
+}
+
+
+@pytest.mark.parametrize("family", SEPARABLE_CALLS)
 def test_separable_routes_transform_no_whole_group(monkeypatch, family):
-    """The exact families take closed-form norms and the CLT comb sums its
-    transform, so none of them runs a forward transform at all."""
+    """The exact families and the arc take closed-form norms and the CLT comb
+    sums its transform, so none of them runs an FFT at all."""
     sizes = []
+    fft_flat = transform._fft_flat
 
-    def spy(f):
-        sizes.append(f.spec.size)
-        return forward(f)
+    def spy(values, orders, inverse):
+        sizes.append(values.size)
+        return fft_flat(values, orders, inverse)
 
-    monkeypatch.setattr(witnesses, "forward", spy)
-    for r, n in [(2, 8), (3, 4), (5, 2)]:
-        if family == "full_orbit":
-            witnesses.full_orbit_witness(r**n, 1.5, 3.0)
-        else:
-            getattr(witnesses, f"{family}_witness")(r, n, 1.5, 3.0)
+    monkeypatch.setattr(transform, "_fft_flat", spy)
+    for args in SEPARABLE_CALLS[family]:
+        getattr(witnesses, f"{family}_witness")(*args, 1.5, 3.0)
     assert sizes == []
 
 
@@ -263,7 +316,10 @@ def test_lacunary_coefficients():
     coeffs = lacunary_coefficients(100, beta, c)
     assert len(coeffs) == 99
     assert abs(coeffs[0]) == pytest.approx(2 ** (-0.5) * math.log(2) ** (-beta))
-    n = np.arange(2, 101)
+    n = np.arange(2, 101, dtype=np.float64)
+    # log n is taken once; the coefficients stay bitwise those of taking it twice
+    twice = np.exp(1j * c * n * np.log(n)) / (np.sqrt(n) * np.log(n) ** beta)
+    assert np.array_equal(coeffs, twice)
     assert np.allclose(np.angle(coeffs), np.angle(np.exp(1j * c * n * np.log(n))))
     with pytest.raises(ValueError):
         lacunary_coefficients(100, 1.0, 1.0)
