@@ -489,6 +489,15 @@ def _selftest() -> int:
         fhat.values[(n * x % m == 0) & (x > 0)] = 0.0
         for p, q in ((3.0, 1.5), (INF, 0.5)):
             cases.append((wit.arc_indicator_witness(k, m, p, q), f, fhat))
+    # the discrete lacunary comb at n = 6 against all M grid values: an even
+    # grid takes one period of M/2 points, an odd one all M
+    n = 6
+    comb = 1.0 / np.sqrt(np.arange(1, n + 1))
+    f = MeasuredFunction(GroupSpec(orders=(n,), view=DISCRETE), TIME, comb)
+    for grid in (8 * 2**n, 8 * 2**n + 1):
+        fhat = wit.lacunary_trig_polynomial(n).grid_values(grid)
+        for p, q in ((3.0, 1.5), (INF, 0.5)):
+            cases.append((wit.lacunary_discrete_witness(n, p, q, grid_points=grid), f, fhat))
     ok = True
     for point, f, fhat in cases:
         norm_f, norm_fhat = lp_norm(f, point.p), lp_norm(fhat, point.q)

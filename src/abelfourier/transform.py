@@ -104,7 +104,8 @@ def _fft_flat(values: np.ndarray, orders, inverse: bool) -> np.ndarray:
     Axes are taken from last to first, as ``fftn`` takes them.  An order-2
     axis gets numpy's own length-2 kernel, the butterfly (a + b, a - b),
     halved on the inverse, written into a new array in one vectorized pass;
-    every other axis is one ``fft``/``ifft`` call along it."""
+    every other axis is one ``fft``/``ifft`` call along it.  So the result is
+    always a new array, which callers may scale in place."""
     grid = values.reshape(orders)
     for axis in reversed(range(len(orders))):
         if orders[axis] != 2:
@@ -152,8 +153,10 @@ def inverse(F: MeasuredFunction) -> MeasuredFunction:
     if F.side != FREQUENCY:
         raise SideError("inverse expects a frequency-side function")
     spec = F.spec
-    vals = spec.size * _fft_flat(F.values, spec.orders, inverse=True)
-    return MeasuredFunction(spec, TIME, spec.dual_atom * vals)
+    vals = _fft_flat(F.values, spec.orders, inverse=True)  # a new array, scaled in place
+    vals *= spec.size
+    vals *= spec.dual_atom
+    return MeasuredFunction(spec, TIME, vals)
 
 
 def dual_forward(F: MeasuredFunction) -> MeasuredFunction:

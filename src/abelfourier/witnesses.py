@@ -14,8 +14,11 @@ transform: the exact families' norms are the closed forms
 ``norms.family_norms``, and the arc's come from its Dirichlet kernel; the
 tests check both against the full FFT on small groups.  The CLT comb's
 transform is a sum of one-coordinate functions, built by outer sums with no
-transform either.  The lacunary series still run one inverse transform
-each: the compact one on its group, the discrete one on its quadrature grid.
+transform either; it puts each coordinate in front of those built so far,
+so its outer sums run long inner loops.  The lacunary series still run one
+inverse transform each: the compact one on its group, the discrete one on
+one period of its quadrature values, M/2 of the M grid points (all M for an
+odd grid), since every frequency 2^k is even.
 """
 
 from __future__ import annotations
@@ -205,10 +208,13 @@ def _dirichlet_magnitudes(n: int, m: int) -> np.ndarray:
     kernel of n points on Z/m, D(xi) = sin(pi n xi / m) / (n sin(pi xi / m)).
 
     n xi is reduced mod m in integers and folded into [0, m/2], so each sine
-    is taken at an angle in [0, pi/2], and |D| is exactly 0 where m | n xi."""
+    is taken at an angle in [0, pi/2], and |D| is exactly 0 where m | n xi.
+    Numerator and denominator are then both sin(pi j / m), j = 0..floor(m/2),
+    so one table of those sines serves both."""
     xi = np.arange(1, m // 2 + 1, dtype=np.int64)
     r = n * xi % m
-    return np.sin(np.pi * np.minimum(r, m - r) / m) / (n * np.sin(np.pi * xi / m))
+    sines = np.sin(np.pi * np.arange(m // 2 + 1) / m)
+    return sines[np.minimum(r, m - r)] / (n * sines[xi])
 
 
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
@@ -238,7 +244,7 @@ def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
         if m % 2 == 0:
             total -= float(powers[-1])  # xi = m/2 is its own negative
         norm_fhat = _power(total, v)
-    prediction = (3.0 ** (u - 1.0) / 2.0) * k ** (u + v - 1.0)
+    prediction = (_power(3.0, u - 1.0) / 2.0) * _power(k, u + v - 1.0)
     return _measured_point(
         "arc_indicator", k, spec, _power(m / n, 1.0 - u), norm_fhat, p, q,
         prediction, "lower_bound",
@@ -295,7 +301,12 @@ def lacunary_coefficients(count: int, beta: float, c: float) -> np.ndarray:
         raise ValueError("c must be positive")
     n = np.arange(2, count + 1, dtype=np.float64)
     log_n = np.log(n)
-    return np.exp(1j * c * n * log_n) / (np.sqrt(n) * log_n**beta)
+    phase = c * n * log_n
+    coeffs = np.empty(n.size, dtype=np.complex128)  # e^{i phase}, built in place
+    coeffs.real = np.cos(phase)
+    coeffs.imag = np.sin(phase)
+    coeffs /= np.sqrt(n) * log_n**beta
+    return coeffs
 
 
 def lacunary_compact_witness(
@@ -361,8 +372,15 @@ def lacunary_discrete_witness(
 ) -> LacunaryDiscreteWitness:
     """The integers' witness at scale n, its transform's L^q and L^2 norms
     taken by ``lp_norm`` on one set of quadrature values: the polynomial's
-    ``grid_values`` on at least 8 * 2^n points (default exactly that), one
-    inverse transform.  The L^2 norm must match Parseval to 1e-6."""
+    values on a grid of M >= 8 * 2^n points (default exactly that), one
+    inverse transform.  The L^2 norm must match Parseval to 1e-6.
+
+    Every frequency 2^k is even, so for even M the grid values repeat with
+    period M/2: they are the values of the polynomial with frequencies
+    2^(k-1) on M/2 points, twice over, and the uniform mean of |P|^q over
+    one period is the mean over all M.  So an even M takes both norms from
+    ``grid_values(M // 2)`` of that polynomial; an odd M takes the M points.
+    The capacity gate stays on M."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not p > 2:
@@ -374,7 +392,11 @@ def lacunary_discrete_witness(
         raise ValueError(f"grid too coarse: need at least {min_grid} points")
     _capped_spec(grid_points, COMPACT)  # so a large n fails before its n terms are built
     poly = lacunary_trig_polynomial(n)
-    fhat = poly.grid_values(grid_points)
+    if grid_points % 2:
+        fhat = poly.grid_values(grid_points)
+    else:
+        period = TrigPolynomial(tuple((freq // 2, coef) for freq, coef in poly.terms))
+        fhat = period.grid_values(grid_points // 2)
     norm_fhat, l2 = lp_norm(fhat, q), lp_norm(fhat, 2.0)
     parseval = float(math.sqrt(np.sum(1.0 / np.arange(1, n + 1))))
     if abs(l2 - parseval) > 1e-6:
@@ -403,16 +425,21 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
 
     No forward transform runs: fhat(chi) = sum_k a_k w^chi_k with w the
     r-th root e^(2 pi i / r), a sum of one-coordinate functions, so it is
-    built by one outer sum per coordinate.  ||f||_p is ``_comb_norm``, so f
-    itself is never built; fhat is, so the group keeps the exhaustive cap."""
+    built by one outer sum per coordinate, the last coordinate first.
+    ||f||_p is ``_comb_norm``, so f itself is never built; fhat is, so the
+    group keeps the exhaustive cap."""
     spec = _capped_spec(r, DISCRETE, n)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
     coefs = 1.0 / np.sqrt(np.arange(1, n + 1))
     roots = np.exp(2j * np.pi * np.arange(r) / r)
     values = np.zeros(1, dtype=np.complex128)
-    for a in coefs:  # canonical order: the last coordinate runs fastest
-        values = np.add.outer(values, a * roots).ravel()
+    # Canonical order, the last coordinate fastest: the coordinates are taken
+    # last to first, each put in front as the slowest, so every outer sum
+    # runs r inner loops over the values built so far, not one short loop
+    # of r per value.
+    for a in coefs[::-1]:
+        values = np.add.outer(a * roots, values).ravel()
     fhat = MeasuredFunction(spec, FREQUENCY, values)
     # Var(cos(2 pi U/r)) over a uniform r-th root: 1 for r=2, 1/2 for odd prime r.
     sigma_sq = 1.0 if r == 2 else 0.5

@@ -92,6 +92,8 @@ FLOAT_RANGE_CASES = [
     # ||f||_p = 4096^(1 - 100) underflows to 0, so the ratio is past the range
     (["subgroup_indicator", "--r", "2", "--n", "12", "--p", "0.01", "--q", "1"],
      0.0, 4096.0, "inf"),
+    # the arc's lower bound has the factor 3^(1/p - 1) = 3^999
+    (["arc_indicator", "--k", "1", "--m", "1000", "--p", "0.001", "--q", "1"], 0.0, float, "inf"),
 ]
 
 

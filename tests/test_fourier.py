@@ -164,8 +164,10 @@ def test_transforms_are_numpy_fftn_bitwise(orders, view, mass, seed):
     fhat = forward(f)
     assert np.array_equal(_bits(fhat.values),
                           _bits(spec.primal_atom * np.fft.fftn(f.grid()).ravel()))
+    F_bits = _bits(F.values).copy()
     assert np.array_equal(_bits(inverse(F).values),
                           _bits(spec.dual_atom * (spec.size * np.fft.ifftn(F.grid()).ravel())))
+    assert np.array_equal(_bits(F.values), F_bits)  # inverse scales its own array only
     assert np.array_equal(_bits(dual_forward(F).values),
                           _bits(spec.dual_atom * np.fft.fftn(F.grid()).ravel()))
     scale = np.max(np.abs(f.values))

@@ -256,6 +256,20 @@ def test_arc_route_matches_full_fft(km, p, q):
     _assert_matches_full_fft(arc_indicator_witness(k, m, p, q), f, p, q, fhat)
 
 
+@pytest.mark.parametrize("n, m", [(1, 100), (3, 101), (67, 402), (67, 403), (333, 1000),
+                                  (218, 1310 * 200)])
+def test_dirichlet_magnitudes_share_one_sine_table(n, m):
+    # one table of sin(pi j / m) gives the kernel bit for bit as two sines do,
+    # exact zeros included (every sixth bin at (67, 402))
+    xi = np.arange(1, m // 2 + 1, dtype=np.int64)
+    r = n * xi % m
+    want = np.sin(np.pi * np.minimum(r, m - r) / m) / (n * np.sin(np.pi * xi / m))
+    got = witnesses._dirichlet_magnitudes(n, m)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if (n, m) == (67, 402):
+        assert np.count_nonzero(got == 0.0) == 402 // 2 // 6
+
+
 def test_arc_exact_zeros_below_q_one():
     # n = 67 points on Z/402: D vanishes at every sixth bin.  The FFT's
     # roundoff there once made this norm 4.393e23.  The value is the kernel's
@@ -273,10 +287,9 @@ SEPARABLE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("family", SEPARABLE_CALLS)
-def test_separable_routes_transform_no_whole_group(monkeypatch, family):
-    """The exact families and the arc take closed-form norms and the CLT comb
-    sums its transform, so none of them runs an FFT at all."""
+def _spy_fft_sizes(monkeypatch):
+    """The list that the point count of every transform run from now on is
+    appended to."""
     sizes = []
     fft_flat = transform._fft_flat
 
@@ -285,6 +298,14 @@ def test_separable_routes_transform_no_whole_group(monkeypatch, family):
         return fft_flat(values, orders, inverse)
 
     monkeypatch.setattr(transform, "_fft_flat", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("family", SEPARABLE_CALLS)
+def test_separable_routes_transform_no_whole_group(monkeypatch, family):
+    """The exact families and the arc take closed-form norms and the CLT comb
+    sums its transform, so none of them runs an FFT at all."""
+    sizes = _spy_fft_sizes(monkeypatch)
     for args in SEPARABLE_CALLS[family]:
         getattr(witnesses, f"{family}_witness")(*args, 1.5, 3.0)
     assert sizes == []
@@ -442,6 +463,30 @@ def test_lacunary_discrete_guards():
         lacunary_discrete_witness(4, 2.0, 1.0)  # needs p > 2
     with pytest.raises(ValueError):
         lacunary_discrete_witness(4, 3.0, 1.0, grid_points=16)  # too coarse
+    # the gate is on the M = 2^21 grid points, though one period of 2^20 is built
+    with pytest.raises(CapacityError):
+        lacunary_discrete_witness(18, 3.0, 1.0)
+    with pytest.raises(CapacityError):
+        lacunary_discrete_witness(4, 3.0, 1.0, grid_points=2**20 + 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("q", [0.5, 1.5, 2.0, INF])
+def test_lacunary_discrete_period_matches_full_grid(n, q):
+    # an even grid takes one period, M/2 points; an odd grid all M of them
+    poly = lacunary_trig_polynomial(n)
+    for points in (8 * 2**n, 8 * 2**n + 37, 8 * 2**n + 2):
+        w = lacunary_discrete_witness(n, 3.0, q, grid_points=points)
+        full = poly.grid_values(points)
+        for got, want in ((w.norm_fhat, lp_norm(full, q)), (w.norm_fhat_l2, lp_norm(full, 2.0))):
+            assert abs(got - want) <= 1e-12 * want, (points, got, want)
+
+
+def test_lacunary_discrete_even_grid_transforms_one_period(monkeypatch):
+    sizes = _spy_fft_sizes(monkeypatch)
+    lacunary_discrete_witness(6, 3.0, 1.0)
+    lacunary_discrete_witness(6, 3.0, 1.0, grid_points=8 * 2**6 + 1)
+    assert sizes == [4 * 2**6, 8 * 2**6 + 1]
 
 
 def test_lacunary_discrete_fhat_grows():
@@ -472,6 +517,20 @@ def test_clt_witness_computes_each_norm_once(monkeypatch):
     w = clt_delta_witness(3, 5, 3.0, 1.0)
     assert sorted(calls) == [1.0, 3.0]
     assert w.ratio == w.norm_fhat / w.norm_f
+
+
+# the (r, n) cells of the witness_sweep workload
+@pytest.mark.parametrize("r, n", [(2, 4), (2, 8), (2, 12), (2, 16), (2, 18),
+                                  (3, 3), (3, 6), (3, 9), (3, 11)])
+def test_clt_tail_matches_append_order(r, n):
+    # The coordinates are put in front, last first; appending them, first
+    # first, sums in the other order and gives the same tail share.
+    w = clt_delta_witness(r, n, 3.0, 1.0)
+    roots = np.exp(2j * np.pi * np.arange(r) / r)
+    values = np.zeros(1, dtype=np.complex128)
+    for a in 1.0 / np.sqrt(np.arange(1, n + 1)):
+        values = np.add.outer(values, a * roots).ravel()
+    assert w.tail_probability == np.count_nonzero(values.real >= w.threshold) / r**n
 
 
 def test_clt_witness_reproducible():
