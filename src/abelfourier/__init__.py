@@ -52,7 +52,6 @@ from .witnesses import (
     CltWitness,
     GrowthFit,
     LacunaryDiscreteWitness,
-    TrigPolynomial,
     WitnessPoint,
     arc_indicator_witness,
     bi_unimodular_values,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .groups import COMPACT, DISCRETE, CapacityError, GroupSpec
 from .transform import (
+    FREQUENCY,
     TIME,
     MeasuredFunction,
     character_function,
@@ -212,41 +213,34 @@ def _fmt(x: float) -> str:
     return "inf" if x == INF else repr(float(x))
 
 
-def _sweep_row(w, family: str, group_size: int, prediction=None, kind=None) -> list:
-    """One ``sweep`` CSV row; ``w`` carries param_n, p, q, the norms and the ratio."""
+def _sweep_row(w) -> list:
+    """One ``sweep`` CSV row of a witness (a ``WitnessPoint`` or a
+    ``LacunaryDiscreteWitness``)."""
     return [
-        family,
+        w.family,
         w.param_n,
-        group_size,
+        w.group_size,
         _fmt(w.p),
         _fmt(w.q),
         repr(w.norm_f),
         repr(w.norm_fhat),
         repr(w.ratio),
-        "" if prediction is None else repr(prediction),
-        kind or "",
+        "" if w.prediction is None else repr(w.prediction),
+        w.prediction_kind or "",
     ]
 
 
-def _point_row(point: wit.WitnessPoint) -> list:
-    return _sweep_row(
-        point, point.family, point.group_size, point.prediction, point.prediction_kind
-    )
-
-
-def _lacunary_discrete_payload(w: wit.LacunaryDiscreteWitness) -> dict:
-    keys = ("param_n", "p", "q", "norm_f", "norm_fhat", "ratio", "norm_fhat_l2", "parseval_l2")
-    return {"family": "lacunary_discrete", **{k: getattr(w, k) for k in keys}}
+#: m = ARC_M_FACTOR * k at each point of an arc indicator sweep over k
+ARC_M_FACTOR = 200
 
 
 class Family(NamedTuple):
-    """How the CLI builds, sweeps and prints one witness family."""
+    """How the CLI builds and sweeps one witness family.  ``witness`` prints
+    the witness's fields as JSON and ``sweep`` its ``_sweep_row``."""
 
     build: Callable  # (args, p, q) -> witness
     required: tuple[str, ...]  # flags that must be given
     sweep: Callable  # (sweep value, args) -> {flag: value} for that point
-    payload: Callable = asdict  # witness -> JSON payload of ``witness``
-    row: Callable = _point_row  # witness -> CSV row of ``sweep``
 
 
 def _sets(flag: str) -> Callable:
@@ -259,7 +253,7 @@ FAMILIES = {
     "arc_indicator": Family(
         lambda a, p, q: wit.arc_indicator_witness(a.k, a.m, p, q),
         ("k", "m"),
-        lambda value, args: {"k": value, "m": value * args.m_factor},
+        lambda value, args: {"k": value, "m": value * ARC_M_FACTOR},
     ),
     "subgroup_indicator": Family(
         lambda a, p, q: wit.subgroup_indicator_witness(a.r, a.n, p, q), ("r", "n"), _sets("n")
@@ -267,16 +261,12 @@ FAMILIES = {
     "full_orbit": Family(lambda a, p, q: wit.full_orbit_witness(a.m, p, q), ("m",), _sets("m")),
     "chirp": Family(lambda a, p, q: wit.chirp_witness(a.r, a.n, q, p=p), ("r", "n"), _sets("n")),
     "lacunary_compact": Family(
-        lambda a, p, q: wit.lacunary_compact_witness(a.m, p, q, beta=a.beta, c=a.c),
-        ("m",),
-        _sets("m"),
+        lambda a, p, q: wit.lacunary_compact_witness(a.m, p, q), ("m",), _sets("m")
     ),
     "lacunary_discrete": Family(
         lambda a, p, q: wit.lacunary_discrete_witness(a.n, p, q, grid_points=a.grid),
         ("n",),
         _sets("n"),
-        _lacunary_discrete_payload,
-        lambda w: _sweep_row(w, "lacunary_discrete", 2**w.param_n),
     ),
     "clt_delta": Family(
         lambda a, p, q: wit.clt_delta_witness(a.r, a.n, p, q), ("r", "n"), _sets("n")
@@ -296,7 +286,7 @@ def _witness(args):
 
 
 def _cmd_witness(args) -> int:
-    _emit_json(FAMILIES[args.family].payload(_witness(args)))
+    _emit_json(asdict(_witness(args)))
     return EXIT_OK
 
 
@@ -304,6 +294,8 @@ def _cmd_sweep(args) -> int:
     # Every row is computed before --output is opened, so a usage or capacity
     # error leaves no partial CSV on stdout and no output file.
     if args.kind == "region":
+        if args.side is None or not args.u_values or not args.v_values:
+            raise SystemExit2("sweep --kind region needs --side, --u-values, --v-values")
         header = ["u", "v", "side", "label", "finite", "value"]
         spec = GroupSpec.parse(args.group) if args.group else None
         todo = [(u, v) for u in args.u_values for v in args.v_values]
@@ -321,13 +313,15 @@ def _cmd_sweep(args) -> int:
             ]
 
     else:
+        if args.family is None or not args.params:
+            raise SystemExit2("sweep --kind witness needs --family and --params")
         header = WITNESS_SWEEP_HEADER
         family = FAMILIES[args.family]
         todo = args.params
 
         def one(value):
             sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
-            return family.row(_witness(sub))
+            return _sweep_row(_witness(sub))
 
     with ThreadPoolExecutor(max_workers=args.workers) as ex:
         rows = list(ex.map(one, todo))
@@ -467,8 +461,7 @@ def _selftest() -> int:
         spec = GroupSpec(orders=(r,) * n, view=COMPACT)
         dspec = GroupSpec(orders=(r,) * n, view=DISCRETE)
         comb = np.zeros(dspec.size, dtype=np.complex128)
-        for k in range(1, n + 1):
-            comb[(r - 1) * r ** (n - k)] = 1.0 / math.sqrt(k)  # the atom at -e_k
+        comb[(r - 1) * r ** (n - np.arange(1, n + 1))] = wit._comb_weights(n)  # atoms at -e_k
         for p, q in ((3.0, 1.5), (INF, 0.5)):
             for point, f in (
                 (wit.subgroup_indicator_witness(r, n, p, q),
@@ -489,13 +482,16 @@ def _selftest() -> int:
         fhat.values[(n * x % m == 0) & (x > 0)] = 0.0
         for p, q in ((3.0, 1.5), (INF, 0.5)):
             cases.append((wit.arc_indicator_witness(k, m, p, q), f, fhat))
-    # the discrete lacunary comb at n = 6 against all M grid values: an even
-    # grid takes one period of M/2 points, an odd one all M
+    # the discrete lacunary comb at n = 6 against all M grid values, one
+    # inverse transform of k^(-1/2) at bin 2^k: an even grid takes one period
+    # of M/2 points, an odd one all M
     n = 6
-    comb = 1.0 / np.sqrt(np.arange(1, n + 1))
+    comb = wit._comb_weights(n)
     f = MeasuredFunction(GroupSpec(orders=(n,), view=DISCRETE), TIME, comb)
     for grid in (8 * 2**n, 8 * 2**n + 1):
-        fhat = wit.lacunary_trig_polynomial(n).grid_values(grid)
+        freq = np.zeros(grid, dtype=np.complex128)
+        freq[2 ** np.arange(1, n + 1)] = comb
+        fhat = inverse(MeasuredFunction(GroupSpec(orders=(grid,)), FREQUENCY, freq))
         for p, q in ((3.0, 1.5), (INF, 0.5)):
             cases.append((wit.lacunary_discrete_witness(n, p, q, grid_points=grid), f, fhat))
     ok = True
@@ -587,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int)
         sp.add_argument("--r", type=int)
         sp.add_argument("--n", type=int)
-        sp.add_argument("--beta", type=float, default=1.5)
-        sp.add_argument("--c", type=float, default=1.0)
         sp.add_argument("--grid", type=int)
 
     sp = sub.add_parser("witness", help="evaluate one witness family member")
@@ -601,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", default="-")
     sp.add_argument("--family", choices=list(FAMILIES))
     sp.add_argument("--params", type=_int_list, help="comma-separated family parameters")
-    sp.add_argument("--m-factor", type=int, default=200, help="m = factor*k for arc sweeps")
     add_witness_flags(sp)
     sp.add_argument("--side", choices=[COMPACT, DISCRETE])
     sp.add_argument("--u-values", type=_float_list)
@@ -658,15 +651,6 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.subcommand == "sweep":
-        if args.kind == "witness" and (args.family is None or not args.params):
-            print("sweep --kind witness needs --family and --params", file=sys.stderr)
-            return EXIT_USAGE
-        if args.kind == "region" and (
-            args.side is None or not args.u_values or not args.v_values
-        ):
-            print("sweep --kind region needs --side, --u-values, --v-values", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return _HANDLERS[args.subcommand](args)
     except CapacityError as exc:

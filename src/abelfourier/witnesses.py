@@ -16,9 +16,10 @@ tests check both against the full FFT on small groups.  The CLT comb's
 transform is a sum of one-coordinate functions, built by outer sums with no
 transform either; it puts each coordinate in front of those built so far,
 so its outer sums run long inner loops.  The lacunary series still run one
-inverse transform each: the compact one on its group, the discrete one on
-one period of its quadrature values, M/2 of the M grid points (all M for an
-odd grid), since every frequency 2^k is even.
+inverse transform each, of a frequency vector on compact Z/M: the compact
+one on its group, the discrete one on one period of its quadrature values,
+M/2 of the M grid points (all M for an odd grid), since every frequency 2^k
+is even.
 """
 
 from __future__ import annotations
@@ -51,49 +52,6 @@ class WitnessPoint:
     @property
     def group_size(self) -> int:
         return GroupSpec.parse(self.group_descr).size
-
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """A sparse trigonometric polynomial sum_k coef_k e^{i freq_k theta}."""
-
-    terms: tuple[tuple[int, complex], ...]
-
-    def __post_init__(self):
-        freqs = [f for f, _ in self.terms]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("frequencies must be distinct")
-
-    @property
-    def max_frequency(self) -> int:
-        return max((abs(f) for f, _ in self.terms), default=0)
-
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(theta, dtype=np.complex128)
-        for freq, coef in self.terms:
-            out = out + coef * np.exp(1j * freq * theta)
-        return out
-
-    def grid_values(self, points: int) -> MeasuredFunction:
-        """The polynomial at the M = ``points`` grid angles 2 pi x / M, as a
-        time-side function on compact Z/M with mass 1 (the circle's
-        probability measure, sampled).
-
-        It is one ``inverse`` transform: the dual atom is 1, so putting each
-        coefficient at bin freq mod M gives the polynomial's exact value at
-        every grid point, aliased frequencies included."""
-        spec = _capped_spec(points, COMPACT)
-        coefs = np.zeros(points, dtype=np.complex128)
-        for freq, coef in self.terms:
-            coefs[freq % points] += coef
-        return inverse(MeasuredFunction(spec, FREQUENCY, coefs))
-
-    def quadrature_lq(self, q: float, points: int) -> float:
-        """L^q norm on the circle with probability measure, by an M-point
-        uniform Riemann sum: ``lp_norm`` of ``grid_values``.  Exact for
-        trig-polynomial moments of degree below M, so oversampling past the
-        max frequency controls aliasing."""
-        return lp_norm(self.grid_values(points), q)
 
 
 @dataclass(frozen=True)
@@ -288,30 +246,35 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
 
 
-def lacunary_coefficients(count: int, beta: float, c: float) -> np.ndarray:
-    """Coefficients a_n = e^{i c n log n} / (n^(1/2) (log n)^beta), n = 2..count.
+#: The compact lacunary series' coefficient exponents: beta > 1 makes the
+#: series converge uniformly while its coefficient l^q sums still diverge
+#: for every q < 2, and c > 0 scales its phases.
+LACUNARY_BETA = 1.5
+LACUNARY_C = 1.0
 
-    beta > 1 is required: it is what makes the series converge uniformly
-    while its coefficient l^q sums still diverge for every q < 2."""
-    if count < 3:
-        raise ValueError("need at least indices 2..3")
-    if not beta > 1:
-        raise ValueError("beta must be > 1")
-    if not c > 0:
-        raise ValueError("c must be positive")
-    n = np.arange(2, count + 1, dtype=np.float64)
+
+def lacunary_coefficients(m: int) -> np.ndarray:
+    """The compact lacunary series' frequency vector on Z/m, m >= 4: zero at
+    bins 0 and 1, and a_n = e^{i c n log n} / (n^(1/2) (log n)^beta) at bin
+    n = 2..m-1, with beta = ``LACUNARY_BETA`` and c = ``LACUNARY_C``."""
+    if m < 4:
+        raise ValueError("m must be >= 4")
+    # The vector comes first and every later step writes in place, so the
+    # only other group-sized arrays are n, log n and the phase.
+    coeffs = np.zeros(m, dtype=np.complex128)
+    n = np.arange(2, m, dtype=np.float64)
     log_n = np.log(n)
-    phase = c * n * log_n
-    coeffs = np.empty(n.size, dtype=np.complex128)  # e^{i phase}, built in place
-    coeffs.real = np.cos(phase)
-    coeffs.imag = np.sin(phase)
-    coeffs /= np.sqrt(n) * log_n**beta
+    phase = LACUNARY_C * n
+    phase *= log_n
+    np.cos(phase, out=coeffs.real[2:])
+    np.sin(phase, out=coeffs.imag[2:])
+    log_n **= LACUNARY_BETA
+    log_n *= np.sqrt(n, out=n)
+    coeffs[2:] /= log_n
     return coeffs
 
 
-def lacunary_compact_witness(
-    m: int, p: float, q: float, beta: float = 1.5, c: float = 1.0
-) -> WitnessPoint:
+def lacunary_compact_witness(m: int, p: float, q: float) -> WitnessPoint:
     """Partial sum f = sum_{k=2}^{m-1} a_k chi^k on Z/m with probability
     mass, a_k the lacunary coefficients.  fhat is the coefficient vector F
     itself (unit dual atoms), so ||fhat||_q is ``lp_norm`` of F with no
@@ -321,10 +284,7 @@ def lacunary_compact_witness(
     if m < 4:
         raise ValueError("m must be >= 4")
     spec = _capped_spec(m, COMPACT)
-    coeffs = lacunary_coefficients(m - 1, beta, c)
-    freq = np.zeros(m, dtype=np.complex128)
-    freq[2:m] = coeffs
-    fhat = MeasuredFunction(spec, FREQUENCY, freq)
+    fhat = MeasuredFunction(spec, FREQUENCY, lacunary_coefficients(m))
     norm_fhat = lp_norm(fhat, q)
     return _measured_point(
         "lacunary_compact", m, spec, lp_norm(inverse(fhat), p), norm_fhat, p, q,
@@ -332,55 +292,61 @@ def lacunary_compact_witness(
     )
 
 
+def _comb_weights(n: int) -> np.ndarray:
+    """The comb weights k^(-1/2), k = 1..n."""
+    return 1.0 / np.sqrt(np.arange(1, n + 1))
+
+
 def _comb_norm(n: int, p: float) -> float:
     """||f||_p of sum_{k=1}^{n} k^(-1/2) delta_{x_k}, x_k distinct, on unit
     atoms; a zero pads n = 1 (a group has 2 points)."""
     atoms = np.zeros(max(n, 2), dtype=np.complex128)
-    atoms[:n] = 1.0 / np.sqrt(np.arange(1, n + 1))
+    atoms[:n] = _comb_weights(n)
     return lp_norm(MeasuredFunction(GroupSpec((atoms.size,), DISCRETE), TIME, atoms), p)
-
-
-def lacunary_trig_polynomial(n: int) -> TrigPolynomial:
-    """sum_{k=1}^{n} (1/sqrt(k)) e^{i 2^k theta}: the transform of the sparse
-    geometric-support function on the integers."""
-    return TrigPolynomial(
-        terms=tuple((2**k, complex(1.0 / math.sqrt(k))) for k in range(1, n + 1))
-    )
 
 
 @dataclass(frozen=True)
 class LacunaryDiscreteWitness:
     """Witness on the integers: f = sum (1/sqrt k) delta_{-2^k} with unit
-    atoms; the transform lives on the circle and is evaluated by quadrature."""
+    atoms; the transform lives on the circle and is evaluated by quadrature.
 
+    Its fields are the ``witness`` command's payload.  Like a
+    ``WitnessPoint`` it has a ``group_size``, 2^n, the reach of f's support,
+    and no prediction."""
+
+    family: str
     param_n: int
     p: float
     q: float
     norm_f: float
     norm_fhat: float
+    ratio: float
     norm_fhat_l2: float
     parseval_l2: float
-    polynomial: TrigPolynomial
+
+    prediction = None
+    prediction_kind = None
 
     @property
-    def ratio(self) -> float:
-        return self.norm_fhat / self.norm_f
+    def group_size(self) -> int:
+        return 2**self.param_n
 
 
 def lacunary_discrete_witness(
     n: int, p: float, q: float, grid_points: int | None = None
 ) -> LacunaryDiscreteWitness:
     """The integers' witness at scale n, its transform's L^q and L^2 norms
-    taken by ``lp_norm`` on one set of quadrature values: the polynomial's
-    values on a grid of M >= 8 * 2^n points (default exactly that), one
-    inverse transform.  The L^2 norm must match Parseval to 1e-6.
+    taken by ``lp_norm`` on one set of quadrature values: the values of
+    P(theta) = sum_{k=1}^{n} k^(-1/2) e^{i 2^k theta} on a grid of
+    M >= 8 * 2^n points (default exactly that), from one inverse transform
+    of a frequency vector on compact Z/M (unit dual atoms), k^(-1/2) at bin
+    2^k.  The L^2 norm must match Parseval to 1e-6.
 
     Every frequency 2^k is even, so for even M the grid values repeat with
-    period M/2: they are the values of the polynomial with frequencies
-    2^(k-1) on M/2 points, twice over, and the uniform mean of |P|^q over
-    one period is the mean over all M.  So an even M takes both norms from
-    ``grid_values(M // 2)`` of that polynomial; an odd M takes the M points.
-    The capacity gate stays on M."""
+    period M/2: they are the inverse transform of k^(-1/2) at bin 2^(k-1)
+    on M/2 points, twice over, and the uniform mean of |P|^q over one period
+    is the mean over all M.  So an even M takes both norms from those M/2
+    points, and an odd M from all M.  The capacity gate stays on M."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not p > 2:
@@ -391,27 +357,27 @@ def lacunary_discrete_witness(
     if grid_points < min_grid:
         raise ValueError(f"grid too coarse: need at least {min_grid} points")
     _capped_spec(grid_points, COMPACT)  # so a large n fails before its n terms are built
-    poly = lacunary_trig_polynomial(n)
-    if grid_points % 2:
-        fhat = poly.grid_values(grid_points)
-    else:
-        period = TrigPolynomial(tuple((freq // 2, coef) for freq, coef in poly.terms))
-        fhat = period.grid_values(grid_points // 2)
+    fold = 2 - grid_points % 2  # the number of periods on the grid
+    freq = np.zeros(grid_points // fold, dtype=np.complex128)
+    freq[2 ** np.arange(1, n + 1) // fold] = _comb_weights(n)
+    fhat = inverse(MeasuredFunction(GroupSpec((freq.size,)), FREQUENCY, freq))
     norm_fhat, l2 = lp_norm(fhat, q), lp_norm(fhat, 2.0)
     parseval = float(math.sqrt(np.sum(1.0 / np.arange(1, n + 1))))
     if abs(l2 - parseval) > 1e-6:
         raise ArithmeticError(
             f"quadrature L2 {l2} disagrees with Parseval value {parseval}"
         )
+    norm_f = _comb_norm(n, p)
     return LacunaryDiscreteWitness(
+        family="lacunary_discrete",
         param_n=n,
         p=p,
         q=q,
-        norm_f=_comb_norm(n, p),
+        norm_f=norm_f,
         norm_fhat=norm_fhat,
+        ratio=norm_fhat / norm_f,
         norm_fhat_l2=l2,
         parseval_l2=parseval,
-        polynomial=poly,
     )
 
 
@@ -431,14 +397,13 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     spec = _capped_spec(r, DISCRETE, n)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
-    coefs = 1.0 / np.sqrt(np.arange(1, n + 1))
     roots = np.exp(2j * np.pi * np.arange(r) / r)
     values = np.zeros(1, dtype=np.complex128)
     # Canonical order, the last coordinate fastest: the coordinates are taken
     # last to first, each put in front as the slowest, so every outer sum
     # runs r inner loops over the values built so far, not one short loop
     # of r per value.
-    for a in coefs[::-1]:
+    for a in _comb_weights(n)[::-1]:
         values = np.add.outer(a * roots, values).ravel()
     fhat = MeasuredFunction(spec, FREQUENCY, values)
     # Var(cos(2 pi U/r)) over a uniform r-th root: 1 for r=2, 1/2 for odd prime r.

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import re
 import shlex
 import sys
 import time
@@ -112,8 +114,11 @@ def test_witness_lacunary_discrete_large_q_is_finite(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         payload = run_json(capsys, *argv)
-    mags = np.abs(witnesses.lacunary_trig_polynomial(10).evaluate(
-        2.0 * np.pi * np.arange(8 * 2**10) / (8 * 2**10)))
+    # |P| at the 8 * 2^10 grid angles, P(theta) = sum_k k^(-1/2) e^{i 2^k theta},
+    # each phase 2^k x reduced mod the grid on integers
+    grid, k = 8 * 2**10, np.arange(1, 11)
+    phases = np.outer(2**k, np.arange(grid)) % grid
+    mags = np.abs(np.exp(2j * np.pi * phases / grid).T @ (1.0 / np.sqrt(k)))
     want = mags.max() * float(np.mean((mags / mags.max()) ** 3000.0)) ** (1.0 / 3000.0)
     assert isinstance(payload["norm_fhat"], float)
     assert payload["norm_fhat"] == pytest.approx(want, rel=1e-12)
@@ -126,7 +131,7 @@ def test_witness_missing_flags_usage_error(capsys):
 
 
 # family, flags a sweep value does not set, two sweep values, the flags a
-# sweep value sets (sweep's default --m-factor is 200)
+# sweep value sets (an arc sweep's m is 200 k)
 FAMILY_CASES = [
     ("arc_indicator", {}, (1, 2), lambda v: {"k": v, "m": 200 * v}),
     ("subgroup_indicator", {"r": 2}, (2, 3), lambda v: {"n": v}),
@@ -175,6 +180,51 @@ def test_witness_family(capsys, family, fixed, values, swept):
         assert [float(x) for x in row[5:8]] == [
             point["norm_f"], point["norm_fhat"], point["ratio"]
         ]
+
+
+# stdout of ``witness`` and ``sweep --kind witness`` for every family, pinned
+# byte for byte; lacunary_discrete at its default (even) grid and an odd one.
+GOLDEN = json.loads((Path(__file__).with_name("witness_stdout.json")).read_text())
+_FLOAT = re.compile(r"-?\d+(?:\.\d+)?e[-+]?\d+|-?\d+\.\d+")
+
+
+def _float_fingerprint() -> str:
+    """A digest of the float routines that the witnesses run, on fixed inputs.
+    The pinned bytes were written where it reads ``GOLDEN["fingerprint"]``;
+    elsewhere (another numpy, libm or SIMD path) a last bit may differ."""
+    x = np.linspace(0.1, 20.0, 101)
+    parts = [
+        np.sin(x), np.cos(x), np.exp(1j * x).view(np.float64), np.log(x), np.sqrt(x),
+        x**1.5, np.abs(np.fft.ifft(x + 1j)), [float(v) ** (1 / 3) for v in x],
+    ]
+    return hashlib.sha256(np.concatenate(parts).tobytes()).hexdigest()
+
+
+def _golden_id(case):
+    argv = case["argv"]
+    grid = f"-grid{argv[argv.index('--grid') + 1]}" if "--grid" in argv else ""
+    return f"{argv[0]}-{argv[argv.index('--family') + 1]}{grid}"
+
+
+def test_golden_cases_cover_every_family():
+    covered = {_golden_id(case).split("-grid")[0] for case in GOLDEN["cases"]}
+    assert covered == {f"{cmd}-{family}" for cmd in ("witness", "sweep") for family in FAMILIES}
+    assert {_golden_id(case) for case in GOLDEN["cases"]} >= {
+        "witness-lacunary_discrete-grid515", "sweep-lacunary_discrete-grid129"
+    }
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=_golden_id)
+def test_witness_stdout_is_pinned(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == 0, err
+    want = case["stdout"]
+    if GOLDEN["fingerprint"] == _float_fingerprint():
+        assert out == want
+    else:  # the same text, and each float within a few last bits
+        assert _FLOAT.split(out) == _FLOAT.split(want)
+        for got, pinned in zip(_FLOAT.findall(out), _FLOAT.findall(want)):
+            assert float(got) == pytest.approx(float(pinned), rel=1e-12), (got, pinned)
 
 
 # Per family, two sweep values whose group is past the 2^20 cap: one just
@@ -417,10 +467,12 @@ def test_sweep_region_csv(capsys):
 
 
 def test_sweep_usage_errors(capsys):
-    code, _, _ = run(capsys, "sweep", "--kind", "witness")
-    assert code == 2
-    code, _, _ = run(capsys, "sweep", "--kind", "region")
-    assert code == 2
+    for kind, needs in (
+        ("witness", "--family and --params"), ("region", "--side, --u-values, --v-values")
+    ):
+        code, out, err = run(capsys, "sweep", "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: sweep --kind {kind} needs {needs}\n"
 
 
 def test_uncertainty_check(tmp_path, capsys):
@@ -734,6 +786,11 @@ ARGV_MENU = [
     (["info", "--group", "cyclic:4x;view=compact"], 2),
     (["uncertainty", "--mode", "violate", "--target=nan", "--p", "1.111", "--q", "2.5"], 2),
     (["sweep", "--family", "full_orbit", "--params", "4", "--workers", "0"], 2),
+    (["sweep", "--kind", "region", "--side", "compact"], 2),
+    # options that are now constants: beta = 1.5, c = 1 and an arc sweep's m = 200 k
+    (["witness", "--family", "lacunary_compact", "--m", "16", "--beta", "1e308"], 2),
+    (["witness", "--family", "lacunary_compact", "--m", "16", "--c", "1e308"], 2),
+    (["sweep", "--family", "arc_indicator", "--params", "1", "--m-factor", "300"], 2),
     (["witness", "--family", "clt_delta", "--r", "3", "--n", "13",
       "--p", "1", "--q", "1"], 3),
     (["witness", "--family", "full_orbit", "--m", "1048577"], 3),

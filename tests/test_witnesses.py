@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from abelfourier.norms import (
 )
 from abelfourier.transform import FREQUENCY, TIME, MeasuredFunction, forward, inverse
 from abelfourier.witnesses import (
-    TrigPolynomial,
+    LACUNARY_BETA,
+    LACUNARY_C,
     arc_indicator_witness,
     chirp_witness,
     clt_delta_witness,
@@ -22,7 +22,6 @@ from abelfourier.witnesses import (
     lacunary_coefficients,
     lacunary_compact_witness,
     lacunary_discrete_witness,
-    lacunary_trig_polynomial,
     subgroup_indicator_witness,
 )
 
@@ -333,25 +332,24 @@ def test_parseval_point_ratio_one():
 
 
 def test_lacunary_coefficients():
-    beta, c = 1.5, 1.0
-    coeffs = lacunary_coefficients(100, beta, c)
-    assert len(coeffs) == 99
-    assert abs(coeffs[0]) == pytest.approx(2 ** (-0.5) * math.log(2) ** (-beta))
-    n = np.arange(2, 101, dtype=np.float64)
+    coeffs = lacunary_coefficients(100)
+    assert coeffs.shape == (100,)
+    assert coeffs[0] == coeffs[1] == 0.0
+    assert abs(coeffs[2]) == pytest.approx(2 ** (-0.5) * math.log(2) ** (-LACUNARY_BETA))
+    n = np.arange(2, 100, dtype=np.float64)
     # log n is taken once; the coefficients stay bitwise those of taking it twice
-    twice = np.exp(1j * c * n * np.log(n)) / (np.sqrt(n) * np.log(n) ** beta)
-    assert np.array_equal(coeffs, twice)
-    assert np.allclose(np.angle(coeffs), np.angle(np.exp(1j * c * n * np.log(n))))
+    phase = LACUNARY_C * n * np.log(n)
+    twice = np.exp(1j * phase) / (np.sqrt(n) * np.log(n) ** LACUNARY_BETA)
+    assert np.array_equal(coeffs[2:], twice)
+    assert np.allclose(np.angle(coeffs[2:]), np.angle(np.exp(1j * phase)))
     with pytest.raises(ValueError):
-        lacunary_coefficients(100, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        lacunary_coefficients(100, 1.5, 0.0)
+        lacunary_coefficients(3)
 
 
 def test_lacunary_coefficient_sums():
     # l^q partial sums diverge for q < 2, stay bounded for q = 2
-    small = np.abs(lacunary_coefficients(2**6, 1.5, 1.0))
-    large = np.abs(lacunary_coefficients(2**12, 1.5, 1.0))
+    small = np.abs(lacunary_coefficients(2**6))
+    large = np.abs(lacunary_coefficients(2**12))
     assert np.sum(large**1.0) > 2.0 * np.sum(small**1.0)
     assert np.sum(large**2.0) < 1.1 * np.sum(small**2.0)
 
@@ -362,14 +360,10 @@ def test_lacunary_coefficient_sums():
 # q = 0.8 it is compared on the support bins 2..m-1 only.
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(m=st.integers(4, 2**16), p=_EXPONENT,
-       q=st.one_of(st.just(INF), st.floats(0.25, 0.99), st.floats(1.0, 8.0)),
-       beta=st.floats(1.01, 3.0), c=st.floats(0.1, 4.0))
-def test_lacunary_compact_fhat_norm_matches_round_trip(m, p, q, beta, c):
-    pt = lacunary_compact_witness(m, p, q, beta=beta, c=c)
-    spec = GroupSpec(orders=(m,))
-    coeffs = np.zeros(m, dtype=np.complex128)
-    coeffs[2:] = lacunary_coefficients(m - 1, beta, c)
-    f = inverse(MeasuredFunction(spec, FREQUENCY, coeffs))
+       q=st.one_of(st.just(INF), st.floats(0.25, 0.99), st.floats(1.0, 8.0)))
+def test_lacunary_compact_fhat_norm_matches_round_trip(m, p, q):
+    pt = lacunary_compact_witness(m, p, q)
+    f = inverse(MeasuredFunction(GroupSpec(orders=(m,)), FREQUENCY, lacunary_coefficients(m)))
     assert pt.norm_f == lp_norm(f, p)
     round_trip = forward(f)
     if q < 0.8:
@@ -383,69 +377,37 @@ def test_lacunary_compact_norms():
     pt = lacunary_compact_witness(256, 4.0, 1.0)
     assert pt.prediction_kind == "lower_bound"
     # ||fhat||_1 equals the coefficient l1 sum exactly (unit dual atoms)
-    coeffs = lacunary_coefficients(255, 1.5, 1.0)
+    coeffs = lacunary_coefficients(256)
     assert pt.norm_fhat == pytest.approx(float(np.sum(np.abs(coeffs))), rel=1e-10)
     # for this family the prediction lower-bounds the transform norm
     assert pt.norm_fhat >= pt.prediction * (1 - 1e-9)
 
 
-def test_trig_polynomial():
-    poly = TrigPolynomial(terms=((0, 1.0 + 0j), (3, 2.0 + 0j)))
-    theta = np.array([0.0])
-    assert poly.evaluate(theta)[0] == pytest.approx(3.0)
-    assert poly.max_frequency == 3
-    # constant polynomial: every Lq norm is |c|
-    const = TrigPolynomial(terms=((0, 2.0 + 0j),))
-    assert const.quadrature_lq(1.0, 64) == pytest.approx(2.0)
-    assert const.quadrature_lq(INF, 64) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        TrigPolynomial(terms=((1, 1.0 + 0j), (1, 2.0 + 0j)))
+def _lacunary_grid_oracle(n, points):
+    """P(theta) = sum_{k=1}^{n} k^(-1/2) e^{i 2^k theta} at the grid angles
+    2 pi x / M, term by term, as a time-side function on compact Z/M.
 
-
-def _grid_oracle(poly, points):
-    """The polynomial at the grid angles 2 pi x / M, term by term.
-
-    Each phase ``freq * x`` is reduced mod M on integers before it becomes an
+    Each phase 2^k x is reduced mod M on integers before it becomes an
     angle, so no term carries an error that grows with its frequency (as
-    ``evaluate(2 pi x / M)`` does, by about ``freq * ulp(2 pi)``).
+    evaluating at 2 pi x / M does, by about 2^k ulp(2 pi)).
     """
     x = np.arange(points, dtype=np.int64)
     total = np.zeros(points, dtype=np.complex128)
-    for freq, coeff in poly.terms:
-        total += coeff * np.exp(2j * np.pi * ((freq % points) * x % points) / points)
-    return total
+    for k in range(1, n + 1):
+        total += np.exp(2j * np.pi * ((2**k % points) * x % points) / points) / np.sqrt(k)
+    return MeasuredFunction(GroupSpec(orders=(points,)), TIME, total)
 
 
 # n = 15 is the witness_sweep workload's largest lacunary_discrete member.
 @pytest.mark.parametrize("n", range(1, 16))
 def test_lacunary_grid_values_match_pointwise_evaluation(n):
-    poly = lacunary_trig_polynomial(n)
+    # the witness's sup and L^2 norms are those of P's values at each grid point
     for points in (8 * 2**n, 8 * 2**n + 37):  # the default grid and a non-power of two
-        f = poly.grid_values(points)
-        assert f.spec == GroupSpec(orders=(points,)) and f.side == TIME
-        want = _grid_oracle(poly, points)
-        assert np.max(np.abs(f.values - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_grid_values_negative_and_aliased_frequencies():
-    # -3 sits at bin 37 and 45 aliases onto 5's bin: both add in exactly
-    poly = TrigPolynomial(terms=((-3, 1.0 + 0.5j), (5, 2.0 + 0j), (45, -0.7j), (0, 0.25 + 0j)))
-    want = _grid_oracle(poly, 40)
-    assert np.max(np.abs(poly.grid_values(40).values - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_quadrature_lq_does_not_underflow():
-    # 1e-3 ** 200 underflows to 0 when the powers are summed unscaled
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        lq = TrigPolynomial(terms=((0, 1e-3 + 0j),)).quadrature_lq(200, 64)
-    assert lq == pytest.approx(1e-3, rel=1e-12)
-
-
-def test_lacunary_trig_polynomial_terms():
-    poly = lacunary_trig_polynomial(4)
-    assert [f for f, _ in poly.terms] == [2, 4, 8, 16]
-    assert poly.terms[3][1] == pytest.approx(0.5)
+        w = lacunary_discrete_witness(n, 3.0, INF, grid_points=points)
+        values = _lacunary_grid_oracle(n, points)
+        wants = lp_norm(values, INF), lp_norm(values, 2.0)
+        for got, want in zip((w.norm_fhat, w.norm_fhat_l2), wants):
+            assert abs(got - want) <= 1e-14 * want, (points, got, want)
 
 
 def test_lacunary_discrete_parseval():
@@ -474,10 +436,9 @@ def test_lacunary_discrete_guards():
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.0, INF])
 def test_lacunary_discrete_period_matches_full_grid(n, q):
     # an even grid takes one period, M/2 points; an odd grid all M of them
-    poly = lacunary_trig_polynomial(n)
     for points in (8 * 2**n, 8 * 2**n + 37, 8 * 2**n + 2):
         w = lacunary_discrete_witness(n, 3.0, q, grid_points=points)
-        full = poly.grid_values(points)
+        full = _lacunary_grid_oracle(n, points)
         for got, want in ((w.norm_fhat, lp_norm(full, q)), (w.norm_fhat_l2, lp_norm(full, 2.0))):
             assert abs(got - want) <= 1e-12 * want, (points, got, want)
 
