@@ -215,7 +215,11 @@ def _fmt(x: float) -> str:
 
 def _sweep_row(w) -> list:
     """One ``sweep`` CSV row of a witness (a ``WitnessPoint`` or a
-    ``LacunaryDiscreteWitness``)."""
+    ``LacunaryDiscreteWitness``).
+
+    ``group_size`` is the size of the point's group, except for
+    ``lacunary_discrete``: there it is 2^n, the reach of f's support on the
+    integers, not the 8 * 2^n points (or ``--grid``) of its quadrature grid."""
     return [
         w.family,
         w.param_n,

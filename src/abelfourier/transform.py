@@ -18,10 +18,14 @@ the spec string and side, the column header ``index_tuple,re,im``, then one
 row per element.  The writer lists elements in canonical order with floats
 in shortest round-trip form, streaming the value rows quoted by hand, which
 gives ``csv.writer``'s bytes (see ``write_csv``).  The reader takes the rows
-in any order and places them whole columns at a time: it looks each key up
-in the table of canonical keys, and only a file with some key spelled
-otherwise falls back to parsing every key with a regex.  It requires each
-element exactly once and takes coordinates mod the factor orders.
+in any order.  It parses the value rows in one ``np.loadtxt`` call, which
+splits fields, unquotes keys and parses floats in C; rows whose keys are the
+canonical keys in canonical order need one array comparison, and shuffled
+canonical keys are looked up in the table of canonical keys.  Every other
+body (respelled keys, a missing or repeated element, a row ``loadtxt``
+refuses) is read again by ``csv.reader`` and ``float``, the route that gives
+every error message; only there are keys parsed with a regex.  It requires
+each element exactly once and takes coordinates mod the factor orders.
 """
 
 from __future__ import annotations
@@ -254,14 +258,80 @@ def _parse_keys(keys, orders) -> np.ndarray:
     return np.ravel_multi_index(coords.reshape(-1, len(orders)).T, orders)
 
 
+#: Characters ``np.loadtxt`` reads otherwise than ``csv.reader`` plus
+#: ``float``: it strips \x1c-\x1f around a float, which ``float`` refuses, and
+#: a fixed-width string column drops a key's trailing NULs.
+_LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _lookup(keys, key_col) -> np.ndarray:
+    """Canonical index of each key in ``key_col``, -1 where it is not one of
+    ``keys`` (the canonical keys in canonical order)."""
+    canonical = dict(zip(keys, range(len(keys))))
+    return np.fromiter(map(canonical.get, key_col, repeat(-1)), dtype=np.intp, count=len(key_col))
+
+
+def _loadtxt_rows(body: str, keys):
+    """``(flat, re, im)`` of the value rows parsed by ``np.loadtxt``, or None
+    when the body must go through ``_reader_rows``: it is blank, holds a
+    character of ``_LOADTXT_UNSAFE``, is refused by ``loadtxt``, or does not
+    hold each canonical key exactly once.  ``flat`` is a slice when the keys
+    come in canonical order."""
+    if not body.lstrip("\r\n") or any(c in body for c in _LOADTXT_UNSAFE):
+        return None  # a blank body would also make loadtxt warn
+    # One character wider than the longest canonical key (the last one), so a
+    # longer key is cut to a string that no canonical key equals.
+    width = len(keys[-1]) + 1
+    dtype = [("key", f"U{width}"), ("re", np.float64), ("im", np.float64)]
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if np.array_equal(table["key"], np.array(keys, dtype=f"U{width}")):
+        return slice(None), table["re"], table["im"]
+    flat = _lookup(keys, table["key"].tolist())
+    if flat.min() < 0 or not np.all(np.bincount(flat, minlength=len(keys)) == 1):
+        return None
+    return flat, table["re"], table["im"]
+
+
+def _reader_rows(body: str, spec: GroupSpec, keys):
+    """``(flat, re, im)`` of the value rows parsed by ``csv.reader`` and
+    ``float``, raising ValueError on anything malformed."""
+    rows = list(filter(None, csv.reader(io.StringIO(body))))  # blank lines parse as empty rows
+    if set(map(len, rows)) - {3}:
+        bad = next(row for row in rows if len(row) != 3)
+        raise ValueError(f"value rows need 3 fields index_tuple,re,im, got {bad!r}")
+    if len(rows) != spec.size:
+        raise ValueError(f"expected {spec.size} value rows, got {len(rows)}")
+    key_col, re_col, im_col = zip(*rows)
+    flat = _lookup(keys, key_col)
+    if flat.min() < 0:
+        flat = _parse_keys(key_col, spec.orders)
+    counts = np.bincount(flat, minlength=spec.size)
+    if not np.all(counts == 1):
+        i = int(np.flatnonzero(counts != 1)[0])
+        raise ValueError(f"element {spec.element_at(i)} has {counts[i]} rows, not exactly one")
+    re_vals = np.fromiter(map(float, re_col), dtype=np.float64, count=spec.size)
+    im_vals = np.fromiter(map(float, im_col), dtype=np.float64, count=spec.size)
+    return flat, re_vals, im_vals
+
+
 def read_csv(stream) -> MeasuredFunction:
     """Parse the format ``write_csv`` writes, with value rows in any order.
 
-    Each element must have exactly one row; its coordinates are taken mod the
-    factor orders.  Keys are looked up in the table of canonical keys, the
-    spelling ``write_csv`` uses; only a file with some other spelling (spacing,
-    a bare integer, a trailing comma, unreduced coordinates) has all its keys
-    parsed by the key regex.  Anything malformed raises ValueError."""
+    ``stream`` is the CSV text or a text stream.  Each element must have
+    exactly one row; its coordinates are taken mod the factor orders.  The
+    two header rows go through ``csv.reader`` and the value rows through one
+    ``np.loadtxt`` call.  Its keys must be the canonical keys, the spelling
+    ``write_csv`` uses, each once; in canonical order they need no lookup.
+    Any other body is read again by ``csv.reader`` and ``float``, with the
+    same values and errors as before ``loadtxt`` was tried: keys in another
+    spelling (spacing, a bare integer, a trailing comma, unreduced
+    coordinates) are parsed by the key regex, and floats that ``loadtxt``
+    refuses but ``float`` takes (``1_0``, non-ASCII digits) still read.
+    Anything malformed raises ValueError."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -273,22 +343,10 @@ def read_csv(stream) -> MeasuredFunction:
     columns = next(reader, [])
     if [c.strip() for c in columns] != _COLUMNS:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
-    rows = list(filter(None, reader))  # blank lines parse as empty rows
-    if set(map(len, rows)) - {3}:
-        bad = next(row for row in rows if len(row) != 3)
-        raise ValueError(f"value rows need 3 fields index_tuple,re,im, got {bad!r}")
-    if len(rows) != spec.size:
-        raise ValueError(f"expected {spec.size} value rows, got {len(rows)}")
-    keys, re_col, im_col = zip(*rows)
-    canonical = dict(zip(_index_keys(spec.orders), range(spec.size)))
-    flat = np.fromiter(map(canonical.get, keys, repeat(-1)), dtype=np.intp, count=spec.size)
-    if flat.min() < 0:
-        flat = _parse_keys(keys, spec.orders)
-    counts = np.bincount(flat, minlength=spec.size)
-    if not np.all(counts == 1):
-        i = int(np.flatnonzero(counts != 1)[0])
-        raise ValueError(f"element {spec.element_at(i)} has {counts[i]} rows, not exactly one")
+    body = stream.read()
+    keys = _index_keys(spec.orders)
+    flat, re_vals, im_vals = _loadtxt_rows(body, keys) or _reader_rows(body, spec, keys)
     vals = np.empty(spec.size, dtype=np.complex128)
-    vals.real[flat] = np.fromiter(map(float, re_col), dtype=np.float64, count=spec.size)
-    vals.imag[flat] = np.fromiter(map(float, im_col), dtype=np.float64, count=spec.size)
+    vals.real[flat] = re_vals
+    vals.imag[flat] = im_vals
     return MeasuredFunction(spec, side, vals)

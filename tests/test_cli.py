@@ -442,6 +442,18 @@ def test_sweep_witness_csv(capsys):
     assert [r[1] for r in rows[1:]] == ["4", "8", "16"]
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "256"]], ids=["default_grid", "grid256"])
+def test_sweep_lacunary_discrete_group_size_is_the_support_reach(capsys, grid):
+    """The README's claim: 2^n, not the quadrature grid's point count."""
+    code, out, err = run(
+        capsys, "sweep", "--kind", "witness", "--family", "lacunary_discrete",
+        "--params", "3,4", "--p", "3", "--q", "1.5", *grid,
+    )
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[2] for r in rows[1:]] == ["8", "16"]
+
+
 def test_sweep_deterministic_across_workers(capsys):
     args = [
         "sweep", "--kind", "witness", "--family", "subgroup_indicator",
@@ -563,6 +575,16 @@ def test_truncated_function_csv_is_usage_error(tmp_path, capsys, argv, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["no_rows", "blank_lines"])
+def test_function_csv_without_value_rows_exits_2_without_warnings(tmp_path, capsys, body):
+    src = tmp_path / "f.csv"
+    src.write_text("cyclic:4;view=compact;mass=1,time\nindex_tuple,re,im\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "norm", "--p", "2", "--input", str(src))
+    assert (code, out, err) == (2, "", "error: expected 4 value rows, got 0\n")
 
 
 # The same cases as test_fourier.MALFORMED_ROWS, each on cyclic:4.

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,11 +457,201 @@ def test_canonical_csv_never_runs_the_key_regex(monkeypatch):
         return key_pattern(k)
 
     monkeypatch.setattr(transform, "_key_pattern", spy)
+    readers = _spy_on_csv_reader(monkeypatch)
     rng = np.random.default_rng(9)
     spec = GroupSpec(orders=(4, 5))
     head, rows = _value_rows(random_function(rng, spec))
     read_csv("".join(head + rows))
     read_csv("".join(head + [rows[i] for i in rng.permutation(spec.size)]))
     assert compiled == []
+    assert len(readers) == 2  # the header rows' reader of each file, no value-row pass
     read_csv("".join(head + [rows[0].replace("(", "( ", 1)] + rows[1:]))
     assert compiled == [2]
+    assert len(readers) == 4  # a respelled key sends the value rows through csv.reader
+
+
+def _spy_on_csv_reader(monkeypatch) -> list:
+    """Patch ``csv.reader`` to record each call's input; returns the record."""
+    readers = []
+    csv_reader = csv.reader
+
+    def spy(lines, *args, **kwargs):
+        readers.append(lines)
+        return csv_reader(lines, *args, **kwargs)
+
+    monkeypatch.setattr(transform.csv, "reader", spy)
+    return readers
+
+
+def _rows_as_fields(lines):
+    """``write_csv`` value lines as ``[quoted key, re, im]`` field lists."""
+    return [line.rstrip("\n").rsplit(",", 2) for line in lines]
+
+
+def _join_csv(head, rows, end="\n", last_end=True) -> str:
+    lines = [line.rstrip("\n") for line in head] + [",".join(row) for row in rows]
+    return end.join(lines) + (end if last_end else "")
+
+
+# Variants of a canonical file that csv.reader and float read to the same
+# values, and that the loadtxt route reads without a value-row csv.reader pass.
+_LOADTXT_VARIANTS = {
+    "crlf": lambda head, rows: _join_csv(head, rows, end="\r\n"),
+    "no_last_newline": lambda head, rows: _join_csv(head, rows, last_end=False),
+    "blank_lines": lambda head, rows: _join_csv(head, rows[:2] + [[""]] + rows[2:] + [[""]]),
+    "quoted_values": lambda head, rows: _join_csv(head, [[k, f'"{x}"', y] for k, x, y in rows]),
+    "spaced_values": lambda head, rows: _join_csv(head, [[k, f" {x}\t", f"\xa0{y} "] for k, x, y in rows]),
+    "signs_and_zeros": lambda head, rows: _join_csv(head, [[k, "0" * 40 + x, "+" + y] for k, x, y in rows]),
+}
+
+
+@pytest.mark.parametrize("variant", _LOADTXT_VARIANTS.values(), ids=_LOADTXT_VARIANTS.keys())
+def test_csv_variants_stay_on_the_loadtxt_route(monkeypatch, variant):
+    spec = GroupSpec(orders=(3, 4))
+    # Non-negative parts, since "+-1.5" and "00-1.5" are no floats.
+    parts = np.abs(_values(np.random.default_rng(2), 2 * spec.size))
+    values = parts[: spec.size] + 1j * parts[spec.size :]
+    head, lines = _value_rows(MeasuredFunction(spec, TIME, values))
+    text = variant(head, _rows_as_fields(lines))
+    readers = _spy_on_csv_reader(monkeypatch)
+    g = read_csv(text)
+    assert len(readers) == 1
+    assert np.array_equal(_bits(g.values), _bits(values))
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n", "\n\n\n"], ids=["empty", "lf", "crlf", "lines"])
+def test_csv_header_only_body_is_a_row_count_error_without_warnings(body):
+    head, _ = _value_rows(delta(GroupSpec(orders=(3, 4))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+        with pytest.raises(ValueError) as exc:
+            read_csv("".join(head) + body)
+    assert str(exc.value) == "expected 12 value rows, got 0"
+
+
+# Tokens put in a value field by the differential tests.  Some only float()
+# takes (1_0, Arabic-Indic digits), some only loadtxt would take around a
+# float (\x1c-\x1f), some are no float, and some parse to non-finite values.
+_ODD_VALUES = ["1_0", "\u0661\u0662", "\u0661.5", "1e400", "-1e400", "nan", "-inf", "1e-400",
+               "\x1c1", "1\x1f", "0x10", "1e", "", "#", "1 2", "1\x00"]
+_ODD_SPACES = [" ", "\t", "\x0b", "\x0c", "\xa0", "\u3000", "\x1c", "\x1f", "\r"]
+
+# Each mutation of one value row, with the arguments it is tried with.
+_MUTATIONS = {
+    "value": [(j, token) for j in (1, 2) for token in _ODD_VALUES],
+    "quote": [0, 1, 2],
+    "space": [(j, space, before) for j in (0, 1, 2) for space in _ODD_SPACES
+              for before in (True, False)],
+    "trailing_comma": [None],
+    "two_fields": [None],
+    # 16 characters make a key longer than every canonical key of the groups
+    # of at most 64 elements drawn here.
+    "long_key": [" ", "0", "x", ")"],
+    "hash_key": ["bare", "inside", "outside"],
+    "nul_key": [None],
+    "respell": [None],
+    "unquote": [None],
+    "duplicate": [1, -1],
+    "drop": [None],
+}
+
+
+def _mutate(rows, i, kind, arg):
+    """Apply mutation ``kind`` with argument ``arg`` to value row ``i`` of
+    ``rows`` (field lists, the key quoted), in place.  A field mutation of a
+    row cut short by an earlier one does nothing."""
+    row = rows[i]
+    j = arg if kind == "quote" else arg[0] if kind in ("value", "space") else 0
+    if j >= len(row):
+        return
+    if kind == "value":
+        row[j] = arg[1]
+    elif kind == "quote":
+        row[j] = f'"{row[j]}"'
+    elif kind == "space":
+        _, space, before = arg
+        row[j] = space + row[j] if before else row[j] + space
+    elif kind == "trailing_comma":
+        row.append("")
+    elif kind == "two_fields":
+        del row[2:]
+    elif kind == "long_key":
+        row[0] = row[0][:-1] + arg * 16 + '"'
+    elif kind == "hash_key":
+        row[0] = {"bare": "#", "inside": '"#' + row[0][1:], "outside": "#" + row[0]}[arg]
+    elif kind == "nul_key":
+        row[0] = row[0][:-1] + '\x00"'
+    elif kind == "respell":
+        row[0] = row[0].replace("(", "( ", 1)
+    elif kind == "unquote":
+        row[0] = row[0].strip('"')
+    elif kind == "duplicate":  # a neighbour's copy in place of row i
+        rows[i] = list(rows[(i + arg) % len(rows)])
+    else:
+        del rows[i]
+
+
+def _read_outcome(text):
+    """``read_csv``'s values as bits, or its error's type and text; any
+    warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = read_csv(text)
+        except (ValueError, csv.Error) as exc:
+            return type(exc), str(exc)
+    return g.spec, g.side, _bits(g.values).tolist()
+
+
+def _assert_routes_agree(text):
+    """Bit for bit the same values, or the same error, with and without the
+    loadtxt route."""
+    with_loadtxt = _read_outcome(text)
+    with mock.patch.object(transform, "_loadtxt_rows", return_value=None):
+        reader_only = _read_outcome(text)
+    assert with_loadtxt == reader_only
+
+
+@pytest.mark.parametrize("kind", _MUTATIONS)
+def test_csv_routes_agree_on_each_mutation_alone(kind):
+    spec = GroupSpec(orders=(3, 4))
+    rng = np.random.default_rng(6)
+    head, lines = _value_rows(MeasuredFunction(spec, TIME, _signed_values(rng, spec.size)))
+    canonical = _rows_as_fields(lines)
+    for rows in (canonical, [canonical[i] for i in rng.permutation(spec.size)]):
+        for arg in _MUTATIONS[kind]:
+            mutated = [list(row) for row in rows]
+            _mutate(mutated, 1, kind, arg)
+            for end in ("\n", "\r\n"):
+                _assert_routes_agree(_join_csv(head, mutated, end=end))
+
+
+@st.composite
+def _mutated_csv(draw):
+    """A ``write_csv`` file with its rows maybe shuffled, up to three row
+    mutations, blank lines, CRLF line ends, no last newline, or no value rows."""
+    orders = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)
+                  .filter(lambda o: math.prod(o) <= 64))
+    spec = GroupSpec(orders=tuple(orders))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head, lines = _value_rows(MeasuredFunction(spec, TIME, _signed_values(rng, spec.size)))
+    rows = _rows_as_fields(lines)
+    if draw(st.booleans()):
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(list(_MUTATIONS)))
+        if rows:
+            _mutate(rows, draw(st.integers(0, len(rows) - 1)), kind,
+                    draw(st.sampled_from(_MUTATIONS[kind])))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [""])
+    if draw(st.integers(1, 10)) == 5:  # about one file in ten has no value rows
+        rows = []
+    return _join_csv(head, rows, end=draw(st.sampled_from(["\n", "\r\n"])),
+                     last_end=draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=_mutated_csv())
+def test_csv_routes_agree_on_mutated_files(text):
+    _assert_routes_agree(text)
