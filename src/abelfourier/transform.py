@@ -298,8 +298,12 @@ def _loadtxt_rows(body: str, keys):
 
 def _reader_rows(body: str, spec: GroupSpec, keys):
     """``(flat, re, im)`` of the value rows parsed by ``csv.reader`` and
-    ``float``, raising ValueError on anything malformed."""
-    rows = list(filter(None, csv.reader(io.StringIO(body))))  # blank lines parse as empty rows
+    ``float``, raising ValueError on anything malformed, a ``csv.Error``
+    (a field longer than ``csv.field_size_limit()``) included."""
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(body))))  # blank lines parse as empty rows
+    except csv.Error as exc:
+        raise ValueError(f"CSV value row: {exc}") from exc
     if set(map(len, rows)) - {3}:
         bad = next(row for row in rows if len(row) != 3)
         raise ValueError(f"value rows need 3 fields index_tuple,re,im, got {bad!r}")
@@ -316,6 +320,15 @@ def _reader_rows(body: str, spec: GroupSpec, keys):
     re_vals = np.fromiter(map(float, re_col), dtype=np.float64, count=spec.size)
     im_vals = np.fromiter(map(float, im_col), dtype=np.float64, count=spec.size)
     return flat, re_vals, im_vals
+
+
+def _header_row(reader) -> list[str]:
+    """The next row of ``reader``, [] past the end.  Its ``csv.Error`` (a
+    field longer than ``csv.field_size_limit()``) raises ValueError."""
+    try:
+        return next(reader, [])
+    except csv.Error as exc:
+        raise ValueError(f"CSV header row: {exc}") from exc
 
 
 def read_csv(stream) -> MeasuredFunction:
@@ -335,12 +348,12 @@ def read_csv(stream) -> MeasuredFunction:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
-    header = next(reader, [])
+    header = _header_row(reader)
     if len(header) != 2:
         raise ValueError("first CSV row must be: <group spec string>, <side>")
     spec = GroupSpec.parse(header[0])
     side = header[1].strip()
-    columns = next(reader, [])
+    columns = _header_row(reader)
     if [c.strip() for c in columns] != _COLUMNS:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
     body = stream.read()

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -608,6 +609,24 @@ def test_malformed_function_csv_is_usage_error(tmp_path, capsys, argv, rows):
     assert err.startswith("error: ")
 
 
+# A field longer than csv.field_size_limit() (131072 characters), in a key
+# and in the header row, makes csv.reader raise csv.Error.
+_OVERSIZE_FIELD = {
+    "key": ["cyclic:4;view=compact;mass=1,time", "index_tuple,re,im",
+            '"' + " " * 200000 + '",1,0', '"(1,)",1,0', '"(2,)",1,0', '"(3,)",1,0'],
+    "spec": ["c" * 200000 + ",time", "index_tuple,re,im"],
+}
+
+
+@pytest.mark.parametrize("lines", _OVERSIZE_FIELD.values(), ids=_OVERSIZE_FIELD.keys())
+def test_oversize_csv_field_is_usage_error(tmp_path, capsys, lines):
+    src = tmp_path / "f.csv"
+    src.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "norm", "--p", "2", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_uncertainty_check_rejects_missing_exponents_before_reading(monkeypatch, capsys):
     class Unreadable(io.StringIO):
         def read(self, *args):
@@ -687,6 +706,58 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def _jsonable(obj):
+    """What the CLI once handed ``json.dumps(..., indent=2)``: infinities and
+    nan as strings, numpy scalars as Python numbers.  The oracle of
+    ``_json_text``."""
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return obj
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating,)):
+        return _jsonable(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+_JSON_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1e-5]) | st.floats()
+_JSON_STRINGS = st.sampled_from(["", "\x00\x1f\x7f\t\n", '"\\', "\u00e9\u2028\u65e5", "\ud800", "\U0001f600"]) | st.text()
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    _JSON_STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_emit_json_writes_the_bytes_of_indented_json_dumps(obj):
+    out = io.StringIO()
+    cli._emit_json(obj, out)
+    assert out.getvalue() == json.dumps(_jsonable(obj), indent=2) + "\n"
 
 
 def test_byte_identical_reruns(capsys):
@@ -822,25 +893,66 @@ ARGV_MENU = [
 
 def _outcome(argv):
     """Like ``run``, but a SystemExit's code counts as the exit code, and the
-    streams are captured without capsys, which hypothesis's examples would share."""
+    streams are captured without capsys, which hypothesis's examples would
+    share.  ``argv`` None runs ``main(None)``, which reads ``sys.argv``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = main(None if argv is None else list(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
+def _mutate(argv, kind, i):
+    """``argv`` with one change of ``kind``; ``i`` picks where."""
+    argv = list(argv)
+    flags = [j for j, a in enumerate(argv) if a.startswith("--") and len(a) > 3]
+    if kind == "abbreviate" and flags:  # --group -> --grou, --gro, ...
+        j = flags[i % len(flags)]
+        argv[j] = argv[j][:max(3, len(argv[j]) - 1 - i % 4)]
+    elif kind == "equals" and flags and flags[-1] + 1 < len(argv):  # --p 2 -> --p=2
+        j = flags[i % len(flags)]
+        argv[j:j + 2] = ["=".join(argv[j:j + 2])]
+    elif kind == "unknown":
+        argv.append("--bogus")
+    elif kind == "negative":
+        argv += ["--target", "-5"]
+    elif argv and kind in ("-h", "--selftest", "--", "--=x", "-=x"):  # after the subcommand
+        argv.insert(1 + i % len(argv), kind)
+    return argv
+
+
+_MUTATIONS = ["abbreviate", "equals", "unknown", "negative", "-h", "--selftest", "--", "--=x",
+              "-=x"]
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
 # Reusing one parser is safe only while argparse keeps no state between
-# parse_args calls; its internals change between Python versions.
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(ARGV_MENU), min_size=1, max_size=8))
+# parse_args calls; its internals change between Python versions.  main
+# parses a subcommand's arguments with that subcommand's parser alone, which
+# must give the output and exit of the full top-level parse_args, the
+# reference; so must main(None) on the same sys.argv.
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ARGV_MENU),
+                          st.sampled_from([None, *_MUTATIONS]), st.integers(0, 15)),
+                min_size=1, max_size=8))
 def test_shared_parser_matches_fresh_parser(entries):
-    for argv, expected_code in entries:
+    for (argv, expected_code), kind, i in entries:
+        if kind is not None:
+            argv = _mutate(argv, kind, i)
         shared = _outcome(argv)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             fresh = _outcome(argv)
-        assert shared == fresh, argv
-        assert shared[0] == expected_code, (argv, shared)
+            mp.setattr(cli, "_parse_args", _full_parse)
+            reference = _outcome(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "argv", ["abelfourier", *argv])
+            from_sys_argv = _outcome(None)
+        assert shared == fresh == reference == from_sys_argv, argv
+        if kind is None:
+            assert shared[0] == expected_code, (argv, shared)

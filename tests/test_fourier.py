@@ -598,7 +598,7 @@ def _read_outcome(text):
         warnings.simplefilter("error")
         try:
             g = read_csv(text)
-        except (ValueError, csv.Error) as exc:
+        except ValueError as exc:
             return type(exc), str(exc)
     return g.spec, g.side, _bits(g.values).tolist()
 
