@@ -1,4 +1,4 @@
-"""The Fourier transform on finite abelian groups, in both measure views.
+r"""The Fourier transform on finite abelian groups, in both measure views.
 
 ``forward`` integrates against ``chi(-x)`` with the primal atom as weight;
 ``inverse`` integrates against ``chi(x)`` with the dual atom.  Because the
@@ -18,14 +18,17 @@ the spec string and side, the column header ``index_tuple,re,im``, then one
 row per element.  The writer lists elements in canonical order with floats
 in shortest round-trip form, streaming the value rows quoted by hand, which
 gives ``csv.writer``'s bytes (see ``write_csv``).  The reader takes the rows
-in any order.  It parses the value rows in one ``np.loadtxt`` call, which
-splits fields, unquotes keys and parses floats in C; rows whose keys are the
-canonical keys in canonical order need one array comparison, and shuffled
-canonical keys are looked up in the table of canonical keys.  Every other
-body (respelled keys, a missing or repeated element, a row ``loadtxt``
-refuses) is read again by ``csv.reader`` and ``float``, the route that gives
-every error message; only there are keys parsed with a regex.  It requires
-each element exactly once and takes coordinates mod the factor orders.
+in any order.  It splits the text once at "\n", reads the two header rows
+with ``csv.reader`` over the first lines, and hands the other lines as a list
+to one ``np.loadtxt`` call, which splits fields, unquotes keys and parses
+floats in C; no copy of the text goes into an ``io.StringIO``.  Rows whose
+keys are the canonical keys in canonical order need one array comparison,
+and shuffled canonical keys are looked up in the table of canonical keys.
+Every other body (respelled keys, a missing or repeated element, a row
+``loadtxt`` refuses, a quoted field that spans lines) is joined again and
+read by ``csv.reader`` and ``float``, the route that gives every error
+message; only there are keys parsed with a regex.  It requires each element
+exactly once and takes coordinates mod the factor orders.
 """
 
 from __future__ import annotations
@@ -271,22 +274,32 @@ def _lookup(keys, key_col) -> np.ndarray:
     return np.fromiter(map(canonical.get, key_col, repeat(-1)), dtype=np.intp, count=len(key_col))
 
 
-def _loadtxt_rows(body: str, keys):
-    """``(flat, re, im)`` of the value rows parsed by ``np.loadtxt``, or None
-    when the body must go through ``_reader_rows``: it is blank, holds a
-    character of ``_LOADTXT_UNSAFE``, is refused by ``loadtxt``, or does not
-    hold each canonical key exactly once.  ``flat`` is a slice when the keys
-    come in canonical order."""
-    if not body.lstrip("\r\n") or any(c in body for c in _LOADTXT_UNSAFE):
+def _loadtxt_rows(text: str, lines, keys):
+    r"""``(flat, re, im)`` of the value rows parsed by ``np.loadtxt``, or None
+    when they must go through ``_reader_rows``: ``lines`` (the value lines,
+    the tail of ``text.split("\n")``) are blank, ``text`` holds a character
+    of ``_LOADTXT_UNSAFE``, ``loadtxt`` refuses the lines (a lone "\r" inside
+    one, say), a quoted field spans lines, or the keys are not each canonical
+    key exactly once.  ``flat`` is a slice when the keys come in canonical
+    order."""
+    if not any(line.strip("\r") for line in lines) or any(c in text for c in _LOADTXT_UNSAFE):
         return None  # a blank body would also make loadtxt warn
     # One character wider than the longest canonical key (the last one), so a
     # longer key is cut to a string that no canonical key equals.
     width = len(keys[-1]) + 1
     dtype = [("key", f"U{width}"), ("re", np.float64), ("im", np.float64)]
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                            comments=None, ndmin=1)
     except ValueError:
+        return None
+    # loadtxt skips blank lines ("" and "\r") and joins the lines of a quoted
+    # field that spans lines without the line break, which csv.reader keeps,
+    # so every line that is not blank must give one row.  Rows never outnumber
+    # those lines, so the blank lines are counted only when the rows do not
+    # match all lines but a blank last one.
+    if len(table) != len(lines) - (lines[-1] in ("", "\r")) and (
+            len(table) != len(lines) - lines.count("") - lines.count("\r")):
         return None
     if np.array_equal(table["key"], np.array(keys, dtype=f"U{width}")):
         return slice(None), table["re"], table["im"]
@@ -322,6 +335,15 @@ def _reader_rows(body: str, spec: GroupSpec, keys):
     return flat, re_vals, im_vals
 
 
+def _stringio_lines(lines):
+    r"""The lines ``io.StringIO("\n".join(lines))`` yields: each of ``lines``
+    with its "\n", but the last one without it, and only if it is not empty."""
+    for i in range(len(lines) - 1):
+        yield lines[i] + "\n"
+    if lines[-1]:
+        yield lines[-1]
+
+
 def _header_row(reader) -> list[str]:
     """The next row of ``reader``, [] past the end.  Its ``csv.Error`` (a
     field longer than ``csv.field_size_limit()``) raises ValueError."""
@@ -332,22 +354,28 @@ def _header_row(reader) -> list[str]:
 
 
 def read_csv(stream) -> MeasuredFunction:
-    """Parse the format ``write_csv`` writes, with value rows in any order.
+    r"""Parse the format ``write_csv`` writes, with value rows in any order.
 
-    ``stream`` is the CSV text or a text stream.  Each element must have
-    exactly one row; its coordinates are taken mod the factor orders.  The
-    two header rows go through ``csv.reader`` and the value rows through one
-    ``np.loadtxt`` call.  Its keys must be the canonical keys, the spelling
-    ``write_csv`` uses, each once; in canonical order they need no lookup.
-    Any other body is read again by ``csv.reader`` and ``float``, with the
-    same values and errors as before ``loadtxt`` was tried: keys in another
-    spelling (spacing, a bare integer, a trailing comma, unreduced
-    coordinates) are parsed by the key regex, and floats that ``loadtxt``
-    refuses but ``float`` takes (``1_0``, non-ASCII digits) still read.
-    Anything malformed raises ValueError."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    ``stream`` is the CSV text or a text stream, which is read whole.  One
+    leading byte-order mark (U+FEFF, which spreadsheets write) is dropped.
+    Each element must have exactly one row; its coordinates are taken mod
+    the factor orders.  The text is split once at "\n"; the two header rows
+    go through ``csv.reader`` over its first lines, as ``io.StringIO`` would
+    hand them over (a quoted field may span lines), and the remaining lines
+    go to one ``np.loadtxt`` call as a list.  Its keys must be the canonical
+    keys, the spelling ``write_csv`` uses, each once; in canonical order
+    they need no lookup.  Any other body, or one that ``loadtxt`` refuses
+    (a lone "\r" inside a line) or would read otherwise (a quoted field
+    that spans lines), is joined again and read by ``csv.reader`` and
+    ``float``, with the same values and errors as before ``loadtxt`` was
+    tried: keys in another spelling (spacing, a bare integer, a trailing
+    comma, unreduced coordinates) are parsed by the key regex, and floats
+    that ``loadtxt`` refuses but ``float`` takes (``1_0``, non-ASCII
+    digits) still read.  Anything malformed raises ValueError."""
+    text = stream if isinstance(stream, str) else stream.read()
+    lines = text.split("\n")
+    lines[0] = lines[0].removeprefix("\ufeff")
+    reader = csv.reader(_stringio_lines(lines))
     header = _header_row(reader)
     if len(header) != 2:
         raise ValueError("first CSV row must be: <group spec string>, <side>")
@@ -356,9 +384,10 @@ def read_csv(stream) -> MeasuredFunction:
     columns = _header_row(reader)
     if [c.strip() for c in columns] != _COLUMNS:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
-    body = stream.read()
+    body = lines[reader.line_num:]
     keys = _index_keys(spec.orders)
-    flat, re_vals, im_vals = _loadtxt_rows(body, keys) or _reader_rows(body, spec, keys)
+    flat, re_vals, im_vals = (_loadtxt_rows(text, body, keys)
+                              or _reader_rows("\n".join(body), spec, keys))
     vals = np.empty(spec.size, dtype=np.complex128)
     vals.real[flat] = re_vals
     vals.imag[flat] = im_vals

@@ -627,6 +627,23 @@ def test_oversize_csv_field_is_usage_error(tmp_path, capsys, lines):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [["norm", "--p", "2"], ["transform"]], ids=["norm", "transform"])
+def test_function_csv_with_byte_order_mark_reads_from_file_and_stdin(tmp_path, monkeypatch, capsys, argv):
+    """A file saved as "CSV UTF-8" starts with a byte-order mark; it reads as
+    the file without one, from a path and from stdin."""
+    spec = GroupSpec.parse("cyclic:3x2;view=compact;mass=1")
+    text = write_csv(MeasuredFunction(spec, TIME, np.arange(6) - 0.5j))
+    plain, marked = tmp_path / "f.csv", tmp_path / "f_bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = run(capsys, *argv, "--input", str(plain))
+    assert want[0] == 0, want
+    assert run(capsys, *argv, "--input", str(marked)) == want
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+    assert run(capsys, *argv, "--input", "-") == want
+
+
 def test_uncertainty_check_rejects_missing_exponents_before_reading(monkeypatch, capsys):
     class Unreadable(io.StringIO):
         def read(self, *args):

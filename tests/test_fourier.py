@@ -529,6 +529,81 @@ def test_csv_header_only_body_is_a_row_count_error_without_warnings(body):
     assert str(exc.value) == "expected 12 value rows, got 0"
 
 
+_CYCLIC2_HEAD = ["cyclic:2;view=compact;mass=1,time", "index_tuple,re,im"]
+_CYCLIC2_ROWS = ['"(0,)",1.5,-0.0', '"(1,)",-2,0.25']
+_CYCLIC2_READ = ("cyclic:2;view=compact;mass=1", TIME,
+                 _bits(np.array([complex(1.5, -0.0), complex(-2, 0.25)])).tolist())
+
+# Header rows as csv.reader reads them over the text's first lines, split at
+# "\n" as io.StringIO splits them, each with the value or error it reads to.
+# test_csv_header_only_body_is_a_row_count_error_without_warnings has the
+# header-only text with its last newline.
+_HEADER_OUTCOMES = {
+    "quoted_newline_in_spec": (
+        "\n".join(['"cyclic:2;view=compact;mass=1\n",time', *_CYCLIC2_HEAD[1:], *_CYCLIC2_ROWS]) + "\n",
+        _CYCLIC2_READ),
+    "crlf_header_rows": (
+        "\r\n".join(_CYCLIC2_HEAD) + "\r\n" + "\n".join(_CYCLIC2_ROWS) + "\n", _CYCLIC2_READ),
+    "header_only_no_last_newline": (
+        "\n".join(_CYCLIC2_HEAD), (ValueError, "expected 2 value rows, got 0")),
+    "first_row_only_no_last_newline": (
+        _CYCLIC2_HEAD[0], (ValueError, "second CSV row must be the header index_tuple,re,im")),
+    # The last line has no "\n" to add to the field, which stays within the limit.
+    "quoted_field_at_the_size_limit_to_the_end": (
+        'a,"' + "x" * csv.field_size_limit(), (ValueError, "bad group spec 'a': expected 'cyclic:...' prefix")),
+    "byte_order_mark": ("\ufeff" + "\n".join([*_CYCLIC2_HEAD, *_CYCLIC2_ROWS]), _CYCLIC2_READ),
+    "two_byte_order_marks": (
+        "\ufeff\ufeff" + "\n".join([*_CYCLIC2_HEAD, *_CYCLIC2_ROWS]),
+        (ValueError, "bad group spec '\\ufeffcyclic:2;view=compact;mass=1': expected 'cyclic:...' prefix")),
+}
+
+
+@pytest.mark.parametrize("text, want", _HEADER_OUTCOMES.values(), ids=_HEADER_OUTCOMES.keys())
+def test_csv_header_rows_read_as_pinned(text, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = read_csv(text)
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        else:
+            got = g.spec.describe(), g.side, _bits(g.values).tolist()
+    assert got == want
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["spec", "columns"])
+def test_csv_oversize_header_field_is_a_value_error(row):
+    lines = [*_CYCLIC2_HEAD, *_CYCLIC2_ROWS]
+    lines[row] = '"' + " " * (csv.field_size_limit() + 1) + '",' + lines[row]
+    with pytest.raises(ValueError) as exc:
+        read_csv("\n".join(lines) + "\n")
+    assert str(exc.value) == f"CSV header row: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_csv_loadtxt_route_builds_no_stringio(monkeypatch):
+    """The canonical and the shuffled file reach ``loadtxt`` as a list of
+    lines, with no ``io.StringIO`` copy of the text; a respelled key does
+    build one, in the ``csv.reader`` route, which shows the spy works."""
+    rng = np.random.default_rng(13)
+    spec = GroupSpec(orders=(4, 5))
+    f = random_function(rng, spec)
+    head, rows = _value_rows(f)
+    texts = ["".join(head + rows), "".join(head + [rows[i] for i in rng.permutation(spec.size)])]
+    buffers = []
+    string_io = io.StringIO
+
+    def spy(*args, **kwargs):
+        buffers.append(args)
+        return string_io(*args, **kwargs)
+
+    monkeypatch.setattr(transform.io, "StringIO", spy)
+    for text in texts:
+        assert np.array_equal(_bits(read_csv(text).values), _bits(f.values))
+    assert buffers == []
+    read_csv("".join(head + [rows[0].replace("(", "( ", 1)] + rows[1:]))
+    assert len(buffers) == 1
+
+
 # Tokens put in a value field by the differential tests.  Some only float()
 # takes (1_0, Arabic-Indic digits), some only loadtxt would take around a
 # float (\x1c-\x1f), some are no float, and some parse to non-finite values.
@@ -551,6 +626,9 @@ _MUTATIONS = {
     "nul_key": [None],
     "respell": [None],
     "unquote": [None],
+    # csv.reader keeps the line break inside the quotes, which loadtxt, given
+    # a list of lines, would drop: '"1\n.5"' is no float, '"1.5"' is one.
+    "quoted_newline": [0, 1, 2],
     "duplicate": [1, -1],
     "drop": [None],
 }
@@ -561,7 +639,7 @@ def _mutate(rows, i, kind, arg):
     ``rows`` (field lists, the key quoted), in place.  A field mutation of a
     row cut short by an earlier one does nothing."""
     row = rows[i]
-    j = arg if kind == "quote" else arg[0] if kind in ("value", "space") else 0
+    j = arg if kind in ("quote", "quoted_newline") else arg[0] if kind in ("value", "space") else 0
     if j >= len(row):
         return
     if kind == "value":
@@ -571,6 +649,9 @@ def _mutate(rows, i, kind, arg):
     elif kind == "space":
         _, space, before = arg
         row[j] = space + row[j] if before else row[j] + space
+    elif kind == "quoted_newline":
+        field = row[j].strip('"')
+        row[j] = f'"{field[:1]}\n{field[1:]}"'
     elif kind == "trailing_comma":
         row.append("")
     elif kind == "two_fields":
@@ -626,15 +707,28 @@ def test_csv_routes_agree_on_each_mutation_alone(kind):
                 _assert_routes_agree(_join_csv(head, mutated, end=end))
 
 
+# Spellings of the two header rows that read as the written ones, each a
+# function of the spec string.
+_HEADER_VARIANTS = {
+    "written": lambda spec: [f"{spec},time", "index_tuple,re,im"],
+    "byte_order_mark": lambda spec: [f"\ufeff{spec},time", "index_tuple,re,im"],
+    "quoted_newline": lambda spec: [f'"{spec}\n",time', "index_tuple,re,im"],
+    "quoted_fields": lambda spec: [f'"{spec}","time"', '"index_tuple","re","im"'],
+    "spaced_fields": lambda spec: [f"{spec}, time\t", " index_tuple ,re , im"],
+}
+
+
 @st.composite
 def _mutated_csv(draw):
-    """A ``write_csv`` file with its rows maybe shuffled, up to three row
-    mutations, blank lines, CRLF line ends, no last newline, or no value rows."""
+    """A ``write_csv`` file with its header rows maybe respelled, its rows
+    maybe shuffled, up to three row mutations, blank lines, CRLF line ends,
+    no last newline, or no value rows."""
     orders = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)
                   .filter(lambda o: math.prod(o) <= 64))
     spec = GroupSpec(orders=tuple(orders))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    head, lines = _value_rows(MeasuredFunction(spec, TIME, _signed_values(rng, spec.size)))
+    _, lines = _value_rows(MeasuredFunction(spec, TIME, _signed_values(rng, spec.size)))
+    head = draw(st.sampled_from(list(_HEADER_VARIANTS.values())))(spec.describe())
     rows = _rows_as_fields(lines)
     if draw(st.booleans()):
         rows = [rows[i] for i in rng.permutation(len(rows))]
