@@ -28,12 +28,17 @@ Every other body (respelled keys, a missing or repeated element, a row
 ``loadtxt`` refuses, a quoted field that spans lines) is joined again and
 read by ``csv.reader`` and ``float``, the route that gives every error
 message; only there are keys parsed with a regex.  It requires each element
-exactly once and takes coordinates mod the factor orders.
+exactly once and takes coordinates mod the factor orders.  Reader and writer
+take the canonical keys from one key table per group shape (``_key_table``);
+the last shape's table is kept when the group has at most 2^16 elements, so
+a ``transform`` builds it once for its read and its write, and repeated
+reads and writes of one shape in a process build it once in all.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import operator
@@ -223,6 +228,62 @@ def _index_keys(orders) -> list[str]:
     return [k + t for k in keys for t in tails]
 
 
+def _key_width(orders) -> int:
+    """One character more than the longest canonical key, the last element's,
+    so a longer key read into a string column of this width is cut to a
+    string that no canonical key equals."""
+    return len(str(tuple(m - 1 for m in orders))) + 1
+
+
+class _KeyTable:
+    """The canonical keys of one group shape (``keys``, a tuple), and the two
+    forms the reader matches them in, each built on first use: ``column``,
+    the keys as a read-only ``U`` array of width ``_key_width``, and
+    ``index``, the dict from each key to its canonical index.  A kept table
+    is shared by every later read and write of its shape, which only read
+    it."""
+
+    def __init__(self, orders):
+        self.orders = orders
+        self.keys = tuple(_index_keys(orders))
+
+    @functools.cached_property
+    def column(self) -> np.ndarray:
+        column = np.array(self.keys, dtype=f"U{_key_width(self.orders)}")
+        column.flags.writeable = False
+        return column
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        return dict(zip(self.keys, range(len(self.keys))))
+
+
+#: Largest group whose key table ``_key_table`` keeps between calls.  With
+#: both its forms built, a table of this many keys holds 10 MB on one factor
+#: and 23 MB on (Z/2)^16 (``tracemalloc``, Python 3.11).
+_KEY_TABLE_CAP = 2**16
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_key_table(orders) -> _KeyTable:
+    return _KeyTable(orders)
+
+
+def _key_table(orders) -> _KeyTable:
+    """The ``_KeyTable`` of ``orders``.  The last shape's table of at most
+    ``_KEY_TABLE_CAP`` elements is kept, so a run of reads and writes of one
+    shape (a ``transform`` reads and writes one, and in-process ``main``
+    calls repeat them) builds it once; a larger table is built afresh on
+    each call, as the memory it would keep grows with the group."""
+    if math.prod(orders) > _KEY_TABLE_CAP:
+        return _KeyTable(orders)
+    return _cached_key_table(orders)
+
+
+_key_table.cache_info = _cached_key_table.cache_info
+_key_table.cache_clear = _cached_key_table.cache_clear
+
+
 def _key_pattern(k: int) -> re.Pattern:
     """An index tuple of k integers with any spacing and an optional trailing
     comma; one factor may also be written as a bare integer."""
@@ -238,10 +299,11 @@ def write_csv(f: MeasuredFunction, stream=None) -> str:
     ``"key",re,im`` by hand, byte for byte what ``csv.writer`` writes for
     them: every index key holds a comma and no quote, so the csv module always
     quotes it, and the ``repr`` of a finite float holds no comma, quote or
-    line break, so it never quotes a value."""
+    line break, so it never quotes a value.  The keys come from the shape's
+    key table, kept from the last read or write of the shape."""
     out = stream if stream is not None else io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([[f.spec.describe(), f.side], _COLUMNS])
-    rows = zip(_index_keys(f.spec.orders), f.values.real.tolist(), f.values.imag.tolist())
+    rows = zip(_key_table(f.spec.orders).keys, f.values.real.tolist(), f.values.imag.tolist())
     out.writelines(f'"{key}",{x!r},{y!r}\n' for key, x, y in rows)
     return out.getvalue() if stream is None else ""
 
@@ -267,27 +329,24 @@ def _parse_keys(keys, orders) -> np.ndarray:
 _LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
 
 
-def _lookup(keys, key_col) -> np.ndarray:
-    """Canonical index of each key in ``key_col``, -1 where it is not one of
-    ``keys`` (the canonical keys in canonical order)."""
-    canonical = dict(zip(keys, range(len(keys))))
-    return np.fromiter(map(canonical.get, key_col, repeat(-1)), dtype=np.intp, count=len(key_col))
+def _lookup(index, key_col) -> np.ndarray:
+    """Canonical index of each key in ``key_col``, -1 where it is no key of
+    ``index`` (a key table's dict from each canonical key to its index)."""
+    return np.fromiter(map(index.get, key_col, repeat(-1)), dtype=np.intp, count=len(key_col))
 
 
-def _loadtxt_rows(text: str, lines, keys):
+def _loadtxt_rows(text: str, lines, spec: GroupSpec):
     r"""``(flat, re, im)`` of the value rows parsed by ``np.loadtxt``, or None
     when they must go through ``_reader_rows``: ``lines`` (the value lines,
     the tail of ``text.split("\n")``) are blank, ``text`` holds a character
     of ``_LOADTXT_UNSAFE``, ``loadtxt`` refuses the lines (a lone "\r" inside
     one, say), a quoted field spans lines, or the keys are not each canonical
     key exactly once.  ``flat`` is a slice when the keys come in canonical
-    order."""
+    order.  The shape's key table is taken only when the rows are as many as
+    the elements."""
     if not any(line.strip("\r") for line in lines) or any(c in text for c in _LOADTXT_UNSAFE):
         return None  # a blank body would also make loadtxt warn
-    # One character wider than the longest canonical key (the last one), so a
-    # longer key is cut to a string that no canonical key equals.
-    width = len(keys[-1]) + 1
-    dtype = [("key", f"U{width}"), ("re", np.float64), ("im", np.float64)]
+    dtype = [("key", f"U{_key_width(spec.orders)}"), ("re", np.float64), ("im", np.float64)]
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                            comments=None, ndmin=1)
@@ -301,15 +360,18 @@ def _loadtxt_rows(text: str, lines, keys):
     if len(table) != len(lines) - (lines[-1] in ("", "\r")) and (
             len(table) != len(lines) - lines.count("") - lines.count("\r")):
         return None
-    if np.array_equal(table["key"], np.array(keys, dtype=f"U{width}")):
+    if len(table) != spec.size:  # the reader's route gives the error, with no key table
+        return None
+    key_table = _key_table(spec.orders)
+    if np.array_equal(table["key"], key_table.column):
         return slice(None), table["re"], table["im"]
-    flat = _lookup(keys, table["key"].tolist())
-    if flat.min() < 0 or not np.all(np.bincount(flat, minlength=len(keys)) == 1):
+    flat = _lookup(key_table.index, table["key"].tolist())
+    if flat.min() < 0 or not np.all(np.bincount(flat, minlength=spec.size) == 1):
         return None
     return flat, table["re"], table["im"]
 
 
-def _reader_rows(body: str, spec: GroupSpec, keys):
+def _reader_rows(body: str, spec: GroupSpec):
     """``(flat, re, im)`` of the value rows parsed by ``csv.reader`` and
     ``float``, raising ValueError on anything malformed, a ``csv.Error``
     (a field longer than ``csv.field_size_limit()``) included."""
@@ -323,7 +385,7 @@ def _reader_rows(body: str, spec: GroupSpec, keys):
     if len(rows) != spec.size:
         raise ValueError(f"expected {spec.size} value rows, got {len(rows)}")
     key_col, re_col, im_col = zip(*rows)
-    flat = _lookup(keys, key_col)
+    flat = _lookup(_key_table(spec.orders).index, key_col)
     if flat.min() < 0:
         flat = _parse_keys(key_col, spec.orders)
     counts = np.bincount(flat, minlength=spec.size)
@@ -364,14 +426,17 @@ def read_csv(stream) -> MeasuredFunction:
     hand them over (a quoted field may span lines), and the remaining lines
     go to one ``np.loadtxt`` call as a list.  Its keys must be the canonical
     keys, the spelling ``write_csv`` uses, each once; in canonical order
-    they need no lookup.  Any other body, or one that ``loadtxt`` refuses
-    (a lone "\r" inside a line) or would read otherwise (a quoted field
-    that spans lines), is joined again and read by ``csv.reader`` and
-    ``float``, with the same values and errors as before ``loadtxt`` was
-    tried: keys in another spelling (spacing, a bare integer, a trailing
-    comma, unreduced coordinates) are parsed by the key regex, and floats
-    that ``loadtxt`` refuses but ``float`` takes (``1_0``, non-ASCII
-    digits) still read.  Anything malformed raises ValueError."""
+    they need no lookup.  The canonical keys come from the shape's key
+    table, taken only once the rows are as many as the elements, so a short
+    file on a huge group fails on its row count without building it.  Any
+    other body, or one that ``loadtxt`` refuses (a lone "\r" inside a line)
+    or would read otherwise (a quoted field that spans lines), is joined
+    again and read by ``csv.reader`` and ``float``, with the same values and
+    errors as before ``loadtxt`` was tried: keys in another spelling
+    (spacing, a bare integer, a trailing comma, unreduced coordinates) are
+    parsed by the key regex, and floats that ``loadtxt`` refuses but
+    ``float`` takes (``1_0``, non-ASCII digits) still read.  Anything
+    malformed raises ValueError."""
     text = stream if isinstance(stream, str) else stream.read()
     lines = text.split("\n")
     lines[0] = lines[0].removeprefix("\ufeff")
@@ -385,9 +450,8 @@ def read_csv(stream) -> MeasuredFunction:
     if [c.strip() for c in columns] != _COLUMNS:
         raise ValueError("second CSV row must be the header index_tuple,re,im")
     body = lines[reader.line_num:]
-    keys = _index_keys(spec.orders)
-    flat, re_vals, im_vals = (_loadtxt_rows(text, body, keys)
-                              or _reader_rows("\n".join(body), spec, keys))
+    flat, re_vals, im_vals = (_loadtxt_rows(text, body, spec)
+                              or _reader_rows("\n".join(body), spec))
     vals = np.empty(spec.size, dtype=np.complex128)
     vals.real[flat] = re_vals
     vals.imag[flat] = im_vals

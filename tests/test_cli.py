@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelfourier import cli, uncertainty, witnesses
+from abelfourier import cli, transform, uncertainty, witnesses
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import GroupSpec
 from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
@@ -345,6 +345,33 @@ def test_transform_streams_same_bytes_to_stdout_and_file(tmp_path, capsys):
     code, _, err = run(capsys, "transform", "--input", str(src), "--output", str(dst))
     assert code == 0, err
     assert out == dst.read_text() == write_csv(forward(f))
+
+
+def test_cli_builds_each_shapes_key_table_once(tmp_path, capsys, monkeypatch):
+    """A transform reads and writes one shape, and in-process calls on one
+    file reuse its key table; a second shape builds its own."""
+    first, second = tmp_path / "f0.csv", tmp_path / "f1.csv"
+    for path, orders in [(first, (4, 3)), (second, (5,))]:
+        spec = GroupSpec(orders=orders)  # compact, mass 1: the constant 1 has unit L2 norm
+        path.write_text(write_csv(MeasuredFunction(spec, TIME, np.ones(spec.size))))
+    built = []
+    index_keys = transform._index_keys
+
+    def spy(orders):
+        built.append(orders)
+        return index_keys(orders)
+
+    monkeypatch.setattr(transform, "_index_keys", spy)
+    transform._key_table.cache_clear()
+    out = str(tmp_path / "out.csv")
+    assert run(capsys, "transform", "--input", str(first), "--output", out)[0] == 0
+    assert built == [(4, 3)]
+    for argv in (["transform"], ["norm", "--p", "2"], ["uncertainty", "--mode", "support"],
+                 ["uncertainty", "--mode", "check", "--p", "1.5", "--q", "3"]):
+        assert run(capsys, *argv, "--input", str(first))[0] == 0
+    assert built == [(4, 3)]
+    assert run(capsys, "transform", "--input", str(second), "--output", out)[0] == 0
+    assert built == [(4, 3), (5,)]
 
 
 def test_norm_subcommand(tmp_path, capsys):

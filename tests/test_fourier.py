@@ -672,25 +672,32 @@ def _mutate(rows, i, kind, arg):
         del rows[i]
 
 
-def _read_outcome(text):
-    """``read_csv``'s values as bits, or its error's type and text; any
-    warning is an error."""
+def _read_outcome(text, cold=False):
+    """``read_csv``'s values as bits and ``write_csv``'s bytes for them, or
+    its error's type and text; any warning is an error.  ``cold`` empties the
+    key table before the read and again before the write."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if cold:
+            transform._key_table.cache_clear()
         try:
             g = read_csv(text)
         except ValueError as exc:
             return type(exc), str(exc)
-    return g.spec, g.side, _bits(g.values).tolist()
+    if cold:
+        transform._key_table.cache_clear()
+    return g.spec, g.side, _bits(g.values).tolist(), write_csv(g)
 
 
 def _assert_routes_agree(text):
-    """Bit for bit the same values, or the same error, with and without the
-    loadtxt route."""
-    with_loadtxt = _read_outcome(text)
+    """Bit for bit the same values and written bytes, or the same error,
+    with and without the loadtxt route, and with the key table cold or
+    warm."""
+    cold = _read_outcome(text, cold=True)
+    warm = _read_outcome(text)  # the cold write left this shape's table
     with mock.patch.object(transform, "_loadtxt_rows", return_value=None):
         reader_only = _read_outcome(text)
-    assert with_loadtxt == reader_only
+    assert cold == warm == reader_only
 
 
 @pytest.mark.parametrize("kind", _MUTATIONS)
@@ -705,6 +712,78 @@ def test_csv_routes_agree_on_each_mutation_alone(kind):
             _mutate(mutated, 1, kind, arg)
             for end in ("\n", "\r\n"):
                 _assert_routes_agree(_join_csv(head, mutated, end=end))
+
+
+# Bodies of a written file: canonical, shuffled, or with one row respelled,
+# repeated or holding a line break in a quoted value.
+_TABLE_BODIES = {
+    "canonical": lambda rows: rows,
+    "shuffled": lambda rows: rows[::-1],
+    "respelled_key": lambda rows: _mutated(rows, "respell", None),
+    "repeated_element": lambda rows: _mutated(rows, "duplicate", 1),
+    "quoted_newline": lambda rows: _mutated(rows, "quoted_newline", 1),
+}
+
+
+def _mutated(rows, kind, arg):
+    rows = [list(row) for row in rows]
+    _mutate(rows, 1, kind, arg)
+    return rows
+
+
+@pytest.mark.parametrize("body", _TABLE_BODIES)
+def test_csv_key_table_cold_and_warm_agree_across_shapes(body):
+    """Files of shapes A, B, A read and write as they do with the key table
+    emptied before each step."""
+    rng = np.random.default_rng(21)
+    texts = []
+    for orders in [(3, 4), (5, 2, 2)]:
+        head, lines = _value_rows(MeasuredFunction(GroupSpec(orders=orders), TIME,
+                                                   _signed_values(rng, math.prod(orders))))
+        texts.append(_join_csv(head, _TABLE_BODIES[body](_rows_as_fields(lines))))
+    cold = [_read_outcome(text, cold=True) for text in texts]
+    transform._key_table.cache_clear()
+    assert [_read_outcome(texts[i]) for i in (0, 1, 0)] == [cold[0], cold[1], cold[0]]
+    assert transform._key_table.cache_info().misses == 3
+
+
+def test_key_table_is_immutable_and_kept_only_up_to_the_cap():
+    rng = np.random.default_rng(22)
+    small = random_function(rng, GroupSpec(orders=(4, 5)))
+    head, rows = _value_rows(small)
+    transform._key_table.cache_clear()
+    for text in ["".join(head + rows), "".join(head + rows[::-1])]:
+        g = read_csv(text)
+        table = transform._key_table(small.spec.orders)
+        assert not np.shares_memory(g.values, table.column)
+    assert isinstance(table.keys, tuple)
+    with pytest.raises(ValueError):
+        table.column[0] = "(9, 9)"
+    assert table.column[0] == "(0, 0)"
+    kept = transform._key_table.cache_info()
+    assert kept.currsize == 1
+    past_cap = (2,) * 16 + (3,)
+    assert math.prod(past_cap) > transform._KEY_TABLE_CAP
+    big = MeasuredFunction(GroupSpec(orders=past_cap), TIME, np.zeros(math.prod(past_cap)))
+    assert np.array_equal(read_csv(write_csv(big)).values, big.values)
+    assert transform._key_table.cache_info() == kept
+    assert transform._key_table(small.spec.orders) is table
+    at_cap = (2,) * 16
+    assert transform._key_table(at_cap) is transform._key_table(at_cap)
+
+
+def test_csv_with_too_few_rows_builds_no_key_table(monkeypatch):
+    """A short body on a huge group fails on its row count before any key is
+    built: the table of 2^40 keys would not fit in memory."""
+    def refuse(orders):
+        raise AssertionError(f"key table built for {orders}")
+
+    monkeypatch.setattr(transform, "_index_keys", refuse)
+    transform._key_table.cache_clear()
+    spec = "cyclic:1099511627776;view=compact;mass=1"
+    for n, body in enumerate(["", '"(0,)",1.0,0.0\n', '"(0,)",1.0,0.0\n"(1,)",2.0,0.0\n']):
+        with pytest.raises(ValueError, match=f"^expected 1099511627776 value rows, got {n}$"):
+            read_csv(f"{spec},time\nindex_tuple,re,im\n{body}")
 
 
 # Spellings of the two header rows that read as the written ones, each a
