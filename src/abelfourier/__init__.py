@@ -25,8 +25,6 @@ from .transform import (
     dual_forward,
     forward,
     inverse,
-    l2_norm,
-    parseval_defect,
     read_csv,
     reflect,
     write_csv,
@@ -40,11 +38,13 @@ from .norms import (
     family_exponents,
     family_ratio,
     finite_cpq,
+    finite_cpq_at,
     finite_exponent,
     hausdorff_young_check,
     holder_conjugate,
     log_lp_norm,
     lp_norm,
+    parseval_defect,
     ratio,
     recip,
 )
@@ -68,12 +68,10 @@ from .estimator import (
     EstimatorConfig,
     NormEstimate,
     ascent_estimate,
-    estimate_norm,
     log_convexity_check,
     structured_search,
 )
 from .uncertainty import (
-    Density,
     UPReport,
     ViolatorResult,
     donoho_stark_check,

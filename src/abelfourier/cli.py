@@ -29,11 +29,19 @@ from .transform import (
     delta,
     forward,
     inverse,
-    parseval_defect,
     read_csv,
     write_csv,
 )
-from .norms import INF, classify, closed_form_cpq, finite_cpq, lp_norm, ratio, recip
+from .norms import (
+    INF,
+    classify,
+    closed_form_cpq,
+    finite_cpq_at,
+    lp_norm,
+    parseval_defect,
+    ratio,
+    recip,
+)
 from . import witnesses as wit
 from .uncertainty import (
     donoho_stark_check,
@@ -177,9 +185,21 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _region(side: str, u: float, v: float, spec: GroupSpec | None):
+    """``classify``'s verdict at (u, v) and, at a finite point when spec is
+    given, the norm there from ``finite_cpq_at`` (else None).  A spec whose
+    view is not ``side`` is an error at a finite point."""
+    verdict = classify(side, u, v)
+    if not verdict.finite or spec is None:
+        return verdict, None
+    if spec.view != side:
+        raise ValueError(f"spec view {spec.view!r} does not match side {side!r}")
+    return verdict, finite_cpq_at(spec, u, v)[2]
+
+
 def _cmd_region(args) -> int:
     spec = GroupSpec.parse(args.group) if args.group else None
-    verdict = classify(args.side, args.u, args.v, spec=spec)
+    verdict, value = _region(args.side, args.u, args.v, spec)
     _emit_json(
         {
             "side": verdict.side,
@@ -187,7 +207,7 @@ def _cmd_region(args) -> int:
             "v": args.v,
             "label": verdict.label,
             "finite": verdict.finite,
-            "value": verdict.value,
+            "value": value,
         }
     )
     return EXIT_OK
@@ -195,7 +215,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_cpq(args) -> int:
     spec = GroupSpec.parse(args.group)
-    finite_norm, extremal = finite_cpq(spec, args.p, args.q)
+    finite_norm, extremal, value = finite_cpq_at(spec, recip(args.p), recip(args.q))
     _emit_json(
         {
             "group": spec.describe(),
@@ -203,7 +223,7 @@ def _cmd_cpq(args) -> int:
             "q": args.q,
             "finite_norm": finite_norm,
             "extremal": extremal,
-            "value": closed_form_cpq(spec, args.p, args.q),
+            "value": value,
         }
     )
     return EXIT_OK
@@ -324,14 +344,14 @@ def _cmd_sweep(args) -> int:
 
         def one(uv):
             u, v = uv
-            verdict = classify(args.side, u, v, spec=spec)
+            verdict, value = _region(args.side, u, v, spec)
             return [
                 repr(u),
                 repr(v),
                 verdict.side,
                 verdict.label,
                 verdict.finite,
-                "" if verdict.value is None else repr(verdict.value),
+                "" if value is None else repr(value),
             ]
 
     else:
@@ -358,8 +378,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_estimate(args) -> int:
     spec = GroupSpec.parse(args.group)
-    value, extremal = finite_cpq(spec, args.p, args.q)
-    verdict = classify(spec.view, recip(args.p), recip(args.q), spec=spec)
+    u, v = recip(args.p), recip(args.q)
+    value, extremal, closed_form = finite_cpq_at(spec, u, v)
+    verdict = classify(spec.view, u, v)
     _emit_json(
         {
             "group": spec.describe(),
@@ -367,7 +388,7 @@ def _cmd_estimate(args) -> int:
             "q": args.q,
             "estimate": value,
             "extremal": extremal,
-            "closed_form": verdict.value if verdict.finite else INF,
+            "closed_form": closed_form,
             "region": verdict.label,
             "converged": True,
             "iterations": 0,

@@ -1,11 +1,11 @@
-"""The exact (p, q)-norm of the Fourier operator on a finite group.
+"""Numerical searches for the (p, q)-norm of the Fourier operator on a
+finite group, which the tests hold against the exact norm.
 
-``estimate_norm`` returns the closed form ``norms.finite_cpq`` (Gilbert and
-Rzeszotnik) with a function attaining it: the constant, the delta at the
-identity or a bi-unimodular function, whichever ratio ||fhat||_q / ||f||_p
-is largest.  Those functions come from ``witnesses.EXTREMALS`` and their
-exact ratios from ``norms.family_ratio``; ``structured_search`` evaluates
-the three ratios numerically.
+The exact norm is the closed form ``norms.finite_cpq`` (Gilbert and
+Rzeszotnik): the ratio ||fhat||_q / ||f||_p of the constant, the delta at
+the identity or a bi-unimodular function, whichever is largest.  Those
+functions are ``witnesses.EXTREMALS``, and ``structured_search`` evaluates
+their three ratios numerically.
 
 The multi-start gradient ascent on the smoothed log-ratio
 (``ascent_estimate``, ``log_ratio_and_grad``, ``EstimatorConfig``) is kept
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import EXHAUSTIVE_CAP, GroupSpec
-from .norms import finite_cpq, ratio, recip
+from .groups import GroupSpec
+from .norms import ratio, recip
 from .transform import (
     MeasuredFunction,
     TIME,
@@ -189,18 +189,6 @@ def ascent_estimate(
         iterations=total_iters,
         converged=all_converged,
     )
-
-
-def estimate_norm(spec: GroupSpec, p: float, q: float) -> NormEstimate:
-    """The exact norm ``finite_cpq`` with its extremal family.
-
-    The witness is that family's function, built only when the group is
-    within the exhaustive cap (else None).  No search runs: iterations = 0
-    and converged is True.
-    """
-    value, family = finite_cpq(spec, p, q)
-    witness = EXTREMALS[family](spec) if spec.size <= EXHAUSTIVE_CAP else None
-    return NormEstimate(value, witness, iterations=0, converged=True, extremal=family)
 
 
 def log_convexity_check(points) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, GroupSpec
-from .transform import MeasuredFunction, forward
+from .transform import TIME, MeasuredFunction, forward, inverse
 
 INF = math.inf
 
@@ -83,6 +83,12 @@ def lp_norm(f: MeasuredFunction, p: float) -> float:
     return top * _power(total, u)
 
 
+def parseval_defect(f: MeasuredFunction) -> float:
+    """| ||f||_2 - ||fhat||_2 |, which is ~0 under matched Haar measures."""
+    other = forward(f) if f.side == TIME else inverse(f)
+    return abs(lp_norm(f, 2.0) - lp_norm(other, 2.0))
+
+
 def log_lp_norm(f: MeasuredFunction, p: float) -> float:
     """log ||f||_p = log max |f| + log(sum) / p from the same sum as
     ``lp_norm``, so it is finite for every f != 0 at every p, even where the
@@ -107,10 +113,9 @@ class RegionVerdict:
     side: str
     label: str
     finite: bool
-    value: float | None = None
 
 
-def classify(side: str, u: float, v: float, spec: GroupSpec | None = None) -> RegionVerdict:
+def classify(side: str, u: float, v: float) -> RegionVerdict:
     """Total partition of the quadrant [0, inf)^2 into the norm regions.
 
     Compact: finite exactly on {u + v <= 1, v <= 1/2}; every point with
@@ -118,47 +123,19 @@ def classify(side: str, u: float, v: float, spec: GroupSpec | None = None) -> Re
     Discrete: finite exactly on {u + v >= 1, u >= 1/2}; infinite on
     {u + v < 1, v < 1/2} and on the whole remaining region u < 1/2.
 
-    When ``spec`` is given (its view must match ``side``), the closed-form
-    value is filled in for finite points.
+    The norm at a finite point is ``finite_cpq_at``'s value there.
     """
     if not (u >= 0 and v >= 0 and math.isfinite(u) and math.isfinite(v)):
         raise ValueError("reciprocal exponents must be finite and >= 0")
     if side == COMPACT:
         if u + v <= 1 and v <= 0.5:
-            label, finite = R1, True
-        elif u + v > 1:
-            label, finite = R2, False
-        else:
-            label, finite = R3, False
-    elif side == DISCRETE:
+            return RegionVerdict(side, R1, True)
+        return RegionVerdict(side, R2 if u + v > 1 else R3, False)
+    if side == DISCRETE:
         if u + v >= 1 and u >= 0.5:
-            label, finite = R2P, True
-        elif u + v < 1 and v < 0.5:
-            label, finite = R1P, False
-        else:
-            label, finite = R3PEXT, False
-    else:
-        raise ValueError(f"unknown side {side!r}")
-
-    value = None
-    if finite and spec is not None:
-        if spec.view != side:
-            raise ValueError(f"spec view {spec.view!r} does not match side {side!r}")
-        if side == COMPACT:
-            value = _power(spec.primal_total, 1.0 - u - v)
-        else:
-            value = _power(spec.dual_total, u + v - 1.0)
-    return RegionVerdict(side=side, label=label, finite=finite, value=value)
-
-
-def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
-    """The operator norm on the finite region of spec's view; inf elsewhere.
-
-    Compact view: alpha(X)^(1 - 1/p - 1/q) on R1.  Discrete view:
-    dual total mass^(1/p + 1/q - 1) on R2'.
-    """
-    verdict = classify(spec.view, recip(p), recip(q), spec=spec)
-    return verdict.value if verdict.finite else INF
+            return RegionVerdict(side, R2P, True)
+        return RegionVerdict(side, R1P if u + v < 1 and v < 0.5 else R3PEXT, False)
+    raise ValueError(f"unknown side {side!r}")
 
 
 #: The extremal families of the finite-group norm, in tie-break order.
@@ -191,14 +168,25 @@ def finite_exponent(side: str, u: float, v: float) -> tuple[float, str]:
     return e, EXTREMAL_FAMILIES[exps.index(e)]
 
 
+def _family_value(spec: GroupSpec, e: float, u: float, v: float) -> float:
+    """mass^(1-u-v) * N^e on spec.  Where e is 0 it is one power of the mass
+    with the same float u + v that ``classify`` compares with 1; elsewhere
+    it is one power of 2, so it is inf only past the float range and an
+    exact power such as 64 is exact."""
+    s = u + v
+    if e == 0.0:
+        return _power(spec.mass, 1.0 - s)
+    return _power(2.0, (1.0 - s) * math.log2(spec.mass) + e * math.log2(spec.size))
+
+
 def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
     """The exact ratio ||fhat||_q / ||f||_p of ``family``'s function on spec.
 
-    Analytic, so it answers past the exhaustive cap; one power of 2, so it is
-    inf only past the float range and an exact power such as 64 is exact."""
+    Analytic (``_family_value`` at the family's power of N), so it answers
+    past the exhaustive cap."""
     u, v = recip(p), recip(q)
     e = family_exponents(spec.view, u, v)[EXTREMAL_FAMILIES.index(family)]
-    return _power(2.0, (1.0 - (u + v)) * math.log2(spec.mass) + e * math.log2(spec.size))
+    return _family_value(spec, e, u, v)
 
 
 def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[float, float]:
@@ -217,11 +205,32 @@ def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[floa
     return _power(f_base, u), fhat_scale * _power(fhat_base, w)
 
 
+def finite_cpq_at(spec: GroupSpec, u: float, v: float) -> tuple[float, str, float]:
+    """``finite_cpq`` at the reciprocal exponents (u, v) = (1/p, 1/q), and
+    ``closed_form_cpq`` there: the same float where the norm's power of N is
+    0, which is exactly the finite region of spec's view (see
+    ``finite_exponent``), and inf elsewhere."""
+    e, family = finite_exponent(spec.view, u, v)
+    value = _family_value(spec, e, u, v)
+    return value, family, value if e == 0.0 else INF
+
+
 def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:
     """The exact operator norm on spec's N points, the ``family_ratio`` of the
     ``finite_exponent`` winner, and that family."""
-    _, family = finite_exponent(spec.view, recip(p), recip(q))
-    return family_ratio(spec, family, p, q), family
+    value, family, _ = finite_cpq_at(spec, recip(p), recip(q))
+    return value, family
+
+
+def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
+    """The operator norm on the finite region of spec's view; inf elsewhere.
+
+    Compact view: alpha(X)^(1 - 1/p - 1/q) on R1.  Discrete view:
+    dual total mass^(1/p + 1/q - 1) on R2'.  On those regions the norm on
+    the finite group does not grow with N, and this is ``finite_cpq``'s
+    value, bit for bit.
+    """
+    return finite_cpq_at(spec, recip(p), recip(q))[2]
 
 
 def hausdorff_young_check(f: MeasuredFunction, p: float) -> float:

@@ -197,16 +197,6 @@ def reflect(f: MeasuredFunction) -> MeasuredFunction:
     return MeasuredFunction(f.spec, f.side, grid.ravel())
 
 
-def l2_norm(f: MeasuredFunction) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.atom))
-
-
-def parseval_defect(f: MeasuredFunction) -> float:
-    """| ||f||_2 - ||fhat||_2 |, which is ~0 under matched Haar measures."""
-    other = forward(f) if f.side == TIME else inverse(f)
-    return abs(l2_norm(f) - l2_norm(other))
-
-
 # -- CSV interchange ---------------------------------------------------------
 
 _COLUMNS = ["index_tuple", "re", "im"]

@@ -19,36 +19,8 @@ from .witnesses import EXTREMALS
 #: Relative threshold deciding "nonzero" for support counting.
 SUPPORT_RTOL = 1e-12
 
-#: How far a density's mass, or a wavefunction's squared L2 norm, may be from 1.
+#: How far a wavefunction's squared L2 norm may be from 1.
 MASS_TOL = 1e-10
-
-
-@dataclass
-class Density:
-    """A probability density: nonnegative values integrating to 1."""
-
-    base: MeasuredFunction
-
-    def __post_init__(self):
-        vals = self.base.values
-        if np.any(vals.imag != 0.0) or np.any(vals.real < 0.0):
-            raise ValueError("density values must be nonnegative reals")
-        total = lp_norm(self.base, 1.0)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"density mass {total} is not 1 within {MASS_TOL}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values.real
-
-    @property
-    def atom(self) -> float:
-        return self.base.atom
-
-    @classmethod
-    def from_wavefunction(cls, psi: MeasuredFunction) -> "Density":
-        vals = np.abs(psi.values) ** 2
-        return cls(MeasuredFunction(psi.spec, psi.side, vals.astype(np.complex128)))
 
 
 def _support_count(values: np.ndarray) -> int:
@@ -59,21 +31,32 @@ def _support_count(values: np.ndarray) -> int:
     return int(np.count_nonzero(mags > SUPPORT_RTOL * peak))
 
 
-def renyi_entropy(density: Density, order: float) -> float:
-    """(1/(1-order)) log sum f^order atom, which is log ||f||_order / (1/order - 1).
+def _unit_l2(psi: MeasuredFunction):
+    total = lp_norm(psi, 2.0) ** 2
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"psi must have unit L2 norm; got squared mass {total}")
 
-    Order 0 is the log support measure and order 1 Shannon's entropy, the
-    limits of that formula.  Every other order, infinity (-log max f)
+
+def renyi_entropy(psi: MeasuredFunction, order: float) -> float:
+    """The Renyi entropy of the density |psi|^2 of a unit-L2 psi,
+    (1/(1-order)) log sum |psi|^(2 order) atom, which is
+    2 log ||psi||_(2 order) / (1/order - 1).
+
+    Order 0 is the log support measure, with the support counted as
+    ``donoho_stark_check`` counts it, and order 1 Shannon's entropy, the
+    limits of that formula.  Every other order, infinity (-log max |psi|^2)
     included, goes through ``log_lp_norm``, so no order overflows or
-    underflows.  A negative or NaN order raises ValueError.
+    underflows.  A negative or NaN order raises ValueError, and so does a
+    psi whose squared L2 norm is more than ``MASS_TOL`` from 1.
     """
-    vals = density.values
+    _unit_l2(psi)
     if order == 0.0:
-        return math.log(_support_count(vals) * density.atom)
+        return math.log(_support_count(psi.values) * psi.atom)
     if order == 1.0:
-        positive = vals[vals > 0.0]
-        return float(-np.sum(positive * np.log(positive)) * density.atom)
-    return log_lp_norm(density.base, order) / (recip(order) - 1.0)
+        density = np.abs(psi.values) ** 2
+        positive = density[density > 0.0]
+        return float(-np.sum(positive * np.log(positive)) * psi.atom)
+    return 2.0 * log_lp_norm(psi, 2.0 * order) / (recip(order) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -82,12 +65,6 @@ class UPReport:
     rhs: float
     margin: float
     satisfied: bool
-
-
-def _unit_l2(psi: MeasuredFunction):
-    total = lp_norm(psi, 2.0) ** 2
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"psi must have unit L2 norm; got squared mass {total}")
 
 
 def weighted_entropy_sum(psi: MeasuredFunction, p: float, q: float) -> float:
@@ -204,15 +181,11 @@ def weighted_up_violator(
 
 def unweighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
     """h_{p/2}(|psi|^2) + h_{q/2}(|psihat|^2) >= 0 whenever 1/p + 1/q >= 1."""
-    _unit_l2(psi)
     u, v = recip(p), recip(q)
     if u + v < 1.0:
         raise ValueError("the unweighted inequality needs 1/p + 1/q >= 1")
-    dens_time = Density.from_wavefunction(psi)
-    dens_freq = Density.from_wavefunction(forward(psi))
-    lhs = renyi_entropy(dens_time, p / 2.0) + renyi_entropy(dens_freq, q / 2.0)
-    margin = lhs - 0.0
-    return UPReport(lhs=lhs, rhs=0.0, margin=margin, satisfied=margin >= -1e-9)
+    lhs = renyi_entropy(psi, p / 2.0) + renyi_entropy(forward(psi), q / 2.0)
+    return UPReport(lhs=lhs, rhs=0.0, margin=lhs, satisfied=lhs >= -1e-9)
 
 
 def support_measure(spec: GroupSpec, n_t: int, n_w: int) -> float:

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelfourier import cli, transform, uncertainty, witnesses
 from abelfourier.cli import FAMILIES, main
-from abelfourier.groups import GroupSpec
+from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
+from abelfourier.norms import classify, exponent_value, recip
 from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
 
 
@@ -445,6 +446,64 @@ def test_cpq_reports_finite_norm_and_extremal(capsys):
     assert payload["extremal"] == "bi_unimodular"
     assert payload["value"] == "inf"  # the infinite-group norm, as before
     assert out.endswith('  "value": "inf"\n}\n')
+
+
+@pytest.mark.parametrize(
+    "group, p, q, want",
+    [("cyclic:6;view=discrete;mass=2.5", "1", "1", "0.4"),
+     ("cyclic:6;view=compact;mass=0.3", "1.5", "3", "1.0")],
+)
+def test_cpq_prints_the_finite_region_norm_once(capsys, group, p, q, want):
+    code, out, err = run(capsys, "cpq", "--group", group, "--p", p, "--q", q)
+    assert code == 0, err
+    assert f'  "finite_norm": {want},\n' in out
+    assert out.endswith(f'  "value": {want}\n}}\n')
+
+
+@st.composite
+def _finite_region_point(draw):
+    """(side, u, v) on the finite region of side, its edges included."""
+    side = draw(st.sampled_from([COMPACT, DISCRETE]))
+    if side == COMPACT:
+        v = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5, allow_subnormal=False)))
+        top = 1.0 - v
+        u = draw(st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top, allow_subnormal=False)))
+    else:
+        u = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 3.0)))
+        low = max(0.0, 1.0 - u)
+        v = draw(st.one_of(st.just(low), st.floats(low, 3.0, allow_subnormal=False)))
+    return side, u, v
+
+
+def _cli_out(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    point=_finite_region_point(),
+    mass=st.floats(1e-3, 1e3),
+    orders=st.lists(st.integers(2, 64), min_size=1, max_size=3),
+)
+def test_finite_region_commands_print_one_float_for_the_norm(point, mass, orders):
+    side, u, v = point
+    p, q = exponent_value(u), exponent_value(v)
+    u, v = recip(p), recip(q)  # what cpq and estimate compare
+    assume(classify(side, u, v).finite)
+    group = "cyclic:" + "x".join(map(str, orders)) + f";view={side};mass={mass!r}"
+    pq = ("--p", repr(p), "--q", repr(q))
+    cpq = json.loads(_cli_out("cpq", "--group", group, *pq))
+    assert cpq["value"] == cpq["finite_norm"]
+    est = json.loads(_cli_out("estimate", "--group", group, *pq))
+    assert est["closed_form"] == est["estimate"] == cpq["finite_norm"]
+    uv = ("--side", side, "--group", group)
+    region = json.loads(_cli_out("region", "--u", repr(u), "--v", repr(v), *uv))
+    assert region["value"] == cpq["finite_norm"]
+    sweep = _cli_out("sweep", "--kind", "region", "--u-values", repr(u), "--v-values", repr(v), *uv)
+    assert sweep.splitlines()[1].split(",")[-1] == repr(float(cpq["finite_norm"]))
 
 
 @pytest.mark.parametrize("level", [1e-3, 1e3])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelfourier import estimator
+from abelfourier.cli import main
 from abelfourier.estimator import (
     EstimatorConfig,
     ascent_estimate,
-    estimate_norm,
     log_convexity_check,
     log_ratio_and_grad,
     ratio,
@@ -124,16 +125,18 @@ def test_structured_search_evaluates_at_most_three_candidates(monkeypatch):
         assert len(calls) == 3
 
 
-def test_estimate_norm_runs_no_search(monkeypatch):
+def test_estimate_norm_runs_no_search(monkeypatch, capsys):
+    # the estimate command prints finite_cpq and calls no search
     calls = [
         _count_calls(monkeypatch, name)
         for name in ("structured_search", "ascent_estimate", "log_ratio_and_grad", "ratio")
     ]
     spec = GroupSpec(orders=(4,), view=DISCRETE, mass=1.0)
     for p, q in [(INF, 2.0), (1.5, INF), (INF, INF), (1.5, 3.0)]:
-        est = estimate_norm(spec, p, q)
-        assert est.iterations == 0 and est.converged
-        assert (est.value, est.extremal) == finite_cpq(spec, p, q)
+        assert main(["estimate", "--group", spec.describe(), "--p", repr(p), "--q", repr(q)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["iterations"] == 0 and out["converged"]
+        assert (out["estimate"], out["extremal"]) == finite_cpq(spec, p, q)
     assert all(not c for c in calls)
 
 
@@ -177,10 +180,10 @@ def test_ascent_reaches_closed_form_tiny_groups():
 def test_estimate_is_sound_lower_bound():
     # estimates are achieved by their witnesses, even in infinite regions
     spec = GroupSpec(orders=(6,), view=COMPACT, mass=1.0)
-    est = estimate_norm(spec, 1.0, 1.0)  # R2: true norm infinite at scale
-    recomputed = ratio(est.witness, 1.0, 1.0)
-    assert est.value == pytest.approx(recomputed, rel=1e-12)
-    assert est.value >= 1.0
+    value, family = finite_cpq(spec, 1.0, 1.0)  # R2: true norm infinite at scale
+    recomputed = ratio(estimator.EXTREMALS[family](spec), 1.0, 1.0)
+    assert value == pytest.approx(recomputed, rel=1e-12)
+    assert value >= 1.0
 
 
 def test_infinite_exponents_fall_back_to_structured():
@@ -286,17 +289,14 @@ def test_bi_unimodular_values_are_bi_unimodular(orders, view, mass):
 )
 def test_estimate_norm_regressions(group, p, q, expected, family):
     spec = GroupSpec.parse(group)
-    est = estimate_norm(spec, p, q)
-    assert est.value == pytest.approx(expected, rel=1e-12)
-    assert est.extremal == family
-    assert ratio(est.witness, p, q) == pytest.approx(expected, rel=1e-12)
+    assert finite_cpq(spec, p, q) == (pytest.approx(expected, rel=1e-12), family)
+    assert ratio(estimator.EXTREMALS[family](spec), p, q) == pytest.approx(expected, rel=1e-12)
     # the search over the same three candidates agrees; the old one missed 5^(1/6)
     assert structured_search(spec, p, q).value == pytest.approx(expected, rel=1e-12)
 
 
-def test_estimate_norm_past_the_cap_has_no_witness():
+def test_finite_cpq_answers_past_the_cap():
     spec = GroupSpec(orders=(2048, 1024))
     assert spec.size > EXHAUSTIVE_CAP
-    est = estimate_norm(spec, 6.0, 0.8)
-    assert est.witness is None and est.extremal == "bi_unimodular"
-    assert est.value == pytest.approx(2.0 ** (21 * 0.75), rel=1e-12)
+    assert finite_cpq(spec, 6.0, 0.8) == (pytest.approx(2.0 ** (21 * 0.75), rel=1e-12),
+                                          "bi_unimodular")

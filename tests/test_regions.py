@@ -1,10 +1,13 @@
+import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abelfourier.cli import main
 from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
@@ -17,6 +20,7 @@ from abelfourier.norms import (
     family_exponents,
     family_ratio,
     finite_cpq,
+    finite_cpq_at,
     finite_exponent,
     hausdorff_young_check,
     holder_conjugate,
@@ -147,7 +151,7 @@ def test_finite_cpq_equals_closed_form_on_finite_regions(orders, side, mass, u, 
     if closed == INF:
         assert finite_exponent(side, recip(p), recip(q))[0] > 0.0
     else:
-        assert value == pytest.approx(closed, rel=1e-12)
+        assert value == closed
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -271,12 +275,31 @@ def test_closed_form_log_affine():
     assert abs(logs[1] - 0.5 * (logs[0] + logs[2])) < 1e-12
 
 
-def test_classify_fills_value():
-    spec = GroupSpec(orders=(4,), view=DISCRETE, mass=0.25)
-    verdict = classify(DISCRETE, 1.0, 1.0, spec=spec)
-    assert verdict.value == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        classify(COMPACT, 0.1, 0.1, spec=spec)
+def test_region_group_fills_value(capsys):
+    group = ("--group", "cyclic:4;view=discrete;mass=0.25")
+    assert main(["region", "--side", "discrete", "--u", "1", "--v", "1", *group]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 4.0
+    assert main(["region", "--side", "compact", "--u", "0.1", "--v", "0.1", *group]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: spec view 'discrete' does not match side 'compact'\n"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 64), min_size=1, max_size=3).map(tuple),
+    side=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.floats(1e-3, 1e3),
+    u=_RECIP,
+    v=_RECIP,
+)
+def test_finite_region_norm_is_within_an_ulp_of_the_exact_power(orders, side, mass, u, v):
+    # mass^(1 - (u + v)) for the floats mass and 1 - (u + v), to 40 digits
+    assume(classify(side, u, v).finite)
+    value, _, _ = finite_cpq_at(GroupSpec(orders=orders, view=side, mass=mass), u, v)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Decimal(mass) ** Decimal(1.0 - (u + v))
+    assert abs(Decimal(value) - exact) <= Decimal(math.ulp(value))
 
 
 def test_random_functions_respect_closed_form():

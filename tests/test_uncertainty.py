@@ -6,7 +6,7 @@ import pytest
 
 from abelfourier.cli import main
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
-from abelfourier.norms import INF
+from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, lp_norm
 from abelfourier.transform import (
     MeasuredFunction,
     TIME,
@@ -16,7 +16,6 @@ from abelfourier.transform import (
     write_csv,
 )
 from abelfourier.uncertainty import (
-    Density,
     donoho_stark_check,
     in_violation_region,
     in_weighted_region,
@@ -27,6 +26,7 @@ from abelfourier.uncertainty import (
     weighted_up_margin,
     weighted_up_violator,
 )
+from abelfourier.witnesses import EXTREMALS
 
 
 def unit_random(rng, spec):
@@ -57,58 +57,57 @@ def weighted_oracle(psi, p, q):
     return (u - 0.5) * h_time + (0.5 - v) * h_freq
 
 
-def test_density_validation():
-    spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
-    good = Density(MeasuredFunction(spec, TIME, np.ones(4, dtype=np.complex128)))
-    assert good.atom == 0.25
-    with pytest.raises(ValueError):
-        Density(MeasuredFunction(spec, TIME, 2 * np.ones(4, dtype=np.complex128)))
-    with pytest.raises(ValueError):
-        Density(MeasuredFunction(spec, TIME, np.array([4.0, 0, 0, -0.1]) + 0j))
-    with pytest.raises(ValueError):
-        Density(MeasuredFunction(spec, TIME, np.array([4.0j, 0, 0, 0])))
-
-
 def test_density_from_wavefunction():
+    # the entropies are those of |psi|^2, here 1 at every point of Z/4
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
     psi = MeasuredFunction(spec, TIME, np.array([1.0, -1.0, 1.0j, -1.0j]))
-    d = Density.from_wavefunction(psi)
-    assert np.allclose(d.values, 1.0)
-    with pytest.raises(ValueError, match="density mass"):
-        Density.from_wavefunction(MeasuredFunction(spec, TIME, np.full(4, 3.0 + 0j)))
+    for order in (0.0, 0.5, 1.0, 2.0, INF):
+        assert renyi_entropy(psi, order) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="unit L2 norm"):
+        renyi_entropy(MeasuredFunction(spec, TIME, np.full(4, 3.0 + 0j)), 2.0)
 
 
 def test_renyi_uniform_density_zero():
     spec = GroupSpec(orders=(6,), view=COMPACT, mass=1.0)
-    d = Density(MeasuredFunction(spec, TIME, np.ones(6, dtype=np.complex128)))
+    psi = MeasuredFunction(spec, TIME, np.ones(6, dtype=np.complex128))
     for order in (0.0, 0.25, 1.0, 2.0, INF):
-        assert renyi_entropy(d, order) == pytest.approx(0.0, abs=1e-12)
+        assert renyi_entropy(psi, order) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_renyi_point_mass():
-    # density 4*delta_0 on Z/4 compact mass 1: entropy -log 4 for every order
+    # density |psi|^2 = 4*delta_0 on Z/4 compact mass 1: entropy -log 4 for every order
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
     vals = np.zeros(4, dtype=np.complex128)
-    vals[0] = 4.0
-    d = Density(MeasuredFunction(spec, TIME, vals))
+    vals[0] = 2.0
+    psi = MeasuredFunction(spec, TIME, vals)
     for order in (0.0, 0.5, 1.0, 3.0, INF):
-        assert renyi_entropy(d, order) == pytest.approx(-math.log(4.0))
+        assert renyi_entropy(psi, order) == pytest.approx(-math.log(4.0))
 
 
 def test_renyi_order_zero_is_log_support_measure():
     spec = GroupSpec(orders=(8,), view=COMPACT, mass=1.0)
     vals = np.zeros(8, dtype=np.complex128)
-    vals[:2] = 4.0  # mass 2 * 4 * 1/8 = 1
-    d = Density(MeasuredFunction(spec, TIME, vals))
-    assert renyi_entropy(d, 0.0) == pytest.approx(math.log(2 * 0.125))
+    vals[:2] = 2.0  # mass 2 * 4 * 1/8 = 1
+    psi = MeasuredFunction(spec, TIME, vals)
+    assert renyi_entropy(psi, 0.0) == pytest.approx(math.log(2 * 0.125))
+
+
+def test_renyi_order_zero_counts_the_support_as_donoho_stark_does():
+    # |psi| at 1e-9 of its peak is in the support (the rule of
+    # donoho_stark_check: |psi| above 1e-12 of its peak), though its
+    # |psi|^2 is only 1e-18 of the peak of |psi|^2
+    spec = GroupSpec(orders=(4,), view=DISCRETE, mass=1.0)
+    psi = MeasuredFunction(spec, TIME, np.array([1.0, 1e-9, 0.0, 0.0], dtype=np.complex128))
+    assert donoho_stark_check(psi)[0] == 2
+    assert renyi_entropy(psi, 0.0) == math.log(2.0)
 
 
 @pytest.mark.parametrize("order", [-0.5, math.nan])
 def test_renyi_rejects_negative_and_nan_order(order):
     spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
-    d = Density(MeasuredFunction(spec, TIME, np.ones(4, dtype=np.complex128)))
+    psi = MeasuredFunction(spec, TIME, np.ones(4, dtype=np.complex128))
     with pytest.raises(ValueError):
-        renyi_entropy(d, order)
+        renyi_entropy(psi, order)
 
 
 @pytest.mark.parametrize("view, mass", [(DISCRETE, 1.0), (COMPACT, 0.1)])
@@ -120,9 +119,9 @@ def test_renyi_at_order_1500_below_and_above_one(view, mass):
     raw = rng.uniform(0.5, 1.5, size=8)
     raw /= raw.sum() * spec.primal_atom
     assert np.all(raw < 1.0) if view == DISCRETE else np.all(raw > 1.0)
-    d = Density(MeasuredFunction(spec, TIME, raw.astype(np.complex128)))
+    psi = MeasuredFunction(spec, TIME, np.sqrt(raw).astype(np.complex128))
     want = renyi_oracle(raw, spec.primal_atom, 1500.0)
-    assert renyi_entropy(d, 1500.0) == pytest.approx(want, rel=1e-12)
+    assert renyi_entropy(psi, 1500.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_renyi_monotone_in_order():
@@ -132,8 +131,8 @@ def test_renyi_monotone_in_order():
         spec = GroupSpec(orders=(8,), view=COMPACT if rng.integers(2) else DISCRETE, mass=1.0)
         raw = rng.uniform(0.0, 1.0, size=8)
         raw /= raw.sum() * spec.primal_atom
-        d = Density(MeasuredFunction(spec, TIME, raw.astype(np.complex128)))
-        ents = [renyi_entropy(d, o) for o in orders]
+        psi = MeasuredFunction(spec, TIME, np.sqrt(raw).astype(np.complex128))
+        ents = [renyi_entropy(psi, o) for o in orders]
         for a, b in zip(ents, ents[1:]):
             assert b <= a + 1e-10
 
@@ -295,6 +294,48 @@ def test_unweighted_margin():
     assert abs(unweighted_up_margin(delta(dspec), 1.0, 2.0).margin) <= 1e-12
     with pytest.raises(ValueError):
         unweighted_up_margin(delta(dspec), 4.0, 4.0)
+
+
+def direct_renyi(density, atom, order):
+    """log(sum density^order atom) / (1 - order) as written, with its limits
+    -log max at infinity and Shannon's entropy at order 1."""
+    if order == INF:
+        return -math.log(float(density.max()))
+    if order == 1.0:
+        positive = density[density > 0.0]
+        return float(-np.sum(positive * np.log(positive)) * atom)
+    return math.log(float(np.sum(density**order)) * atom) / (1.0 - order)
+
+
+def test_unweighted_lhs_is_the_direct_density_formula():
+    rng = np.random.default_rng(113)
+    points = [(2.0, 2.0), (2.0, 1.5), (1.0, INF), (0.8, INF), (1.0, 1.0), (1.5, 2.5),
+              (1.2, 3.0), (0.6, 4.0)]  # p = 2 is Shannon's entropy on the time side
+    for _ in range(300):
+        orders = tuple(int(m) for m in rng.integers(2, 7, size=int(rng.integers(1, 3))))
+        view = COMPACT if rng.integers(2) else DISCRETE
+        spec = GroupSpec(orders=orders, view=view, mass=float(rng.uniform(0.25, 4.0)))
+        psi = unit_random(rng, spec)
+        psihat = forward(psi)
+        for p, q in points:
+            want = (direct_renyi(np.abs(psi.values) ** 2, psi.atom, p / 2.0)
+                    + direct_renyi(np.abs(psihat.values) ** 2, psihat.atom, q / 2.0))
+            assert abs(unweighted_up_margin(psi, p, q).lhs - want) <= 1e-13
+
+
+@pytest.mark.parametrize("view", [COMPACT, DISCRETE])
+@pytest.mark.parametrize("mass", [1.0, 0.3, 2.5])
+def test_unweighted_margin_of_the_extremal_families(view, mass):
+    # each |psi|^2 and |psihat|^2 is flat on its support, so every entropy is
+    # the log of its support measure: the delta and the constant have
+    # support measures multiplying to 1 and margin 0; the bi-unimodular
+    # function is flat on all N points on both sides, and its margin is log N
+    spec = GroupSpec(orders=(3, 4), view=view, mass=mass)
+    for family, want in ((CONSTANT, 0.0), (DELTA, 0.0), (BI_UNIMODULAR, math.log(12.0))):
+        f = EXTREMALS[family](spec)
+        psi = MeasuredFunction(spec, TIME, f.values / lp_norm(f, 2.0))
+        for p, q in [(1.0, 1.0), (2.0, 2.0), (1.5, 2.5), (1.0, INF), (0.5, 0.5)]:
+            assert unweighted_up_margin(psi, p, q).margin == pytest.approx(want, abs=1e-12)
 
 
 def test_support_product():
