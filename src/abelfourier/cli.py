@@ -13,7 +13,7 @@ import csv
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
@@ -188,13 +188,13 @@ def _cmd_norm(args) -> int:
 def _region(side: str, u: float, v: float, spec: GroupSpec | None):
     """``classify``'s verdict at (u, v) and, at a finite point when spec is
     given, the norm there from ``finite_cpq_at`` (else None).  A spec whose
-    view is not ``side`` is an error at a finite point."""
+    view is not ``side`` is an error at every point."""
     verdict = classify(side, u, v)
-    if not verdict.finite or spec is None:
+    if spec is None:
         return verdict, None
     if spec.view != side:
         raise ValueError(f"spec view {spec.view!r} does not match side {side!r}")
-    return verdict, finite_cpq_at(spec, u, v)[2]
+    return verdict, finite_cpq_at(spec, u, v)[2] if verdict.finite else None
 
 
 def _cmd_region(args) -> int:
@@ -332,6 +332,43 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
+def _run_points(one: Callable, todo: list, workers: int) -> list:
+    """``[one(x) for x in todo]``, computed by the calling thread and
+    ``min(workers, len(todo)) - 1`` helper threads, so one worker starts no
+    thread.  Each thread takes the next point in order from one shared
+    iterator.  Once a point has failed no new point starts; the points
+    already started finish, and the exception raised is that of the first
+    failing point in ``todo``'s order (every point before it has started)."""
+    rows = [None] * len(todo)
+    errors = {}  # index of each failed point -> its exception
+    points = enumerate(todo)
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                item = None if errors else next(points, None)
+            if item is None:
+                return
+            i, x = item
+            try:
+                rows[i] = one(x)
+            except BaseException as exc:  # re-raised below, once every thread has stopped
+                with lock:
+                    errors[i] = exc
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(todo)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return rows
+
+
 def _cmd_sweep(args) -> int:
     # Every row is computed before --output is opened, so a usage or capacity
     # error leaves no partial CSV on stdout and no output file.
@@ -365,8 +402,7 @@ def _cmd_sweep(args) -> int:
             sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
             return _sweep_row(_witness(sub))
 
-    with ThreadPoolExecutor(max_workers=args.workers) as ex:
-        rows = list(ex.map(one, todo))
+    rows = _run_points(one, todo, args.workers)
     out, close = _open_out(args.output)
     try:
         csv.writer(out, lineterminator="\n").writerows([header, *rows])

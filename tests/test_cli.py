@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
+import threading
 import time
 import warnings
 from decimal import Decimal
@@ -549,6 +552,117 @@ def test_sweep_deterministic_across_workers(capsys):
     _, out1, _ = run(capsys, *args, "--workers", "1")
     _, out4, _ = run(capsys, *args, "--workers", "4")
     assert out1 == out4
+
+
+# every family's pinned sweep (2-3 points each) and a 4-point region sweep
+WORKER_SWEEPS = [
+    *[pytest.param(c["argv"], id=_golden_id(c)) for c in GOLDEN["cases"] if c["argv"][0] == "sweep"],
+    pytest.param(["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.25,0.75",
+                  "--v-values", "0.25,0.75", "--group", "cyclic:4;view=compact;mass=1"],
+                 id="sweep-region"),
+]
+
+
+@pytest.mark.parametrize("argv", WORKER_SWEEPS)
+def test_sweep_stdout_is_the_same_at_every_worker_count(capsys, argv):
+    outs = set()
+    for workers in ("1", "2", "3", "8"):
+        # a later --workers overrides one in argv
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code == 0, err
+        outs.add(out)
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3", "8"])
+@pytest.mark.parametrize(
+    "params, want",
+    [
+        ("1,2000000", (2, "error: m must be >= 2\n")),
+        ("2000000,1", (3, "capacity error: group (Z/2000000)^1 has more than 1048576 "
+                          "elements, the exhaustive cap\n")),
+    ],
+)
+def test_sweep_fails_as_its_first_failing_point(capsys, params, want, workers):
+    """Both points fail; the exit code and message are the first point's."""
+    code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", params,
+                         "--workers", workers)
+    assert (code, err) == want
+    assert out == ""
+
+
+def test_sweep_on_one_worker_starts_no_thread(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(cli.threading, "Thread", refuse)
+    code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", "4,8,16",
+                         "--workers", "1")
+    assert code == 0, err
+    assert len(out.splitlines()) == 4
+
+
+def test_sweep_starts_no_point_after_a_failure(capsys, monkeypatch):
+    built = []
+    full_orbit = witnesses.full_orbit_witness
+
+    def counting(m, *args):
+        built.append(m)
+        return full_orbit(m, *args)
+
+    monkeypatch.setattr(witnesses, "full_orbit_witness", counting)
+    code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", "8,1,16",
+                         "--workers", "1")
+    assert (code, out, err) == (2, "", "error: m must be >= 2\n")
+    assert built == [8, 1]
+
+
+def test_run_points_under_fast_thread_switching():
+    """Many short points on 8 threads, switching every microsecond: every row
+    lands at its point's index, points start in order, and a failure raises
+    the first failing point's exception."""
+    todo = list(range(300))
+    fails = {120, 180}
+    started = []
+
+    def one(x):
+        started.append(x)
+        if x in fails:
+            raise ValueError(x)
+        return x * x
+
+    results = {}
+
+    def both():
+        results["rows"] = cli._run_points(lambda x: x * x, todo, 8)
+        with pytest.raises(ValueError) as info:
+            cli._run_points(one, todo, 8)
+        results["raised"] = info.value.args[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=both)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert results["rows"] == [x * x for x in todo]
+    assert results["raised"] == min(fails)
+    # points start in order, so the started ones are a prefix of todo
+    assert sorted(started) == todo[:len(started)]
+    assert len(started) > min(fails)
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import abelfourier.cli, sys; assert 'concurrent.futures' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )
 
 
 def test_sweep_region_csv(capsys):

@@ -284,6 +284,23 @@ def test_region_group_fills_value(capsys):
     assert err == "error: spec view 'discrete' does not match side 'compact'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--side", "compact", "--u", "0.9", "--v", "0.2"],
+        ["sweep", "--kind", "region", "--side", "compact", "--u-values", "0.9,0.95",
+         "--v-values", "0.2,0.5"],
+    ],
+    ids=["region", "sweep"],
+)
+def test_group_of_the_other_view_is_an_error_at_infinite_points(capsys, argv):
+    assert not any(classify(COMPACT, u, v).finite for u in (0.9, 0.95) for v in (0.2, 0.5))
+    assert main([*argv, "--group", "cyclic:6;view=discrete"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spec view 'discrete' does not match side 'compact'\n"
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     orders=st.lists(st.integers(2, 64), min_size=1, max_size=3).map(tuple),
