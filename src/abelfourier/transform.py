@@ -9,6 +9,10 @@ Every transform runs through one helper over the factor grid, bitwise equal
 to ``numpy.fft.fftn``/``ifftn``: it takes the axes in ``fftn``'s order, an
 order-2 axis by the butterfly (a + b, a - b) in one vectorized pass in place
 of a strided length-2 FFT; this is the one module that calls ``numpy.fft``.
+A transform returns its values in a new array, except ``inverse(F,
+overwrite=True)``, which computes them in the buffer of ``F.values`` for a
+caller that does not read F again.  Finite values whose transform overflows
+the float range raise CapacityError.
 ``dft_matrix`` builds the dense matrix of the same transform from per-factor
 DFT matrices with exactly reduced phase angles.  It is the reference oracle
 the tests compare the FFT path against, and no production path uses it.
@@ -109,29 +113,40 @@ def character_function(spec: GroupSpec, chi, side: str = TIME) -> MeasuredFuncti
     return MeasuredFunction(spec, side, vals)
 
 
-def _fft_flat(values: np.ndarray, orders, inverse: bool) -> np.ndarray:
+def _fft_flat(values: np.ndarray, orders, inverse: bool, overwrite: bool = False) -> np.ndarray:
     """``numpy.fft.fftn`` (``ifftn`` if ``inverse``) of canonical-order values
     over the factor grid, flattened, and bitwise equal to it.
 
     Axes are taken from last to first, as ``fftn`` takes them.  An order-2
     axis gets numpy's own length-2 kernel, the butterfly (a + b, a - b),
-    halved on the inverse, written into a new array in one vectorized pass;
-    every other axis is one ``fft``/``ifft`` call along it.  So the result is
-    always a new array, which callers may scale in place."""
+    halved on the inverse, in one vectorized pass; every other axis is one
+    ``fft``/``ifft`` call along it.  The first axis writes a new array, and
+    every later axis works in place in it, so the result is a new array,
+    which callers may scale in place.  With ``overwrite`` the first axis
+    works in place too: the result is the buffer of ``values`` (contiguous,
+    as every ``MeasuredFunction``'s values are), and the values it held are
+    gone."""
     grid = values.reshape(orders)
     for axis in reversed(range(len(orders))):
+        out = grid if overwrite else None
         if orders[axis] != 2:
-            grid = (np.fft.ifft if inverse else np.fft.fft)(grid, axis=axis)
-            continue
-        lead = math.prod(orders[:axis])
-        a, b = grid.reshape(lead, 2, -1).transpose(1, 0, 2)
-        grid = np.empty(orders, dtype=np.complex128)
-        pairs = grid.reshape(lead, 2, -1)
-        np.add(a, b, out=pairs[:, 0])
-        np.subtract(a, b, out=pairs[:, 1])
-        if inverse:  # by parts, as numpy scales, so signed zeros stay as they are
-            halves = grid.view(np.float64)
-            halves *= 0.5
+            grid = (np.fft.ifft if inverse else np.fft.fft)(grid, axis=axis, out=out)
+        else:
+            lead = math.prod(orders[:axis])
+            a, b = grid.reshape(lead, 2, -1).transpose(1, 0, 2)
+            if overwrite:  # a - b first, into half a group, while a is unchanged
+                diff = a - b
+                a += b
+                b[...] = diff
+            else:
+                grid = np.empty(orders, dtype=np.complex128)
+                pairs = grid.reshape(lead, 2, -1)
+                np.add(a, b, out=pairs[:, 0])
+                np.subtract(a, b, out=pairs[:, 1])
+            if inverse:  # by parts, as numpy scales, so signed zeros stay as they are
+                halves = grid.view(np.float64)
+                halves *= 0.5
+        overwrite = True  # grid is now an array of this call's own
     return grid.ravel()
 
 
@@ -151,24 +166,43 @@ def dft_matrix(spec: GroupSpec) -> np.ndarray:
     return mat
 
 
+def _transformed(
+    F: MeasuredFunction, side: str, inverse: bool, scales, overwrite: bool = False
+) -> MeasuredFunction:
+    """``_fft_flat`` of F's values (``ifftn`` if ``inverse``), multiplied in
+    place by each of ``scales`` in turn, as a function on ``side``.
+
+    Finite values can overflow the float range in a transform: that raises
+    CapacityError, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _fft_flat(F.values, F.spec.orders, inverse, overwrite)
+        for scale in scales:
+            vals *= scale
+    try:
+        return MeasuredFunction(F.spec, side, vals)
+    except ValueError:  # the values are as many as the elements, so some are not finite
+        raise CapacityError(
+            f"the transform overflows the float range (magnitudes past {np.finfo(float).max:.4g})"
+        ) from None
+
+
 def forward(f: MeasuredFunction) -> MeasuredFunction:
     """Fourier transform of a time-side function."""
     if f.side != TIME:
         raise SideError("forward expects a time-side function")
-    spec = f.spec
-    vals = _fft_flat(f.values, spec.orders, inverse=False)
-    return MeasuredFunction(spec, FREQUENCY, spec.primal_atom * vals)
+    return _transformed(f, FREQUENCY, False, [f.spec.primal_atom])
 
 
-def inverse(F: MeasuredFunction) -> MeasuredFunction:
-    """Inverse transform of a frequency-side function."""
+def inverse(F: MeasuredFunction, *, overwrite: bool = False) -> MeasuredFunction:
+    """Inverse transform of a frequency-side function.
+
+    With ``overwrite`` the transform is computed in the buffer of
+    ``F.values`` and returned in it: F then holds the result's values, not
+    its own, and must not be used again.  Otherwise the result is a new
+    array and F is unchanged."""
     if F.side != FREQUENCY:
         raise SideError("inverse expects a frequency-side function")
-    spec = F.spec
-    vals = _fft_flat(F.values, spec.orders, inverse=True)  # a new array, scaled in place
-    vals *= spec.size
-    vals *= spec.dual_atom
-    return MeasuredFunction(spec, TIME, vals)
+    return _transformed(F, TIME, True, [F.spec.size, F.spec.dual_atom], overwrite)
 
 
 def dual_forward(F: MeasuredFunction) -> MeasuredFunction:
@@ -179,9 +213,7 @@ def dual_forward(F: MeasuredFunction) -> MeasuredFunction:
     """
     if F.side != FREQUENCY:
         raise SideError("dual_forward expects a frequency-side function")
-    spec = F.spec
-    vals = _fft_flat(F.values, spec.orders, inverse=False)
-    return MeasuredFunction(spec, TIME, spec.dual_atom * vals)
+    return _transformed(F, TIME, False, [F.spec.dual_atom])
 
 
 def double_transform(f: MeasuredFunction) -> MeasuredFunction:

@@ -25,7 +25,7 @@ from abelfourier import cli, transform, uncertainty, witnesses
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import classify, exponent_value, recip
-from abelfourier.transform import MeasuredFunction, TIME, forward, read_csv, write_csv
+from abelfourier.transform import FREQUENCY, MeasuredFunction, TIME, forward, read_csv, write_csv
 
 
 def run(capsys, *argv):
@@ -349,6 +349,25 @@ def test_transform_streams_same_bytes_to_stdout_and_file(tmp_path, capsys):
     code, _, err = run(capsys, "transform", "--input", str(src), "--output", str(dst))
     assert code == 0, err
     assert out == dst.read_text() == write_csv(forward(f))
+
+
+@pytest.mark.parametrize("argv, group, side", [
+    (["transform"], "cyclic:2;view=compact;mass=1", TIME),
+    (["transform", "--inverse"], "cyclic:3", FREQUENCY),
+], ids=["forward", "inverse"])
+def test_transform_past_the_float_range_exits_3(tmp_path, capsys, argv, group, side):
+    """Finite values whose transform overflows are a capacity error, not a
+    usage error, and print no numpy warning."""
+    spec = GroupSpec.parse(group)
+    src, dst = tmp_path / "f.csv", tmp_path / "g.csv"
+    src.write_text(write_csv(MeasuredFunction(spec, side, np.full(spec.size, 1e308))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--input", str(src), "--output", str(dst))
+    assert (code, out) == (3, "")
+    assert err == ("capacity error: the transform overflows the float range"
+                   " (magnitudes past 1.798e+308)\n")
+    assert not dst.exists()
 
 
 def test_cli_builds_each_shapes_key_table_once(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelfourier import transform
-from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
+from abelfourier.groups import COMPACT, DISCRETE, CapacityError, GroupSpec
 from abelfourier.norms import lp_norm, parseval_defect
 from abelfourier.transform import (
     FREQUENCY,
@@ -166,9 +166,14 @@ def test_transforms_are_numpy_fftn_bitwise(orders, view, mass, seed):
     assert np.array_equal(_bits(fhat.values),
                           _bits(spec.primal_atom * np.fft.fftn(f.grid()).ravel()))
     F_bits = _bits(F.values).copy()
-    assert np.array_equal(_bits(inverse(F).values),
-                          _bits(spec.dual_atom * (spec.size * np.fft.ifftn(F.grid()).ravel())))
+    want = _bits(spec.dual_atom * (spec.size * np.fft.ifftn(F.grid()).ravel()))
+    assert np.array_equal(_bits(inverse(F).values), want)
     assert np.array_equal(_bits(F.values), F_bits)  # inverse scales its own array only
+    handed = MeasuredFunction(spec, FREQUENCY, F.values.copy())
+    buffer = handed.values
+    in_place = inverse(handed, overwrite=True).values
+    assert np.array_equal(_bits(in_place), want)
+    assert np.shares_memory(in_place, buffer)
     assert np.array_equal(_bits(dual_forward(F).values),
                           _bits(spec.dual_atom * np.fft.fftn(F.grid()).ravel()))
     scale = np.max(np.abs(f.values))
@@ -177,14 +182,33 @@ def test_transforms_are_numpy_fftn_bitwise(orders, view, mass, seed):
     assert np.max(np.abs(double_transform(f).values - reflect(f).values)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("orders", [(2,), (2, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("orders", [(2,), (2, 2, 2), (2, 3, 2), (3, 2, 5)])
 def test_inverse_butterfly_keeps_signed_zeros(orders):
     # -0 + -0 = -0 beside a negative imaginary part: numpy halves the real
     # and imaginary parts apart, where a complex product by 0.5 gives +0.
     # (inverse's own complex scaling by N then turns both into +0.)
     values = np.full(math.prod(orders), complex(-0.0, -1.0))
-    want = np.fft.ifftn(values.reshape(orders)).ravel()
-    assert np.array_equal(_bits(_fft_flat(values, orders, inverse=True)), _bits(want))
+    want = _bits(np.fft.ifftn(values.reshape(orders)).ravel())
+    assert np.array_equal(_bits(_fft_flat(values, orders, inverse=True)), want)
+    # in place, the butterfly's difference is taken before its sum overwrites a
+    buffer = values.copy()
+    in_place = _fft_flat(buffer, orders, inverse=True, overwrite=True)
+    assert np.array_equal(_bits(in_place), want)
+    assert np.shares_memory(in_place, buffer)
+
+
+@pytest.mark.parametrize("transform_fn, side, orders", [
+    (forward, TIME, (2,)), (inverse, FREQUENCY, (3,)), (dual_forward, FREQUENCY, (2, 3)),
+], ids=["forward", "inverse", "dual_forward"])
+def test_transform_past_the_float_range_is_a_capacity_error(transform_fn, side, orders):
+    """Finite values near the largest float overflow in the transform: a
+    CapacityError naming the float range, and no numpy warning."""
+    spec = GroupSpec(orders=orders, view=COMPACT)
+    f = MeasuredFunction(spec, side, np.full(spec.size, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError, match="overflows the float range"):
+            transform_fn(f)
 
 
 def test_reflect_involution():

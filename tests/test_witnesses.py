@@ -292,9 +292,9 @@ def _spy_fft_sizes(monkeypatch):
     sizes = []
     fft_flat = transform._fft_flat
 
-    def spy(values, orders, inverse):
+    def spy(values, *args, **kwargs):
         sizes.append(values.size)
-        return fft_flat(values, orders, inverse)
+        return fft_flat(values, *args, **kwargs)
 
     monkeypatch.setattr(transform, "_fft_flat", spy)
     return sizes
@@ -448,6 +448,25 @@ def test_lacunary_discrete_even_grid_transforms_one_period(monkeypatch):
     lacunary_discrete_witness(6, 3.0, 1.0)
     lacunary_discrete_witness(6, 3.0, 1.0, grid_points=8 * 2**6 + 1)
     assert sizes == [4 * 2**6, 8 * 2**6 + 1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lacunary_compact_witness(64, 3.0, 1.5),
+    lambda: lacunary_discrete_witness(4, 3.0, 1.5),
+], ids=["lacunary_compact", "lacunary_discrete"])
+def test_lacunary_witnesses_transform_their_vectors_in_place(monkeypatch, build):
+    """Both lacunary witnesses hand their frequency vectors to ``inverse``,
+    which reuses them; the other five families run no transform at all
+    (``test_separable_routes_transform_no_whole_group``)."""
+    calls = []
+
+    def spy(F, **kwargs):
+        calls.append(kwargs)
+        return inverse(F, **kwargs)
+
+    monkeypatch.setattr(witnesses, "inverse", spy)
+    build()
+    assert calls == [{"overwrite": True}]
 
 
 def test_lacunary_discrete_fhat_grows():
