@@ -617,10 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
     2-core host), far more than an ``estimate`` call's own work, so ``main``
     reuses it.  ``parser.subcommand_parsers`` maps each subcommand's name to
     its own parser, the one the top-level parser hands the arguments after
-    the name to; ``main`` calls that parser directly (see ``_parse_args``).
-    The returned parser is shared: do not mutate it (add arguments, set
-    defaults).  ``build_parser.__wrapped__()`` builds a fresh one.  Reuse is
-    safe because:
+    the name to, and ``parser.subcommand_options`` maps it to a dict from
+    each of that parser's exact option strings (``--group``, ``--p``, ...)
+    to the ``Action`` its ``add_argument`` returned.  ``_parse_args`` reads
+    well-formed arguments from that table and hands the rest to the
+    subcommand's parser.  The returned parser is shared: do not mutate it
+    (add arguments, set defaults).  ``build_parser.__wrapped__()`` builds a
+    fresh one.  Reuse is safe because:
 
     - ``parse_args`` and ``parse_known_args`` make a new ``Namespace`` (or
       fill the one passed) on every call and do not mutate the parser;
@@ -636,77 +639,90 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--selftest", action="store_true", help="run a fast acceptance subset")
     sub = parser.add_subparsers(dest="subcommand")
     parser.subcommand_parsers = {}
+    parser.subcommand_options = {}
 
     def add_subcommand(name, help):
+        """The ``add_argument`` of a new subcommand's parser, which also
+        files each returned action under its option strings.  It takes the
+        two kinds of action that ``_read_exact`` reads, store and
+        ``store_true``, and no other."""
         parser.subcommand_parsers[name] = sp = sub.add_parser(name, help=help)
-        return sp
+        options = parser.subcommand_options[name] = {}
 
-    sp = add_subcommand("info", "describe a group spec")
-    sp.add_argument("--group", required=True)
+        def add(*flags, **kwargs):
+            if kwargs.get("action", "store") not in ("store", "store_true"):
+                raise ValueError(f"{flags}: only store and store_true options")
+            action = sp.add_argument(*flags, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
 
-    sp = add_subcommand("transform", "Fourier transform of a CSV function")
-    sp.add_argument("--input", default="-")
-    sp.add_argument("--output", default="-")
-    sp.add_argument("--inverse", action="store_true")
+        return add
 
-    sp = add_subcommand("norm", "L^p norm of a CSV function")
-    sp.add_argument("--input", default="-")
-    sp.add_argument("--p", type=_exponent, required=True)
+    add = add_subcommand("info", "describe a group spec")
+    add("--group", required=True)
 
-    sp = add_subcommand("region", "classify a point in the (1/p, 1/q) plane")
-    sp.add_argument("--side", choices=[COMPACT, DISCRETE], required=True)
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--v", type=float, required=True)
-    sp.add_argument("--group")
+    add = add_subcommand("transform", "Fourier transform of a CSV function")
+    add("--input", default="-")
+    add("--output", default="-")
+    add("--inverse", action="store_true")
 
-    sp = add_subcommand("cpq", "closed-form operator norm, infinite group and finite")
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--p", type=_exponent, required=True)
-    sp.add_argument("--q", type=_exponent, required=True)
+    add = add_subcommand("norm", "L^p norm of a CSV function")
+    add("--input", default="-")
+    add("--p", type=_exponent, required=True)
 
-    def add_witness_flags(sp):
-        sp.add_argument("--p", type=_exponent)
-        sp.add_argument("--q", type=_exponent)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--r", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--grid", type=int)
+    add = add_subcommand("region", "classify a point in the (1/p, 1/q) plane")
+    add("--side", choices=[COMPACT, DISCRETE], required=True)
+    add("--u", type=float, required=True)
+    add("--v", type=float, required=True)
+    add("--group")
 
-    sp = add_subcommand("witness", "evaluate one witness family member")
-    sp.add_argument("--family", choices=list(FAMILIES), required=True)
-    add_witness_flags(sp)
+    add = add_subcommand("cpq", "closed-form operator norm, infinite group and finite")
+    add("--group", required=True)
+    add("--p", type=_exponent, required=True)
+    add("--q", type=_exponent, required=True)
 
-    sp = add_subcommand("sweep", "CSV sweep over witness parameters or region grid")
-    sp.add_argument("--kind", choices=["witness", "region"], default="witness")
-    sp.add_argument("--workers", type=_positive_int, default=1)
-    sp.add_argument("--output", default="-")
-    sp.add_argument("--family", choices=list(FAMILIES))
-    sp.add_argument("--params", type=_int_list, help="comma-separated family parameters")
-    add_witness_flags(sp)
-    sp.add_argument("--side", choices=[COMPACT, DISCRETE])
-    sp.add_argument("--u-values", type=_float_list)
-    sp.add_argument("--v-values", type=_float_list)
-    sp.add_argument("--group")
+    def add_witness_flags(add):
+        add("--p", type=_exponent)
+        add("--q", type=_exponent)
+        add("--k", type=int)
+        add("--m", type=int)
+        add("--r", type=int)
+        add("--n", type=int)
+        add("--grid", type=int)
 
-    sp = add_subcommand("estimate", "exact operator norm on the finite group")
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--p", type=_exponent, required=True)
-    sp.add_argument("--q", type=_exponent, required=True)
+    add = add_subcommand("witness", "evaluate one witness family member")
+    add("--family", choices=list(FAMILIES), required=True)
+    add_witness_flags(add)
+
+    add = add_subcommand("sweep", "CSV sweep over witness parameters or region grid")
+    add("--kind", choices=["witness", "region"], default="witness")
+    add("--workers", type=_positive_int, default=1)
+    add("--output", default="-")
+    add("--family", choices=list(FAMILIES))
+    add("--params", type=_int_list, help="comma-separated family parameters")
+    add_witness_flags(add)
+    add("--side", choices=[COMPACT, DISCRETE])
+    add("--u-values", type=_float_list)
+    add("--v-values", type=_float_list)
+    add("--group")
+
+    add = add_subcommand("estimate", "exact operator norm on the finite group")
+    add("--group", required=True)
+    add("--p", type=_exponent, required=True)
+    add("--q", type=_exponent, required=True)
     no_effect = "accepted for compatibility; has no effect (the norm is exact)"
-    sp.add_argument("--seed", type=int, default=0, help=no_effect)
-    sp.add_argument("--restarts", type=int, default=32, help=no_effect)
-    sp.add_argument("--max-iters", type=int, default=5000, help=no_effect)
+    add("--seed", type=int, default=0, help=no_effect)
+    add("--restarts", type=int, default=32, help=no_effect)
+    add("--max-iters", type=int, default=5000, help=no_effect)
 
-    sp = add_subcommand("uncertainty", "entropic uncertainty checks")
-    sp.add_argument("--mode", choices=["check", "violate", "support"], required=True)
-    sp.add_argument("--input", default="-")
-    sp.add_argument("--p", type=_exponent)
-    sp.add_argument("--q", type=_exponent)
-    sp.add_argument("--unweighted", action="store_true")
-    sp.add_argument("--target", type=float)
-    sp.add_argument("--side", choices=[COMPACT, DISCRETE], default=COMPACT)
-    sp.add_argument("--output")
+    add = add_subcommand("uncertainty", "entropic uncertainty checks")
+    add("--mode", choices=["check", "violate", "support"], required=True)
+    add("--input", default="-")
+    add("--p", type=_exponent)
+    add("--q", type=_exponent)
+    add("--unweighted", action="store_true")
+    add("--target", type=float)
+    add("--side", choices=[COMPACT, DISCRETE], default=COMPACT)
+    add("--output")
 
     return parser
 
@@ -733,23 +749,80 @@ def _top_level_reads(arg: str) -> bool:
     return arg == "--" or arg.startswith(("-=", "--="))
 
 
+def _read_exact(options: dict, argv: list[str]) -> dict | None:
+    """What a subcommand's parser would set from ``argv``, read straight
+    from ``options``, its table of exact option strings, when no argument
+    needs a decision of argparse's; else None.
+
+    Each argument must be an exact option string of a store action followed
+    by its value, which must not start with ``-``, or of a ``store_true``
+    action.  A value goes through the action's ``type`` and then its
+    ``choices``, and the last value of a repeated flag wins; an unseen
+    action takes its default, a string default through ``type``, all as
+    argparse does.  None when an argument is anything else (an abbreviation,
+    ``--p=2``, ``-h``, an unknown flag, a stray value), when a value is
+    missing or starts with ``-`` (argparse decides by a pattern of its own
+    whether ``-1e9`` is a number or a flag), when ``type`` or ``choices``
+    rejects a value, and when a required action is unset."""
+    values = {}
+    args = iter(argv)
+    try:
+        for arg in args:
+            action = options.get(arg)
+            if action is None:
+                return None
+            if action.nargs == 0 and action.const is True:  # store_true
+                values[action.dest] = True
+                continue
+            value = next(args, "-")
+            if action.nargs is not None or value.startswith("-"):
+                return None
+            if action.type is not None:
+                value = action.type(value)
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        for action in options.values():
+            if action.dest not in values:
+                if action.required:
+                    return None
+                default = action.default
+                if isinstance(default, str) and action.type is not None:
+                    default = action.type(default)
+                values[action.dest] = default
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return values
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same result, output and
-    exit, but when ``argv[0]`` names a subcommand its own parser reads
-    ``argv[1:]`` directly.
+    exit, but when ``argv[0]`` names a subcommand ``argv[1:]`` is read
+    without the top-level parser.
 
-    The top-level parser would only check each argument after the name as a
-    possible abbreviation of its own flags and then hand them all to that
-    same parser, which is most of the time a parse takes.  It still reads
-    the whole of ``argv`` when there is no subcommand name first (no
-    arguments, ``--help``, ``--selftest``, an unknown command), when an
-    argument is one it treats itself (``_top_level_reads``), and when the
-    subcommand's parser leaves arguments over, so every help text, error
-    message and exit code is the one a top-level parse gives."""
+    Well-formed arguments, every flag spelled exactly and each value after
+    its flag with no leading ``-``, are read in one pass over the
+    subcommand's option table (``_read_exact``).  Anything else goes to the
+    subcommand's own parser, which is what the top-level parser would hand
+    it to after checking each argument as a possible abbreviation of its own
+    flags.  The top-level parser still reads the whole of ``argv`` when
+    there is no subcommand name first (no arguments, ``--help``,
+    ``--selftest``, an unknown command), when an argument is one it treats
+    itself (``_top_level_reads``), and when the subcommand's parser leaves
+    arguments over, so every help text, error message and exit code is the
+    one a top-level parse gives."""
     parser = build_parser()
-    sub = parser.subcommand_parsers.get(argv[0]) if argv else None
-    if sub is not None and not any(map(_top_level_reads, argv[1:])):
-        namespace = argparse.Namespace(selftest=False, subcommand=argv[0])
+    name = argv[0] if argv else None
+    sub = parser.subcommand_parsers.get(name)
+    if sub is None:
+        return parser.parse_args(argv)
+    # An argument that _top_level_reads flags starts with "-" and is no
+    # option string, so _read_exact hands it over before the scan below.
+    values = _read_exact(parser.subcommand_options[name], argv[1:])
+    if values is not None:
+        return argparse.Namespace(selftest=False, subcommand=name, **values)
+    if not any(map(_top_level_reads, argv[1:])):
+        namespace = argparse.Namespace(selftest=False, subcommand=name)
         args, extras = sub.parse_known_args(argv[1:], namespace)
         if not extras:
             return args
@@ -761,8 +834,10 @@ def main(argv=None) -> int:
 
     May be called repeatedly in one process; the parser is built on the
     first call (see ``build_parser``).  When ``argv[0]`` names a subcommand,
-    that subcommand's own parser reads the rest of ``argv``, with the output
-    and exit of the top-level parser's (see ``_parse_args``).  An argparse
+    the rest of ``argv`` is read from that subcommand's option table when
+    every flag is spelled exactly and no value starts with ``-``, and by
+    its own parser otherwise, with the output and exit of the top-level
+    parser's (see ``_parse_args``).  An argparse
     usage error, or ``--help``, raises ``SystemExit`` (code 2, or 0 for
     help) as argparse does; every other outcome is returned.
     """

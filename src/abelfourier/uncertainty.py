@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, describe_group
-from .norms import CONSTANT, DELTA, closed_form_cpq, log_lp_norm, lp_norm, recip
+from .norms import CONSTANT, DELTA, _power, closed_form_cpq, log_lp_norm, lp_norm, recip
 from .transform import MeasuredFunction, TIME, forward
 from .witnesses import EXTREMALS
 
@@ -32,7 +32,8 @@ def _support_count(values: np.ndarray) -> int:
 
 
 def _unit_l2(psi: MeasuredFunction):
-    total = lp_norm(psi, 2.0) ** 2
+    # inf, not OverflowError, where the squared mass is past the float range
+    total = _power(lp_norm(psi, 2.0), 2.0)
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"psi must have unit L2 norm; got squared mass {total}")
 

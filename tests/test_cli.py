@@ -370,6 +370,55 @@ def test_transform_past_the_float_range_exits_3(tmp_path, capsys, argv, group, s
     assert not dst.exists()
 
 
+# Every command that reads a function CSV, on unit-L2 files (the constant 1
+# on a compact group of mass 1) and a random one.
+_FUNCTION_COMMANDS = [
+    ["transform"],
+    ["transform", "--inverse"],
+    *(["norm", "--p", p] for p in ("0.5", "1", "2", "inf")),
+    ["uncertainty", "--mode", "check", "--p", "1.5", "--q", "3"],
+    ["uncertainty", "--mode", "check", "--unweighted", "--p", "1", "--q", "2"],
+    ["uncertainty", "--mode", "support"],
+]
+
+
+@pytest.mark.parametrize("k", sorted({*range(-1074, 1024, 97), -1074, -1022, -512, 0, 511, 512,
+                                      600, 1000, 1020, 1023}))
+def test_function_commands_scaled_across_the_float_range_exit_cleanly(tmp_path, capsys, k):
+    """Scaled by 2^k anywhere in the float range, every function file makes
+    every command exit 0, 2 or 3 (no exception escapes ``main``), with no
+    warning and no traceback."""
+    rng = np.random.default_rng(7)
+    files = []
+    for group, values in [
+        ("cyclic:4x3", np.ones(12)),
+        ("cyclic:2", np.ones(2)),
+        ("cyclic:4x3;view=discrete;mass=0.5", rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)),
+    ]:
+        scaled = np.ldexp(values.real, k) + 1j * np.ldexp(values.imag, k)
+        files.append(tmp_path / f"f{len(files)}.csv")
+        files[-1].write_text(write_csv(MeasuredFunction(GroupSpec.parse(group), TIME, scaled)))
+    for src in files:
+        for argv in _FUNCTION_COMMANDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run(capsys, *argv, "--input", str(src))
+            assert code in (0, 2, 3) and "Traceback" not in err, (k, src.name, argv, code, err)
+
+
+def test_uncertainty_check_past_the_float_range_is_usage_error(tmp_path, capsys):
+    """A squared L2 mass past the float range fails the unit-mass check
+    (exit 2) weighted and unweighted, instead of overflowing."""
+    src = tmp_path / "big.csv"
+    spec = GroupSpec.parse("cyclic:2;view=compact;mass=1")
+    src.write_text(write_csv(MeasuredFunction(spec, TIME, np.full(2, 1e308))))
+    for flags in ([], ["--unweighted"]):
+        code, out, err = run(capsys, "uncertainty", "--mode", "check", *flags,
+                             "--p", "1.5", "--q", "3", "--input", str(src))
+        assert (code, out) == (2, "")
+        assert err == "error: psi must have unit L2 norm; got squared mass inf\n"
+
+
 def test_cli_builds_each_shapes_key_table_once(tmp_path, capsys, monkeypatch):
     """A transform reads and writes one shape, and in-process calls on one
     file reuse its key table; a second shape builds its own."""
@@ -1144,6 +1193,8 @@ def _mutate(argv, kind, i):
     """``argv`` with one change of ``kind``; ``i`` picks where."""
     argv = list(argv)
     flags = [j for j, a in enumerate(argv) if a.startswith("--") and len(a) > 3]
+    # every flag followed by a value
+    valued = [j for j, a in enumerate(argv[:-1]) if a.startswith("--") and argv[j + 1][:1] != "-"]
     if kind == "abbreviate" and flags:  # --group -> --grou, --gro, ...
         j = flags[i % len(flags)]
         argv[j] = argv[j][:max(3, len(argv[j]) - 1 - i % 4)]
@@ -1154,24 +1205,54 @@ def _mutate(argv, kind, i):
         argv.append("--bogus")
     elif kind == "negative":
         argv += ["--target", "-5"]
+    elif kind.startswith("--target "):
+        argv += kind.split()
+    elif kind == "twice" and valued:  # --p 6 ... --p <the value of the next flag>
+        j, k = valued[i % len(valued)], valued[(i + 1) % len(valued)]
+        argv += [argv[j], argv[k + 1]]
+    elif kind in ("empty", "-") and valued:  # --group "" or --input -
+        argv[valued[i % len(valued)] + 1] = "" if kind == "empty" else "-"
+    elif kind == "bad_choice" and argv:
+        choosing = [j for j in valued if argv[j] in ("--side", "--family", "--kind", "--mode")]
+        if choosing:
+            argv[choosing[i % len(choosing)] + 1] = "middle"
+        else:
+            argv += ["--side", "middle"]
+    elif kind == "bad_type" and argv:  # after every valid flag
+        argv += ["--p", "abc"]
     elif argv and kind in ("-h", "--selftest", "--", "--=x", "-=x"):  # after the subcommand
         argv.insert(1 + i % len(argv), kind)
     return argv
 
 
-_MUTATIONS = ["abbreviate", "equals", "unknown", "negative", "-h", "--selftest", "--", "--=x",
-              "-=x"]
+# The kinds of mutation whose result the parser's direct pass never reads;
+# "twice" and "empty" keep a well-formed argv well-formed.
+_HANDED_OVER = ["abbreviate", "equals", "unknown", "negative", "--target -3.5",
+                "--target -1e9", "-", "bad_choice", "bad_type", "-h", "--selftest", "--",
+                "--=x", "-=x"]
+_MUTATIONS = [*_HANDED_OVER, "twice", "empty"]
 
 
 def _full_parse(argv):
     return cli.build_parser().parse_args(argv)
 
 
+def _parsed(parse, argv):
+    """The ``repr`` of each value of ``parse(argv)``, so that nan equals
+    nan, or None where it exits; output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return {name: repr(value) for name, value in vars(parse(argv)).items()}
+        except SystemExit:
+            return None
+
+
 # Reusing one parser is safe only while argparse keeps no state between
 # parse_args calls; its internals change between Python versions.  main
-# parses a subcommand's arguments with that subcommand's parser alone, which
-# must give the output and exit of the full top-level parse_args, the
-# reference; so must main(None) on the same sys.argv.
+# reads a subcommand's arguments from its option table or with that
+# subcommand's parser alone, which must give the namespace, output and exit
+# of the full top-level parse_args, the reference; so must main(None) on the
+# same sys.argv.
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(ARGV_MENU),
                           st.sampled_from([None, *_MUTATIONS]), st.integers(0, 15)),
@@ -1190,5 +1271,38 @@ def test_shared_parser_matches_fresh_parser(entries):
             mp.setattr(sys, "argv", ["abelfourier", *argv])
             from_sys_argv = _outcome(None)
         assert shared == fresh == reference == from_sys_argv, argv
+        assert _parsed(cli._parse_args, argv) == _parsed(_full_parse, argv), argv
         if kind is None:
             assert shared[0] == expected_code, (argv, shared)
+
+
+def _reaches_argparse(argv) -> bool:
+    """Whether ``main(argv)`` calls any parser's ``parse_known_args``."""
+    calls = []
+    known = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        return known(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        _outcome(argv)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("argv, code", ARGV_MENU, ids=[" ".join(a) for a, _ in ARGV_MENU])
+def test_well_formed_flags_skip_argparse_and_the_rest_reach_it(argv, code):
+    """A menu command that exits 0 spells every flag exactly with a value
+    after it, and is read without argparse; the violator's ``--target -1``
+    is the exception, as argparse decides whether ``-1`` is a number.  Every
+    mutation that makes a spelling argparse's to read reaches argparse.
+    Read either way, every mutation parses to the full parse's namespace."""
+    if code == 0 and argv[0] in cli._HANDLERS and "--help" not in argv and "-1" not in argv:
+        assert not _reaches_argparse(argv), argv
+    for kind in _MUTATIONS:
+        for i in range(3):
+            mutated = _mutate(argv, kind, i)
+            if kind in _HANDED_OVER and mutated != argv:
+                assert _reaches_argparse(mutated), (kind, mutated)
+            assert _parsed(cli._parse_args, mutated) == _parsed(_full_parse, mutated), mutated
