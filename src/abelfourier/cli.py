@@ -13,7 +13,6 @@ import csv
 import functools
 import math
 import sys
-import threading
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
@@ -332,46 +331,10 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _run_points(one: Callable, todo: list, workers: int) -> list:
-    """``[one(x) for x in todo]``, computed by the calling thread and
-    ``min(workers, len(todo)) - 1`` helper threads, so one worker starts no
-    thread.  Each thread takes the next point in order from one shared
-    iterator.  Once a point has failed no new point starts; the points
-    already started finish, and the exception raised is that of the first
-    failing point in ``todo``'s order (every point before it has started)."""
-    rows = [None] * len(todo)
-    errors = {}  # index of each failed point -> its exception
-    points = enumerate(todo)
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                item = None if errors else next(points, None)
-            if item is None:
-                return
-            i, x = item
-            try:
-                rows[i] = one(x)
-            except BaseException as exc:  # re-raised below, once every thread has stopped
-                with lock:
-                    errors[i] = exc
-                return
-
-    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(todo)) - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return rows
-
-
 def _cmd_sweep(args) -> int:
-    # Every row is computed before --output is opened, so a usage or capacity
-    # error leaves no partial CSV on stdout and no output file.
+    # Every row is computed, in order on the calling thread, before --output
+    # is opened, so a usage or capacity error stops the sweep at its first
+    # failing point and leaves no partial CSV on stdout and no output file.
     if args.kind == "region":
         if args.side is None or not args.u_values or not args.v_values:
             raise SystemExit2("sweep --kind region needs --side, --u-values, --v-values")
@@ -402,7 +365,7 @@ def _cmd_sweep(args) -> int:
             sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
             return _sweep_row(_witness(sub))
 
-    rows = _run_points(one, todo, args.workers)
+    rows = [one(x) for x in todo]
     out, close = _open_out(args.output)
     try:
         csv.writer(out, lineterminator="\n").writerows([header, *rows])
@@ -615,18 +578,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     Building it takes about 1.6 ms (best of 50 builds, Python 3.11.7 on a
     2-core host), far more than an ``estimate`` call's own work, so ``main``
-    reuses it.  ``parser.subcommand_parsers`` maps each subcommand's name to
-    its own parser, the one the top-level parser hands the arguments after
-    the name to, and ``parser.subcommand_options`` maps it to a dict from
-    each of that parser's exact option strings (``--group``, ``--p``, ...)
-    to the ``Action`` its ``add_argument`` returned.  ``_parse_args`` reads
-    well-formed arguments from that table and hands the rest to the
-    subcommand's parser.  The returned parser is shared: do not mutate it
+    reuses it.  ``parser.subcommand_options`` maps each subcommand's name to
+    a dict from each of its parser's exact option strings (``--group``,
+    ``--p``, ...) to the ``Action`` its ``add_argument`` returned.
+    ``_parse_args`` reads well-formed arguments from that table and hands
+    anything else to this parser's ``parse_args``.  The returned parser is
+    shared: do not mutate it
     (add arguments, set defaults).  ``build_parser.__wrapped__()`` builds a
     fresh one.  Reuse is safe because:
 
-    - ``parse_args`` and ``parse_known_args`` make a new ``Namespace`` (or
-      fill the one passed) on every call and do not mutate the parser;
+    - ``parse_args`` makes a new ``Namespace`` on every call and does not
+      mutate the parser;
     - every default is immutable (``str``, ``int``, ``float``, ``None`` or
       ``False``);
     - the ``type=`` callables (``_exponent``, ``_positive_int``,
@@ -638,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abelfourier")
     parser.add_argument("--selftest", action="store_true", help="run a fast acceptance subset")
     sub = parser.add_subparsers(dest="subcommand")
-    parser.subcommand_parsers = {}
     parser.subcommand_options = {}
 
     def add_subcommand(name, help):
@@ -646,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         files each returned action under its option strings.  It takes the
         two kinds of action that ``_read_exact`` reads, store and
         ``store_true``, and no other."""
-        parser.subcommand_parsers[name] = sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help)
         options = parser.subcommand_options[name] = {}
 
         def add(*flags, **kwargs):
@@ -695,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = add_subcommand("sweep", "CSV sweep over witness parameters or region grid")
     add("--kind", choices=["witness", "region"], default="witness")
+    # validated and kept for compatibility; points run in order on one thread
     add("--workers", type=_positive_int, default=1)
     add("--output", default="-")
     add("--family", choices=list(FAMILIES))
@@ -738,15 +700,6 @@ _HANDLERS = {
     "estimate": _cmd_estimate,
     "uncertainty": _cmd_uncertainty,
 }
-
-
-def _top_level_reads(arg: str) -> bool:
-    """Whether the top-level parser may read ``arg``, after a subcommand
-    name, otherwise than by handing it on to the subcommand's parser: ``--``
-    ends its scan for options, and a ``-`` or ``--`` before an ``=`` is an
-    ambiguous abbreviation of its ``-h``/``--help``/``--selftest``, which
-    Python 3.11 rejects with the top-level usage line."""
-    return arg == "--" or arg.startswith(("-=", "--="))
 
 
 def _read_exact(options: dict, argv: list[str]) -> dict | None:
@@ -797,36 +750,18 @@ def _read_exact(options: dict, argv: list[str]) -> dict | None:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same result, output and
-    exit, but when ``argv[0]`` names a subcommand ``argv[1:]`` is read
-    without the top-level parser.
-
-    Well-formed arguments, every flag spelled exactly and each value after
-    its flag with no leading ``-``, are read in one pass over the
-    subcommand's option table (``_read_exact``).  Anything else goes to the
-    subcommand's own parser, which is what the top-level parser would hand
-    it to after checking each argument as a possible abbreviation of its own
-    flags.  The top-level parser still reads the whole of ``argv`` when
-    there is no subcommand name first (no arguments, ``--help``,
-    ``--selftest``, an unknown command), when an argument is one it treats
-    itself (``_top_level_reads``), and when the subcommand's parser leaves
-    arguments over, so every help text, error message and exit code is the
-    one a top-level parse gives."""
+    exit.  When ``argv[0]`` names a subcommand and the rest of ``argv`` is
+    well formed, every flag spelled exactly and each value after its flag
+    with no leading ``-``, it is read in one pass over the subcommand's
+    option table (``_read_exact``).  Everything else, help, errors and
+    unusual spellings included, goes to the full top-level parse."""
     parser = build_parser()
     name = argv[0] if argv else None
-    sub = parser.subcommand_parsers.get(name)
-    if sub is None:
+    options = parser.subcommand_options.get(name)
+    values = None if options is None else _read_exact(options, argv[1:])
+    if values is None:
         return parser.parse_args(argv)
-    # An argument that _top_level_reads flags starts with "-" and is no
-    # option string, so _read_exact hands it over before the scan below.
-    values = _read_exact(parser.subcommand_options[name], argv[1:])
-    if values is not None:
-        return argparse.Namespace(selftest=False, subcommand=name, **values)
-    if not any(map(_top_level_reads, argv[1:])):
-        namespace = argparse.Namespace(selftest=False, subcommand=name)
-        args, extras = sub.parse_known_args(argv[1:], namespace)
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    return argparse.Namespace(selftest=False, subcommand=name, **values)
 
 
 def main(argv=None) -> int:
@@ -835,11 +770,10 @@ def main(argv=None) -> int:
     May be called repeatedly in one process; the parser is built on the
     first call (see ``build_parser``).  When ``argv[0]`` names a subcommand,
     the rest of ``argv`` is read from that subcommand's option table when
-    every flag is spelled exactly and no value starts with ``-``, and by
-    its own parser otherwise, with the output and exit of the top-level
-    parser's (see ``_parse_args``).  An argparse
-    usage error, or ``--help``, raises ``SystemExit`` (code 2, or 0 for
-    help) as argparse does; every other outcome is returned.
+    every flag is spelled exactly and no value starts with ``-``, and by the
+    full parser otherwise (see ``_parse_args``).  An argparse usage error,
+    or ``--help``, raises ``SystemExit`` (code 2, or 0 for help) as argparse
+    does; every other outcome is returned.
     """
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.selftest:

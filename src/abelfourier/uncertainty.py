@@ -23,12 +23,15 @@ SUPPORT_RTOL = 1e-12
 MASS_TOL = 1e-10
 
 
-def _support_count(values: np.ndarray) -> int:
+def _on_support(values: np.ndarray) -> np.ndarray:
+    """Where |values| is above ``SUPPORT_RTOL`` times its peak: nowhere for
+    the zero function."""
     mags = np.abs(values)
-    peak = mags.max()
-    if peak == 0.0:
-        return 0
-    return int(np.count_nonzero(mags > SUPPORT_RTOL * peak))
+    return mags > SUPPORT_RTOL * mags.max()
+
+
+def _support_count(values: np.ndarray) -> int:
+    return int(np.count_nonzero(_on_support(values)))
 
 
 def _unit_l2(psi: MeasuredFunction):
@@ -45,10 +48,14 @@ def renyi_entropy(psi: MeasuredFunction, order: float) -> float:
 
     Order 0 is the log support measure, with the support counted as
     ``donoho_stark_check`` counts it, and order 1 Shannon's entropy, the
-    limits of that formula.  Every other order, infinity (-log max |psi|^2)
-    included, goes through ``log_lp_norm``, so no order overflows or
-    underflows.  A negative or NaN order raises ValueError, and so does a
-    psi whose squared L2 norm is more than ``MASS_TOL`` from 1.
+    limits of that formula.  Every order below 1 takes the same support:
+    entries at or below ``SUPPORT_RTOL`` times the peak, where an FFT leaves
+    roundoff in place of exact zeros, count as 0.  That moves the entropy of
+    an N-point psi by at most log(1 + (N-1) 10^(-24 order)) / (1 - order).
+    Every order other than 0 and 1, infinity (-log max |psi|^2) included,
+    goes through ``log_lp_norm``, so no order overflows or underflows.  A
+    negative or NaN order raises ValueError, and so does a psi whose squared
+    L2 norm is more than ``MASS_TOL`` from 1.
     """
     _unit_l2(psi)
     if order == 0.0:
@@ -57,6 +64,9 @@ def renyi_entropy(psi: MeasuredFunction, order: float) -> float:
         density = np.abs(psi.values) ** 2
         positive = density[density > 0.0]
         return float(-np.sum(positive * np.log(positive)) * psi.atom)
+    if order < 1.0:
+        kept = np.where(_on_support(psi.values), psi.values, 0.0)
+        psi = MeasuredFunction(psi.spec, psi.side, kept)
     return 2.0 * log_lp_norm(psi, 2.0 * order) / (recip(order) - 1.0)
 
 

@@ -83,6 +83,15 @@ def _is_prime(r: int) -> bool:
     return True
 
 
+def _check_prime_r_and_n(r: int, n: int) -> None:
+    """The checks that a family on (Z/r)^n with a prime r makes after the
+    cap on r: r is prime, then n >= 1."""
+    if not _is_prime(r):
+        raise ValueError(f"r={r} must be prime")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def bi_unimodular_values(orders) -> np.ndarray:
     """A function with |f| = 1 and |fhat| constant on Z/m_1 x ... x Z/m_k, in
     canonical order: the tensor product over the factors of the Zadoff-Chu
@@ -218,8 +227,7 @@ def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoi
     Its norms are closed forms, so only r (not N) is held to the exhaustive
     cap; N may go up to 2^62."""
     _capped_spec(r, COMPACT)
-    if not _is_prime(r):
-        raise ValueError(f"r={r} must be prime")
+    _check_prime_r_and_n(r, n)
     spec = _capped_spec(r, COMPACT, n, materialized=False)
     return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
 
@@ -241,8 +249,7 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     forms, so only r (not r^2n) is held to the exhaustive cap; r^2n may go up
     to 2^62."""
     _capped_spec(r, COMPACT)
-    if not _is_prime(r):
-        raise ValueError(f"r={r} must be prime")
+    _check_prime_r_and_n(r, n)
     spec = _capped_spec(r, COMPACT, 2 * n, materialized=False)
     return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
 
@@ -395,9 +402,9 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     built by one outer sum per coordinate, the last coordinate first.
     ||f||_p is ``_comb_norm``, so f itself is never built; fhat is, so the
     group keeps the exhaustive cap."""
-    spec = _capped_spec(r, DISCRETE, n)
-    if not _is_prime(r):
-        raise ValueError(f"r={r} must be prime")
+    # at n < 1 this is the cap on r alone, as in the other prime families
+    spec = _capped_spec(r, DISCRETE, max(n, 1))
+    _check_prime_r_and_n(r, n)
     roots = np.exp(2j * np.pi * np.arange(r) / r)
     values = np.zeros(1, dtype=np.complex128)
     # Canonical order, the last coordinate fastest: the coordinates are taken

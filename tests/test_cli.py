@@ -659,15 +659,16 @@ def test_sweep_fails_as_its_first_failing_point(capsys, params, want, workers):
     assert out == ""
 
 
-def test_sweep_on_one_worker_starts_no_thread(capsys, monkeypatch):
+def test_sweep_starts_no_thread(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(cli.threading, "Thread", refuse)
-    code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", "4,8,16",
-                         "--workers", "1")
-    assert code == 0, err
-    assert len(out.splitlines()) == 4
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for workers in ("1", "2", "8"):
+        code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", "4,8,16",
+                             "--workers", workers)
+        assert code == 0, err
+        assert len(out.splitlines()) == 4
 
 
 def test_sweep_starts_no_point_after_a_failure(capsys, monkeypatch):
@@ -679,48 +680,25 @@ def test_sweep_starts_no_point_after_a_failure(capsys, monkeypatch):
         return full_orbit(m, *args)
 
     monkeypatch.setattr(witnesses, "full_orbit_witness", counting)
-    code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", "8,1,16",
-                         "--workers", "1")
-    assert (code, out, err) == (2, "", "error: m must be >= 2\n")
-    assert built == [8, 1]
+    for workers in ("1", "2", "8"):
+        built.clear()
+        code, out, err = run(capsys, "sweep", "--family", "full_orbit", "--params", "8,1,16",
+                             "--workers", workers)
+        assert (code, out, err) == (2, "", "error: m must be >= 2\n")
+        assert built == [8, 1], workers
 
 
-def test_run_points_under_fast_thread_switching():
-    """Many short points on 8 threads, switching every microsecond: every row
-    lands at its point's index, points start in order, and a failure raises
-    the first failing point's exception."""
-    todo = list(range(300))
-    fails = {120, 180}
-    started = []
-
-    def one(x):
-        started.append(x)
-        if x in fails:
-            raise ValueError(x)
-        return x * x
-
-    results = {}
-
-    def both():
-        results["rows"] = cli._run_points(lambda x: x * x, todo, 8)
-        with pytest.raises(ValueError) as info:
-            cli._run_points(one, todo, 8)
-        results["raised"] = info.value.args[0]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=both)
-        runner.start()
-        runner.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert results["rows"] == [x * x for x in todo]
-    assert results["raised"] == min(fails)
-    # points start in order, so the started ones are a prefix of todo
-    assert sorted(started) == todo[:len(started)]
-    assert len(started) > min(fails)
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "clt_delta"])
+def test_prime_families_reject_n_below_one(capsys, family, n):
+    """After the cap on r and its primality, as the README orders the checks."""
+    for argv in (["witness", "--family", family, "--r", "3", "--n", n],
+                 ["sweep", "--family", family, "--r", "3", "--params", f"2,{n}"]):
+        assert run(capsys, *argv) == (2, "", "error: n must be >= 1\n"), argv
+    assert run(capsys, "witness", "--family", family, "--r", "4", "--n", n) == (
+        2, "", "error: r=4 must be prime\n")
+    code, out, err = run(capsys, "witness", "--family", family, "--r", "2000003", "--n", n)
+    assert (code, out) == (3, "") and err.startswith("capacity error: "), err
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():

@@ -16,6 +16,7 @@ from abelfourier.transform import (
     write_csv,
 )
 from abelfourier.uncertainty import (
+    SUPPORT_RTOL,
     donoho_stark_check,
     in_violation_region,
     in_weighted_region,
@@ -336,6 +337,37 @@ def test_unweighted_margin_of_the_extremal_families(view, mass):
         psi = MeasuredFunction(spec, TIME, f.values / lp_norm(f, 2.0))
         for p, q in [(1.0, 1.0), (2.0, 2.0), (1.5, 2.5), (1.0, INF), (0.5, 0.5)]:
             assert unweighted_up_margin(psi, p, q).margin == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("view", [COMPACT, DISCRETE])
+def test_unweighted_margin_of_a_modulated_coset_is_zero_at_small_orders(view):
+    # a character times the indicator of 1 + <3> on Z/12: |psi|^2 is flat on
+    # 4 points and |psihat|^2 on 3, so every entropy is the log of its support
+    # measure and the margin is 0 at every order; the FFT leaves roundoff in
+    # psihat's 9 exact zeros, which orders below 1 must not count
+    spec = GroupSpec(orders=(12,), view=view, mass=1.0)
+    x = np.arange(12)
+    f = MeasuredFunction(spec, TIME, np.where(x % 3 == 1, np.exp(2j * np.pi * 5 * x / 12), 0.0))
+    psi = MeasuredFunction(spec, TIME, f.values / lp_norm(f, 2.0))
+    for order in (1.0, 0.5, 0.2, 0.05, 0.02, 0.01):
+        assert abs(unweighted_up_margin(psi, 2.0 * order, 2.0 * order).margin) <= 1e-12, order
+
+
+@pytest.mark.parametrize("view", [COMPACT, DISCRETE])
+@pytest.mark.parametrize("order", [0.9, 0.5, 0.05, 0.01])
+def test_renyi_below_order_one_drops_at_most_the_stated_bound(view, order):
+    """Entries at SUPPORT_RTOL of the peak count as 0 below order 1, which
+    moves the entropy by at most log(1 + (N-1) 10^(-24 order)) / (1 - order);
+    all N-1 other entries at that threshold attain it."""
+    n = 16
+    spec = GroupSpec(orders=(n,), view=view, mass=1.0)
+    peak = math.sqrt(1.0 / spec.primal_atom)  # 4 or 1, so psi has unit L2 within 1e-22
+    vals = np.full(n, SUPPORT_RTOL * peak, dtype=np.complex128)
+    vals[3] = peak
+    psi = MeasuredFunction(spec, TIME, vals)
+    shift = direct_renyi(np.abs(vals) ** 2, psi.atom, order) - renyi_entropy(psi, order)
+    bound = math.log1p((n - 1) * 10.0 ** (-24.0 * order)) / (1.0 - order)
+    assert shift == pytest.approx(bound, rel=1e-9, abs=1e-13)
 
 
 def test_support_product():
