@@ -29,12 +29,16 @@ FINITE_LABELS = {R1, R2P}
 
 
 def recip(p: float) -> float:
-    """1/p with p = inf mapping to exactly 0; rejects p <= 0."""
+    """1/p with p = inf mapping to exactly 0; rejects p <= 0, and a p so
+    small (a subnormal such as 1e-320) that 1/p is past the float range."""
     if p == INF:
         return 0.0
     if not (p > 0 and math.isfinite(p)):
         raise ValueError(f"exponent must be in (0, inf], got {p}")
-    return 1.0 / p
+    u = 1.0 / p
+    if not math.isfinite(u):
+        raise ValueError(f"exponent {p} is too small: its reciprocal is past the float range")
+    return u
 
 
 def exponent_value(u: float) -> float:

@@ -20,7 +20,11 @@ inverse transform each, of a frequency vector on compact Z/M: the compact
 one on its group, the discrete one on one period of its quadrature values,
 M/2 of the M grid points (all M for an odd grid), since every frequency 2^k
 is even.  Neither reads its vector after the transform, so the transform
-runs in the vector's own buffer (``inverse(..., overwrite=True)``).
+runs in the vector's own buffer (``inverse(..., overwrite=True)``).  The
+compact series' coefficients a_n depend on n alone, so each is computed once
+per process into a read-only table that only grows (at most the exhaustive
+cap's 2^20 entries, 16 MB), and each point transforms a fresh copy of its
+first m entries.
 """
 
 from __future__ import annotations
@@ -261,25 +265,47 @@ LACUNARY_BETA = 1.5
 LACUNARY_C = 1.0
 
 
+#: a_n at bin n for every n below its length, read-only; bins 0 and 1 hold 0.
+#: It only grows, up to ``EXHAUSTIVE_CAP`` entries (16 MB), and a grown table
+#: replaces it whole, so a reader never sees one half built.
+_lacunary_table = np.zeros(2, dtype=np.complex128)
+_lacunary_table.flags.writeable = False
+
+
 def lacunary_coefficients(m: int) -> np.ndarray:
-    """The compact lacunary series' frequency vector on Z/m, m >= 4: zero at
-    bins 0 and 1, and a_n = e^{i c n log n} / (n^(1/2) (log n)^beta) at bin
-    n = 2..m-1, with beta = ``LACUNARY_BETA`` and c = ``LACUNARY_C``."""
+    """The compact lacunary series' frequency vector on Z/m, 4 <= m <= the
+    exhaustive cap: zero at bins 0 and 1, and
+    a_n = e^{i c n log n} / (n^(1/2) (log n)^beta) at bin n = 2..m-1, with
+    beta = ``LACUNARY_BETA`` and c = ``LACUNARY_C``.
+
+    a_n depends on n alone, so each is computed once per process into a
+    kept read-only table (``_lacunary_table``); the result is a fresh,
+    writable copy of its first m entries, bitwise the same whichever sizes
+    came before."""
+    global _lacunary_table
     if m < 4:
         raise ValueError("m must be >= 4")
-    # The vector comes first and every later step writes in place, so the
-    # only other group-sized arrays are n, log n and the phase.
-    coeffs = np.zeros(m, dtype=np.complex128)
-    n = np.arange(2, m, dtype=np.float64)
-    log_n = np.log(n)
-    phase = LACUNARY_C * n
-    phase *= log_n
-    np.cos(phase, out=coeffs.real[2:])
-    np.sin(phase, out=coeffs.imag[2:])
-    log_n **= LACUNARY_BETA
-    log_n *= np.sqrt(n, out=n)
-    coeffs[2:] /= log_n
-    return coeffs
+    _capped_spec(m, COMPACT)
+    table = _lacunary_table
+    if table.size < m:
+        # The old entries are copied and only the new bins computed.  Every
+        # step after n writes in place, so the only other arrays are n, log n
+        # and the phase, over the new bins.
+        old, table = table, np.empty(m, dtype=np.complex128)
+        start = old.size
+        table[:start] = old
+        n = np.arange(start, m, dtype=np.float64)
+        log_n = np.log(n)
+        phase = LACUNARY_C * n
+        phase *= log_n
+        np.cos(phase, out=table.real[start:])
+        np.sin(phase, out=table.imag[start:])
+        log_n **= LACUNARY_BETA
+        log_n *= np.sqrt(n, out=n)
+        table[start:] /= log_n
+        table.flags.writeable = False
+        _lacunary_table = table
+    return table[:m].copy()
 
 
 def lacunary_compact_witness(m: int, p: float, q: float) -> WitnessPoint:

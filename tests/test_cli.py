@@ -232,6 +232,24 @@ def test_witness_stdout_is_pinned(capsys, case):
             assert float(got) == pytest.approx(float(pinned), rel=1e-12), (got, pinned)
 
 
+LACUNARY_SWEEP = ["sweep", "--family", "lacunary_compact", "--p", "3", "--q", "1.5", "--params"]
+
+
+def test_lacunary_sweep_is_the_same_whatever_the_coefficient_table_holds(capsys, monkeypatch):
+    """The kept coefficient table serves each a_n from wherever it was first
+    computed: the same bytes on a fresh table, on one already grown past
+    every point, and with the points descending."""
+    monkeypatch.setattr(witnesses, "_lacunary_table", witnesses._lacunary_table[:2])
+    fresh = run(capsys, *LACUNARY_SWEEP, "16,256,4096,65536")
+    assert fresh[0] == 0, fresh[2]
+    assert run(capsys, *LACUNARY_SWEEP, "65536")[0] == 0
+    assert run(capsys, *LACUNARY_SWEEP, "16,256,4096,65536") == fresh
+    monkeypatch.setattr(witnesses, "_lacunary_table", witnesses._lacunary_table[:2])
+    code, out, err = run(capsys, *LACUNARY_SWEEP, "65536,4096,256,16")
+    header, *rows = out.splitlines(keepends=True)
+    assert (code, header + "".join(reversed(rows)), err) == fresh
+
+
 # Per family, two sweep values whose group is past the 2^20 cap: one just
 # past it and one past the 2^62 that GroupSpec accepts.  The subgroup
 # indicator and the chirp build nothing (their norms are closed forms), so
@@ -1029,6 +1047,37 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# Every command that takes an exponent, "P" and "Q" standing for the values
+# of --p and --q, and "PSI" for a unit-L2 function CSV.
+EXPONENT_COMMANDS = [
+    ["norm", "--input", "PSI", "--p", "P"],
+    ["cpq", "--group", "cyclic:4", "--p", "P", "--q", "Q"],
+    ["estimate", "--group", "cyclic:4", "--p", "P", "--q", "Q"],
+    ["witness", "--family", "lacunary_compact", "--m", "16", "--p", "P", "--q", "Q"],
+    ["sweep", "--family", "lacunary_compact", "--params", "16,32", "--p", "P", "--q", "Q"],
+    ["uncertainty", "--mode", "check", "--input", "PSI", "--p", "P", "--q", "Q"],
+    ["uncertainty", "--mode", "check", "--unweighted", "--input", "PSI", "--p", "P", "--q", "Q"],
+    ["uncertainty", "--mode", "violate", "--target", "1", "--p", "P", "--q", "Q"],
+]
+SUBNORMAL_CASES = [
+    pytest.param(argv, flag, tiny, id=f"{' '.join(argv[:2])}-{flag}-{tiny}")
+    for argv in EXPONENT_COMMANDS for flag in ("P", "Q") if flag in argv
+    for tiny in ("1e-320", "5e-324")
+]
+
+
+@pytest.mark.parametrize("argv, flag, tiny", SUBNORMAL_CASES)
+def test_subnormal_exponent_is_a_usage_error(tmp_path, capsys, argv, flag, tiny):
+    """1/p past the float range is one usage error naming the exponent, on
+    every command, instead of a reciprocal of inf."""
+    src = tmp_path / "psi.csv"
+    src.write_text(write_csv(transform.delta(GroupSpec.parse("cyclic:4;view=discrete;mass=1"))))
+    values = {"P": "3", "Q": "1.5", "PSI": str(src), flag: tiny}
+    code, out, err = run(capsys, *[values.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent {tiny} is too small: its reciprocal is past the float range\n"
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])

@@ -45,6 +45,11 @@ def test_recip():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             recip(bad)
+    # the smallest normal float has a finite reciprocal; a subnormal may not
+    assert recip(2.0**-1022) == 2.0**1022
+    for tiny in (1e-320, 5e-324, 2.0**-1024):
+        with pytest.raises(ValueError, match=f"exponent {tiny!r} is too small"):
+            recip(tiny)
 
 
 def test_exponent_roundtrip():

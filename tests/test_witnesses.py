@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelfourier import transform, witnesses
-from abelfourier.groups import COMPACT, DISCRETE, CapacityError, GroupSpec
+from abelfourier.groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, CapacityError, GroupSpec
 from abelfourier.norms import (
     BI_UNIMODULAR, CONSTANT, DELTA, EXTREMAL_FAMILIES, INF, family_norms, family_ratio, lp_norm,
 )
@@ -352,6 +353,96 @@ def test_lacunary_coefficient_sums():
     large = np.abs(lacunary_coefficients(2**12))
     assert np.sum(large**1.0) > 2.0 * np.sum(small**1.0)
     assert np.sum(large**2.0) < 1.1 * np.sum(small**2.0)
+
+
+def _direct_lacunary_coefficients(m):
+    """The oracle: the vector on Z/m built from scratch, by the ufunc steps
+    that the kept table runs on its new bins."""
+    coeffs = np.zeros(m, dtype=np.complex128)
+    n = np.arange(2, m, dtype=np.float64)
+    log_n = np.log(n)
+    phase = LACUNARY_C * n
+    phase *= log_n
+    np.cos(phase, out=coeffs.real[2:])
+    np.sin(phase, out=coeffs.imag[2:])
+    log_n **= LACUNARY_BETA
+    log_n *= np.sqrt(n, out=n)
+    coeffs[2:] /= log_n
+    return coeffs
+
+
+def _fresh_lacunary_table(monkeypatch):
+    """Start the kept coefficient table as a new process has it: bins 0 and 1."""
+    monkeypatch.setattr(witnesses, "_lacunary_table", witnesses._lacunary_table[:2])
+
+
+# growing, with odd sizes between, up to the cap, then shrinking
+TABLE_SIZES = [4, 7, 1001, 2**16, 2**16 + 1, 2**18, 2**18 + 5, EXHAUSTIVE_CAP,
+               2**18 + 5, 2**16, 1001, 7, 4]
+
+
+def test_lacunary_table_matches_the_direct_formula_bitwise(monkeypatch):
+    _fresh_lacunary_table(monkeypatch)
+    for m in TABLE_SIZES:
+        got = lacunary_coefficients(m)
+        assert got.shape == (m,)
+        assert got.tobytes() == _direct_lacunary_coefficients(m).tobytes(), m
+    assert witnesses._lacunary_table.size == EXHAUSTIVE_CAP
+
+
+def test_lacunary_coefficients_are_a_fresh_writable_copy(monkeypatch):
+    _fresh_lacunary_table(monkeypatch)
+    first = lacunary_coefficients(64)
+    want = first.copy()
+    assert first.flags.writeable and first.flags.owndata
+    first[:] = 7.0
+    assert np.array_equal(lacunary_coefficients(64), want)
+    assert np.array_equal(lacunary_coefficients(100)[:64], want)
+
+
+def test_lacunary_table_is_read_only_and_computes_each_bin_once(monkeypatch):
+    _fresh_lacunary_table(monkeypatch)
+    lacunary_coefficients(100)
+    table = witnesses._lacunary_table
+    assert table.size == 100 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[2] = 0.0
+    cos_sizes = []
+    cos = np.cos
+
+    def spy(x, **kwargs):
+        cos_sizes.append(x.size)
+        return cos(x, **kwargs)
+
+    monkeypatch.setattr(np, "cos", spy)
+    for m in (4, 50, 100):
+        lacunary_coefficients(m)
+    assert cos_sizes == [] and witnesses._lacunary_table is table
+    lacunary_coefficients(260)
+    assert cos_sizes == [160]  # bins 100..259 only
+    assert not witnesses._lacunary_table.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: lacunary_coefficients(m),
+    lambda m: lacunary_compact_witness(m, 3.0, 1.5),
+], ids=["coefficients", "witness"])
+def test_lacunary_table_stays_within_the_cap(monkeypatch, build):
+    _fresh_lacunary_table(monkeypatch)
+    lacunary_coefficients(64)
+    table = witnesses._lacunary_table
+    with pytest.raises(CapacityError):
+        build(EXHAUSTIVE_CAP + 1)
+    assert witnesses._lacunary_table is table and table.size == 64
+
+
+@pytest.mark.parametrize("m", [4, 1000, 4097])
+def test_lacunary_compact_witness_is_the_same_on_a_fresh_and_a_warm_table(monkeypatch, m):
+    _fresh_lacunary_table(monkeypatch)
+    fresh = lacunary_compact_witness(m, 3.0, 1.5)
+    lacunary_coefficients(2**16)
+    warm = lacunary_compact_witness(m, 3.0, 1.5)
+    assert repr(asdict(warm)) == repr(asdict(fresh))
 
 
 # The parent route took ||fhat||_q as lp_norm(forward(inverse(F)), q).  That
