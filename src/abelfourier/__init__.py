@@ -20,13 +20,9 @@ from .transform import (
     SideError,
     character_function,
     delta,
-    dft_matrix,
-    double_transform,
-    dual_forward,
     forward,
     inverse,
     read_csv,
-    reflect,
     write_csv,
 )
 from .norms import (
@@ -34,14 +30,11 @@ from .norms import (
     RegionVerdict,
     classify,
     closed_form_cpq,
-    exponent_value,
     family_exponents,
     family_ratio,
     finite_cpq,
     finite_cpq_at,
     finite_exponent,
-    hausdorff_young_check,
-    holder_conjugate,
     log_lp_norm,
     lp_norm,
     parseval_defect,
@@ -50,26 +43,17 @@ from .norms import (
 )
 from .witnesses import (
     CltWitness,
-    GrowthFit,
     LacunaryDiscreteWitness,
     WitnessPoint,
     arc_indicator_witness,
     bi_unimodular_values,
     chirp_witness,
     clt_delta_witness,
-    fit_growth,
     full_orbit_witness,
     lacunary_coefficients,
     lacunary_compact_witness,
     lacunary_discrete_witness,
     subgroup_indicator_witness,
-)
-from .estimator import (
-    EstimatorConfig,
-    NormEstimate,
-    ascent_estimate,
-    log_convexity_check,
-    structured_search,
 )
 from .uncertainty import (
     UPReport,

@@ -10,7 +10,9 @@ their three ratios numerically.
 The multi-start gradient ascent on the smoothed log-ratio
 (``ascent_estimate``, ``log_ratio_and_grad``, ``EstimatorConfig``) is kept
 as the tests' oracle: a generic optimizer that should reach the closed form
-and never exceed it.  Nothing in the library calls it.
+and never exceed it.  Nothing in the library calls this module, and
+``import abelfourier`` does not load it; it stays in the package because
+``bench/layertrace.py`` wraps its functions by name.
 """
 
 from __future__ import annotations
@@ -189,45 +191,3 @@ def ascent_estimate(
         iterations=total_iters,
         converged=all_converged,
     )
-
-
-def log_convexity_check(points) -> float:
-    """Max midpoint convexity defect along a collinear set of exponent points.
-
-    ``points`` are (u, v, log_value) triples on one line in the (1/p, 1/q)
-    plane.  For each interior point the defect is log K there minus the
-    linear interpolation of its neighbors; convexity of log K makes every
-    defect nonpositive up to numerical error.
-    """
-    pts = []
-    for u, v, logval in points:
-        if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(logval)):
-            raise ValueError("points must be finite")
-        pts.append((float(u), float(v), float(logval)))
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points")
-    # Deduplicate identical exponent points (defect 0 by convention).
-    unique = {}
-    for u, v, logval in pts:
-        unique[(u, v)] = logval
-    pts = [(u, v, val) for (u, v), val in unique.items()]
-    if len(pts) < 3:
-        return 0.0
-    u0, v0, _ = pts[0]
-    du = max(pts, key=lambda t: (t[0] - u0) ** 2 + (t[1] - v0) ** 2)
-    dx, dy = du[0] - u0, du[1] - v0
-    scale = math.hypot(dx, dy)
-    if scale == 0.0:
-        return 0.0
-    dx, dy = dx / scale, dy / scale
-    for u, v, _ in pts:
-        cross = (u - u0) * dy - (v - v0) * dx
-        if abs(cross) > 1e-9:
-            raise ValueError("exponent points are not collinear")
-    param = sorted(((u - u0) * dx + (v - v0) * dy, val) for u, v, val in pts)
-    worst = 0.0
-    for (tl, yl), (tm, ym), (tr, yr) in zip(param, param[1:], param[2:]):
-        lam = (tm - tl) / (tr - tl)
-        defect = ym - ((1.0 - lam) * yl + lam * yr)
-        worst = max(worst, defect)
-    return worst

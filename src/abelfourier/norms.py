@@ -41,20 +41,6 @@ def recip(p: float) -> float:
     return u
 
 
-def exponent_value(u: float) -> float:
-    if u < 0 or not math.isfinite(u):
-        raise ValueError(f"reciprocal exponent must be in [0, inf), got {u}")
-    return INF if u == 0 else 1.0 / u
-
-
-def holder_conjugate(p: float) -> float:
-    """p' with 1/p + 1/p' = 1, for p in [1, inf]."""
-    u = recip(p)
-    if u > 1:
-        raise ValueError("Holder conjugate needs p >= 1")
-    return exponent_value(1.0 - u)
-
-
 def _power(base: float, e: float) -> float:
     """base ** e for base > 0, inf when it is past the float range."""
     try:
@@ -235,15 +221,3 @@ def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
     value, bit for bit.
     """
     return finite_cpq_at(spec, recip(p), recip(q))[2]
-
-
-def hausdorff_young_check(f: MeasuredFunction, p: float) -> float:
-    """Margin ||f||_p - ||fhat||_p' for 1 <= p <= 2 on a compact mass-1 group.
-
-    Nonnegative up to roundoff since the sharp constant on this segment is 1.
-    """
-    if f.spec.view != COMPACT or abs(f.spec.mass - 1.0) > 1e-12:
-        raise ValueError("Hausdorff-Young check needs the compact view with mass 1")
-    if not (1.0 <= p <= 2.0):
-        raise ValueError("p must lie in [1, 2]")
-    return lp_norm(f, p) - lp_norm(forward(f), holder_conjugate(p))

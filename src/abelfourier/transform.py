@@ -9,13 +9,15 @@ Every transform runs through one helper over the factor grid, bitwise equal
 to ``numpy.fft.fftn``/``ifftn``: it takes the axes in ``fftn``'s order, an
 order-2 axis by the butterfly (a + b, a - b) in one vectorized pass in place
 of a strided length-2 FFT; this is the one module that calls ``numpy.fft``.
-A transform returns its values in a new array, except ``inverse(F,
-overwrite=True)``, which computes them in the buffer of ``F.values`` for a
-caller that does not read F again.  Finite values whose transform overflows
-the float range raise CapacityError.
+A transform copies its input once and runs every axis in place in the
+copy, so it returns its values in a new array, except ``inverse(F,
+overwrite=True)``, which skips the copy and computes them in the buffer of
+``F.values`` for a caller that does not read F again.  Finite values whose
+transform overflows the float range raise CapacityError.
 ``dft_matrix`` builds the dense matrix of the same transform from per-factor
 DFT matrices with exactly reduced phase angles.  It is the reference oracle
-the tests compare the FFT path against, and no production path uses it.
+the tests compare the FFT path against, and no production path uses it; it
+stays here because ``bench/layertrace.py`` wraps it by name.
 
 ``write_csv`` and ``read_csv`` carry a function as CSV: a header row with
 the spec string and side, the column header ``index_tuple,re,im``, then one
@@ -52,7 +54,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
-from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, GroupSpec
+from .groups import CapacityError, GroupSpec
 
 TIME = "time"
 FREQUENCY = "frequency"
@@ -93,60 +95,52 @@ class MeasuredFunction:
         return self.values.reshape(self.spec.orders)
 
 
-def delta(spec: GroupSpec, at=None, side: str = TIME) -> MeasuredFunction:
+def delta(spec: GroupSpec, at=None) -> MeasuredFunction:
     """Indicator of a single point (default: the identity)."""
     spec._check_capacity()
     vals = np.zeros(spec.size, dtype=np.complex128)
     idx = 0 if at is None else spec.index_of(at)
     vals[idx] = 1.0
-    return MeasuredFunction(spec, side, vals)
+    return MeasuredFunction(spec, TIME, vals)
 
 
-def character_function(spec: GroupSpec, chi, side: str = TIME) -> MeasuredFunction:
-    """The character x -> chi(x) as a function on the chosen side."""
+def character_function(spec: GroupSpec, chi) -> MeasuredFunction:
+    """The character x -> chi(x) as a time-side function."""
     spec._check_capacity()
     chi = spec.reduce(chi)
     vals = np.ones(1, dtype=np.complex128)
     for c, m in zip(chi, spec.orders):
         factor = np.exp(2j * np.pi * c * np.arange(m) / m)
         vals = np.kron(vals, factor)
-    return MeasuredFunction(spec, side, vals)
+    return MeasuredFunction(spec, TIME, vals)
 
 
 def _fft_flat(values: np.ndarray, orders, inverse: bool, overwrite: bool = False) -> np.ndarray:
     """``numpy.fft.fftn`` (``ifftn`` if ``inverse``) of canonical-order values
     over the factor grid, flattened, and bitwise equal to it.
 
-    Axes are taken from last to first, as ``fftn`` takes them.  An order-2
-    axis gets numpy's own length-2 kernel, the butterfly (a + b, a - b),
-    halved on the inverse, in one vectorized pass; every other axis is one
-    ``fft``/``ifft`` call along it.  The first axis writes a new array, and
-    every later axis works in place in it, so the result is a new array,
-    which callers may scale in place.  With ``overwrite`` the first axis
-    works in place too: the result is the buffer of ``values`` (contiguous,
-    as every ``MeasuredFunction``'s values are), and the values it held are
+    The values are copied once, unless ``overwrite`` is set, and every axis
+    then works in place in that array, taken from last to first as ``fftn``
+    takes them.  An order-2 axis gets numpy's own length-2 kernel, the
+    butterfly (a + b, a - b), halved on the inverse, in one vectorized pass;
+    every other axis is one ``fft``/``ifft`` call along it.  Without
+    ``overwrite`` the result is a new array, which callers may scale in
+    place; with it the result is the buffer of ``values`` (contiguous, as
+    every ``MeasuredFunction``'s values are), and the values it held are
     gone."""
-    grid = values.reshape(orders)
+    grid = (values if overwrite else values.copy()).reshape(orders)
     for axis in reversed(range(len(orders))):
-        out = grid if overwrite else None
         if orders[axis] != 2:
-            grid = (np.fft.ifft if inverse else np.fft.fft)(grid, axis=axis, out=out)
-        else:
-            lead = math.prod(orders[:axis])
-            a, b = grid.reshape(lead, 2, -1).transpose(1, 0, 2)
-            if overwrite:  # a - b first, into half a group, while a is unchanged
-                diff = a - b
-                a += b
-                b[...] = diff
-            else:
-                grid = np.empty(orders, dtype=np.complex128)
-                pairs = grid.reshape(lead, 2, -1)
-                np.add(a, b, out=pairs[:, 0])
-                np.subtract(a, b, out=pairs[:, 1])
-            if inverse:  # by parts, as numpy scales, so signed zeros stay as they are
-                halves = grid.view(np.float64)
-                halves *= 0.5
-        overwrite = True  # grid is now an array of this call's own
+            grid = (np.fft.ifft if inverse else np.fft.fft)(grid, axis=axis, out=grid)
+            continue
+        lead = math.prod(orders[:axis])
+        a, b = grid.reshape(lead, 2, -1).transpose(1, 0, 2)
+        diff = a - b  # first, into half a group, while a is unchanged
+        a += b
+        b[...] = diff
+        if inverse:  # by parts, as numpy scales, so signed zeros stay as they are
+            halves = grid.view(np.float64)
+            halves *= 0.5
     return grid.ravel()
 
 
@@ -203,30 +197,6 @@ def inverse(F: MeasuredFunction, *, overwrite: bool = False) -> MeasuredFunction
     if F.side != FREQUENCY:
         raise SideError("inverse expects a frequency-side function")
     return _transformed(F, TIME, True, [F.spec.size, F.spec.dual_atom], overwrite)
-
-
-def dual_forward(F: MeasuredFunction) -> MeasuredFunction:
-    """Transform of a frequency-side function back onto the group.
-
-    This is the Fourier transform on the dual group under the canonical
-    identification of the double dual with the group itself.
-    """
-    if F.side != FREQUENCY:
-        raise SideError("dual_forward expects a frequency-side function")
-    return _transformed(F, TIME, False, [F.spec.dual_atom])
-
-
-def double_transform(f: MeasuredFunction) -> MeasuredFunction:
-    """The transform applied twice; equals x -> f(-x)."""
-    return dual_forward(forward(f))
-
-
-def reflect(f: MeasuredFunction) -> MeasuredFunction:
-    """Index-reversal oracle: g(x) = f(-x)."""
-    grid = f.grid()
-    for axis in range(grid.ndim):
-        grid = np.roll(np.flip(grid, axis=axis), 1, axis=axis)
-    return MeasuredFunction(f.spec, f.side, grid.ravel())
 
 
 # -- CSV interchange ---------------------------------------------------------

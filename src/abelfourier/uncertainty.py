@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, describe_group
-from .norms import CONSTANT, DELTA, _power, closed_form_cpq, log_lp_norm, lp_norm, recip
+from .norms import CONSTANT, DELTA, _power, log_lp_norm, lp_norm, recip
 from .transform import MeasuredFunction, TIME, forward
 from .witnesses import EXTREMALS
 
@@ -110,7 +110,11 @@ def in_violation_region(view: str, u: float, v: float) -> bool:
 
 def weighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
     """The weighted uncertainty inequality at a point of its validity region:
-    weighted entropy sum >= -log C_{p,q}."""
+    weighted entropy sum >= -log C_{p,q}.
+
+    U_C lies inside R1 and U_D inside R2', so C_{p,q} there is the closed
+    form mass^(1-u-v), and -log C_{p,q} is taken as (u + v - 1) log(mass):
+    finite at every mass, where the power itself can leave the float range."""
     u, v = recip(p), recip(q)
     if not in_weighted_region(psi.spec.view, u, v):
         raise ValueError(
@@ -118,7 +122,7 @@ def weighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
             f"for the {psi.spec.view} view"
         )
     lhs = weighted_entropy_sum(psi, p, q)
-    rhs = -math.log(closed_form_cpq(psi.spec, p, q))
+    rhs = (u + v - 1.0) * math.log(psi.spec.mass)
     margin = lhs - rhs
     return UPReport(lhs=lhs, rhs=rhs, margin=margin, satisfied=margin >= -1e-9)
 

@@ -60,13 +60,6 @@ class WitnessPoint:
 
 
 @dataclass(frozen=True)
-class GrowthFit:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-@dataclass(frozen=True)
 class CltWitness(WitnessPoint):
     """A CLT delta comb's ``WitnessPoint`` plus the finite-scale tail bound:
     the share of dual points with Re fhat >= threshold."""
@@ -449,29 +442,3 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
         "clt_delta", n, spec, _comb_norm(n, p), lp_norm(fhat, q), p, q, point=CltWitness,
         tail_probability=tail, threshold=threshold, sigma_sq=sigma_sq,
     )
-
-
-def fit_growth(points, use_tail: bool = True) -> GrowthFit:
-    """Least-squares slope of log ratio against log group size.
-
-    With ``use_tail`` the first third of the points is dropped to suppress
-    small-parameter transients; exact families are affine so either setting
-    recovers the closed-form exponent."""
-    if len(points) < 3:
-        raise ValueError("need at least 3 witness points")
-    sizes = [pt.group_size for pt in points]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("group sizes must be strictly increasing")
-    if use_tail:
-        start = len(points) // 3
-        pts = points[start:] if len(points) - start >= 3 else points
-    else:
-        pts = points
-    xs = np.log([pt.group_size for pt in pts])
-    ys = np.log([pt.ratio for pt in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return GrowthFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)

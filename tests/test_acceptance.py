@@ -8,18 +8,16 @@ import math
 
 import numpy as np
 
-from abelfourier.estimator import EstimatorConfig, ascent_estimate, log_convexity_check, ratio
+from abelfourier.estimator import EstimatorConfig, ascent_estimate, ratio
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
-from abelfourier.norms import closed_form_cpq, exponent_value, lp_norm, parseval_defect
+from abelfourier.norms import closed_form_cpq, lp_norm, parseval_defect
 from abelfourier.transform import (
     MeasuredFunction,
     TIME,
     character_function,
     delta,
-    double_transform,
     forward,
     inverse,
-    reflect,
 )
 from abelfourier.uncertainty import (
     donoho_stark_check,
@@ -32,12 +30,12 @@ from abelfourier.witnesses import (
     arc_indicator_witness,
     chirp_witness,
     clt_delta_witness,
-    fit_growth,
     full_orbit_witness,
     lacunary_compact_witness,
     lacunary_discrete_witness,
     subgroup_indicator_witness,
 )
+from oracles import double_transform, exponent_value, fit_growth, log_convexity_check, reflect
 
 
 def report(number, description, ok):

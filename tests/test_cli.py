@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from abelfourier import cli, transform, uncertainty, witnesses
 from abelfourier.cli import FAMILIES, main
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
-from abelfourier.norms import classify, exponent_value, recip
+from abelfourier.norms import classify, recip
 from abelfourier.transform import FREQUENCY, MeasuredFunction, TIME, forward, read_csv, write_csv
+from oracles import exponent_value
 
 
 def run(capsys, *argv):
@@ -719,14 +720,19 @@ def test_prime_families_reject_n_below_one(capsys, family, n):
     assert (code, out) == (3, "") and err.startswith("capacity error: "), err
 
 
-def test_cli_import_leaves_concurrent_futures_unloaded():
+def _run_fresh(code):
+    """Runs ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run(
-        [sys.executable, "-c",
-         "import abelfourier.cli, sys; assert 'concurrent.futures' not in sys.modules"],
-        env=env, check=True, timeout=60,
-    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    _run_fresh("import abelfourier.cli, sys; assert 'concurrent.futures' not in sys.modules")
+
+
+def test_package_import_leaves_the_estimator_unloaded():
+    _run_fresh("import abelfourier, sys; assert 'abelfourier.estimator' not in sys.modules")
 
 
 def test_sweep_region_csv(capsys):

@@ -11,7 +11,6 @@ from abelfourier.cli import main
 from abelfourier.estimator import (
     EstimatorConfig,
     ascent_estimate,
-    log_convexity_check,
     log_ratio_and_grad,
     ratio,
     structured_search,
@@ -20,6 +19,7 @@ from abelfourier.groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, all
 from abelfourier.norms import EXTREMAL_FAMILIES, INF, closed_form_cpq, family_ratio, finite_cpq
 from abelfourier.transform import MeasuredFunction, TIME, character_function, delta, forward
 from abelfourier.witnesses import bi_unimodular_values
+from oracles import log_convexity_check
 
 # points inside the compact finite region: u + v <= 1, v <= 1/2
 GRID = [

@@ -431,3 +431,54 @@ def test_check_at_extreme_orders_matches_the_oracle(tmp_path, capsys, view, p, q
         want = (renyi_oracle(np.abs(psi.values) ** 2, psi.atom, p / 2.0)
                 + renyi_oracle(np.abs(psihat.values) ** 2, psihat.atom, q / 2.0))
     assert out["lhs"] == pytest.approx(want, rel=1e-12)
+
+
+_MASSES = [1e-300, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e300]
+_WEIGHTED_POINTS = [  # (view, p, q) in U_C (compact) or U_D (discrete), 1/p up to 200
+    (COMPACT, 1.5, 3.0), (COMPACT, 1.0, INF), (COMPACT, 1.1, 20.0),
+    (DISCRETE, 1.5, 2.5), (DISCRETE, 0.25, 4.0), (DISCRETE, 0.005, 4.0), (DISCRETE, 0.005, INF),
+]
+
+
+@pytest.mark.parametrize("view, p, q", _WEIGHTED_POINTS)
+def test_weighted_check_bound_is_finite_at_every_mass(tmp_path, capsys, view, p, q):
+    """The weighted bound -log C_{p,q} is (1/p + 1/q - 1) log(mass): finite
+    where the closed form mass^(1-1/p-1/q) is past the float range or 0."""
+    rng = np.random.default_rng(113)
+    u, v = 1.0 / p, 1.0 / q
+    for mass in _MASSES:
+        psi = unit_random(rng, GroupSpec(orders=(2, 3), view=view, mass=mass))
+        path = tmp_path / "psi.csv"
+        path.write_text(write_csv(psi))
+        code = main(["uncertainty", "--mode", "check", "--input", str(path),
+                     "--p", repr(p), "--q", repr(q)])
+        captured = capsys.readouterr()
+        assert code == 0, (mass, captured.err)
+        out = json.loads(captured.out)
+        want = (u + v - 1.0) * math.log(mass)
+        assert abs(out["rhs"] - want) <= 1e-12 * max(1.0, abs(want)), mass
+        assert out["margin"] == out["lhs"] - out["rhs"]
+        assert out["satisfied"] is True
+
+
+@pytest.mark.parametrize("mass, value, p, want_rhs, want_margin", [
+    ("1e+300", 7.071067811865476e-151, 0.25, 2245.0204656691944, None),
+    ("0.001", 22.360679774997898, 0.005, -1376.37, 138.11),
+])
+def test_weighted_check_where_the_closed_form_leaves_the_float_range(
+        tmp_path, capsys, mass, value, p, want_rhs, want_margin):
+    """Unit-L2 psi of two equal values on discrete Z/2: mass^(1-1/p-1/q)
+    overflows at mass 1e300 and underflows to 0 at mass 0.001."""
+    path = tmp_path / "psi.csv"
+    path.write_text(f'cyclic:2;view=discrete;mass={mass},time\nindex_tuple,re,im\n'
+                    f'"(0,)",{value!r},0.0\n"(1,)",{value!r},0.0\n')
+    code = main(["uncertainty", "--mode", "check", "--input", str(path),
+                 "--p", repr(p), "--q", "4"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    out = json.loads(captured.out)
+    exact = (1.0 / p + 0.25 - 1.0) * math.log(float(mass))
+    assert abs(out["rhs"] - exact) <= 1e-12 * abs(exact)
+    assert out["rhs"] == pytest.approx(want_rhs, abs=0.01)
+    if want_margin is not None:
+        assert out["margin"] == pytest.approx(want_margin, abs=0.01)

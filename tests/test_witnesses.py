@@ -18,13 +18,13 @@ from abelfourier.witnesses import (
     arc_indicator_witness,
     chirp_witness,
     clt_delta_witness,
-    fit_growth,
     full_orbit_witness,
     lacunary_coefficients,
     lacunary_compact_witness,
     lacunary_discrete_witness,
     subgroup_indicator_witness,
 )
+from oracles import fit_growth
 
 
 def test_witness_point_invariant():
