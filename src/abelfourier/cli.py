@@ -397,6 +397,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_uncertainty(args) -> int:
+    if args.unweighted and args.mode != "check":  # no unweighted violator or support bound yet
+        raise SystemExit2("--unweighted applies to --mode check only")
     if args.mode == "check":
         if args.p is None or args.q is None:
             raise SystemExit2("mode check needs --p and --q")

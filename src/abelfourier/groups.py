@@ -128,19 +128,8 @@ class GroupSpec:
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
 
-    def negate(self, x) -> tuple[int, ...]:
-        return tuple((-a) % m for a, m in zip(x, self.orders))
-
     def scale(self, k: int, x) -> tuple[int, ...]:
         return tuple((k * a) % m for a, m in zip(x, self.orders))
-
-    def element_order(self, x) -> int:
-        """Least k >= 1 with k*x = 0."""
-        x = self.reduce(x)
-        order = 1
-        for xi, m in zip(x, self.orders):
-            order = math.lcm(order, m // math.gcd(xi, m))
-        return order
 
     def index_of(self, x) -> int:
         """Position of x in the canonical enumeration."""

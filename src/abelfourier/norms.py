@@ -49,28 +49,41 @@ def _power(base: float, e: float) -> float:
         return INF
 
 
-def _scaled_power_sum(f: MeasuredFunction, p: float) -> tuple[float, float]:
-    """(max |f|, sum (|f| / max |f|)^p atom), the sum 1 at p = inf or f = 0.
-    Over |f| / max |f|, a large p neither underflows nor overflows the sum."""
+def _scaled_power_sums(f: MeasuredFunction, ps) -> tuple[float, list[float]]:
+    """(max |f|, [sum (|f| / max |f|)^p atom for p in ps]), each sum 1 at
+    p = inf or f = 0.  Over |f| / max |f|, a large p neither underflows nor
+    overflows a sum.  |f| and its max are taken once for all of ps; every
+    power but the last goes into a new array, the last into |f|'s own."""
     mags = np.abs(f.values)
     top = float(mags.max()) if mags.size else 0.0
-    if p == INF or top == 0.0:
-        return top, 1.0
+    finite = [i for i, p in enumerate(ps) if p != INF]
+    sums = [1.0] * len(ps)
+    if top == 0.0 or not finite:
+        return top, sums
     mags /= top
-    mags **= p
-    return top, float(np.sum(mags) * f.atom)
+    for i in finite[:-1]:
+        sums[i] = float(np.sum(mags ** ps[i]) * f.atom)
+    mags **= ps[finite[-1]]
+    sums[finite[-1]] = float(np.sum(mags) * f.atom)
+    return top, sums
+
+
+def lp_norms(f: MeasuredFunction, *ps: float) -> tuple[float, ...]:
+    """``lp_norm`` of f at each of ps, bit for bit, from one |f| and one
+    max |f| (see ``_scaled_power_sums``)."""
+    us = [recip(p) for p in ps]
+    top, totals = _scaled_power_sums(f, ps)
+    return tuple(top * _power(total, u) for total, u in zip(totals, us))
 
 
 def lp_norm(f: MeasuredFunction, p: float) -> float:
     """(sum |f|^p atom)^(1/p) for finite p; max |f| for p = inf.
 
     For 0 < p < 1 this is the usual quasi-norm; it is absolutely homogeneous
-    but not subadditive.  The sum is ``_scaled_power_sum``'s; its power 1/p
+    but not subadditive.  The sum is ``_scaled_power_sums``'s; its power 1/p
     can be past the float range at a small p, and the norm is then inf.
     """
-    u = recip(p)
-    top, total = _scaled_power_sum(f, p)
-    return top * _power(total, u)
+    return lp_norms(f, p)[0]
 
 
 def parseval_defect(f: MeasuredFunction) -> float:
@@ -84,7 +97,7 @@ def log_lp_norm(f: MeasuredFunction, p: float) -> float:
     ``lp_norm``, so it is finite for every f != 0 at every p, even where the
     norm itself is past the float range; -inf for f = 0."""
     u = recip(p)
-    top, total = _scaled_power_sum(f, p)
+    top, (total,) = _scaled_power_sums(f, (p,))
     return math.log(top) + u * math.log(total) if top else -INF
 
 

@@ -13,7 +13,12 @@ A transform copies its input once and runs every axis in place in the
 copy, so it returns its values in a new array, except ``inverse(F,
 overwrite=True)``, which skips the copy and computes them in the buffer of
 ``F.values`` for a caller that does not read F again.  Finite values whose
-transform overflows the float range raise CapacityError.
+transform overflows the float range raise CapacityError: every transform's
+values are checked as a ``MeasuredFunction``'s are, by one sum of their
+float view (``_all_finite``), which allocates nothing.  Each scale
+is a complex product, a unit atom's too: numpy's product by 1.0 turns some
+signed zeros into +0 (-0 - 2j into 0 - 2j), so skipping it would change
+the bytes that ``transform`` writes.
 ``dft_matrix`` builds the dense matrix of the same transform from per-factor
 DFT matrices with exactly reduced phase angles.  It is the reference oracle
 the tests compare the FFT path against, and no production path uses it; it
@@ -67,9 +72,24 @@ class SideError(ValueError):
     """A transform was applied to a function living on the wrong side."""
 
 
+def _all_finite(halves: np.ndarray) -> bool:
+    """Whether every float of ``halves`` is finite, from their sum: a nan or
+    an infinity makes it nan or infinite, and finite floats give a finite
+    sum unless it overflows, which only a mask of ``np.isfinite`` then tells
+    apart.  The sum reads the floats once and allocates nothing; the min and
+    max, which also see a nan or an infinity, read them twice."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.add.reduce(halves))
+    return math.isfinite(total) or bool(np.all(np.isfinite(halves)))
+
+
 @dataclass
 class MeasuredFunction:
-    """Complex values on a group (time side) or its dual (frequency side)."""
+    """Complex values on a group (time side) or its dual (frequency side).
+
+    The values are raveled to complex128 and must be as many as the group's
+    elements and finite (``_all_finite`` of their float view, one pass that
+    builds no mask of 2N booleans)."""
 
     spec: GroupSpec
     side: str
@@ -83,7 +103,7 @@ class MeasuredFunction:
             raise ValueError(
                 f"expected {self.spec.size} values, got {vals.size}"
             )
-        if not np.all(np.isfinite(vals.view(np.float64))):
+        if not _all_finite(vals.view(np.float64)):
             raise ValueError("function values must be finite")
         self.values = vals
 
@@ -164,7 +184,8 @@ def _transformed(
     F: MeasuredFunction, side: str, inverse: bool, scales, overwrite: bool = False
 ) -> MeasuredFunction:
     """``_fft_flat`` of F's values (``ifftn`` if ``inverse``), multiplied in
-    place by each of ``scales`` in turn, as a function on ``side``.
+    place by each of ``scales`` in turn, as a function on ``side``.  A scale
+    of 1.0 is multiplied too (see the module docstring).
 
     Finite values can overflow the float range in a transform: that raises
     CapacityError, with no numpy warning."""

@@ -12,10 +12,13 @@ quadrature) follow the adequacy rules noted on each constructor.
 The three exact families and the arc indicator build no function and run no
 transform: the exact families' norms are the closed forms
 ``norms.family_norms``, and the arc's come from its Dirichlet kernel; the
-tests check both against the full FFT on small groups.  The CLT comb's
-transform is a sum of one-coordinate functions, built by outer sums with no
-transform either; it puts each coordinate in front of those built so far,
-so its outer sums run long inner loops.  The lacunary series still run one
+tests check both against the full FFT on small groups.  The arc's kernel
+magnitudes take one sine table, divided by its own slice, with n xi reduced
+and folded in one integer array.  The CLT comb's transform is a sum of
+one-coordinate functions, built by outer sums with no transform either; it
+puts each coordinate in front of those built so far, so its outer sums run
+long inner loops, and they all write into one buffer of the group's size,
+allocated afresh on each call.  The lacunary series still run one
 inverse transform each, of a frequency vector on compact Z/M: the compact
 one on its group, the discrete one on one period of its quadrature values,
 M/2 of the M grid points (all M for an odd grid), since every frequency 2^k
@@ -24,7 +27,8 @@ runs in the vector's own buffer (``inverse(..., overwrite=True)``).  The
 compact series' coefficients a_n depend on n alone, so each is computed once
 per process into a read-only table that only grows (at most the exhaustive
 cap's 2^20 entries, 16 MB), and each point transforms a fresh copy of its
-first m entries.
+first m entries.  The discrete series takes its L^q and Parseval L^2 norms
+from one |P| and one max |P| (``norms.lp_norms``).
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import numpy as np
 
 from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, MAX_SIZE, GroupSpec
 from .norms import (
-    BI_UNIMODULAR, CONSTANT, DELTA, INF, _power, family_norms, family_ratio, lp_norm, recip,
+    BI_UNIMODULAR, CONSTANT, DELTA, INF, _power, family_norms, family_ratio, lp_norm, lp_norms,
+    recip,
 )
 from .transform import FREQUENCY, MeasuredFunction, TIME, delta, inverse
 
@@ -175,11 +180,22 @@ def _dirichlet_magnitudes(n: int, m: int) -> np.ndarray:
     n xi is reduced mod m in integers and folded into [0, m/2], so each sine
     is taken at an angle in [0, pi/2], and |D| is exactly 0 where m | n xi.
     Numerator and denominator are then both sin(pi j / m), j = 0..floor(m/2),
-    so one table of those sines serves both."""
-    xi = np.arange(1, m // 2 + 1, dtype=np.int64)
-    r = n * xi % m
-    sines = np.sin(np.pi * np.arange(m // 2 + 1) / m)
-    return sines[np.minimum(r, m - r)] / (n * sines[xi])
+    so one table of those sines serves both: the numerators are gathered from
+    it, and the denominators are its slice from j = 1, scaled by n in place.
+    n xi is reduced and folded in its own array, and the table is built in
+    its own, so the only other arrays are m - r and the result."""
+    r = np.arange(n, n * (m // 2) + 1, n, dtype=np.int64)  # n xi
+    r %= m
+    np.minimum(r, m - r, out=r)
+    sines = np.arange(m // 2 + 1, dtype=np.float64)
+    sines *= np.pi
+    sines /= m
+    np.sin(sines, out=sines)
+    magnitudes = sines[r]
+    denominators = sines[1:]
+    denominators *= n  # the table is not read again
+    magnitudes /= denominators
+    return magnitudes
 
 
 def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
@@ -204,7 +220,8 @@ def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
     u, v = recip(p), recip(q)
     norm_fhat = 1.0
     if v:
-        powers = _dirichlet_magnitudes(n, m) ** q
+        powers = _dirichlet_magnitudes(n, m)
+        powers **= q
         total = 1.0 + 2.0 * float(np.sum(powers))
         if m % 2 == 0:
             total -= float(powers[-1])  # xi = m/2 is its own negative
@@ -363,7 +380,8 @@ def lacunary_discrete_witness(
     n: int, p: float, q: float, grid_points: int | None = None
 ) -> LacunaryDiscreteWitness:
     """The integers' witness at scale n, its transform's L^q and L^2 norms
-    taken by ``lp_norm`` on one set of quadrature values: the values of
+    taken by ``lp_norms`` on one set of quadrature values (one |P|, and the
+    same bits as two ``lp_norm`` calls): the values of
     P(theta) = sum_{k=1}^{n} k^(-1/2) e^{i 2^k theta} on a grid of
     M >= 8 * 2^n points (default exactly that), from one inverse transform
     of a frequency vector on compact Z/M (unit dual atoms), k^(-1/2) at bin
@@ -388,7 +406,7 @@ def lacunary_discrete_witness(
     freq = np.zeros(grid_points // fold, dtype=np.complex128)
     freq[2 ** np.arange(1, n + 1) // fold] = _comb_weights(n)
     fhat = inverse(MeasuredFunction(GroupSpec((freq.size,)), FREQUENCY, freq), overwrite=True)
-    norm_fhat, l2 = lp_norm(fhat, q), lp_norm(fhat, 2.0)
+    norm_fhat, l2 = lp_norms(fhat, q, 2.0)
     parseval = float(math.sqrt(np.sum(1.0 / np.arange(1, n + 1))))
     if abs(l2 - parseval) > 1e-6:
         raise ArithmeticError(
@@ -408,6 +426,31 @@ def lacunary_discrete_witness(
     )
 
 
+def _clt_transform(r: int, n: int) -> np.ndarray:
+    """fhat(chi) = sum_{k=1}^{n} k^(-1/2) w^(chi_k), w = e^(2 pi i / r), over
+    the r^n dual points of (Z/r)^n in canonical order: the transform of the
+    CLT comb, built in one buffer of r^n values.
+
+    The last coordinate is the fastest, so the coordinates are taken last to
+    first, each put in front as the slowest: every outer sum runs r inner
+    loops over the values built so far, not one short loop of r per value.
+    Those values fill the front of the buffer, and block j of the next outer
+    sum goes at j times their length: blocks 1 to r-1 read them, and block
+    0, which holds them, is summed in place last of all."""
+    roots = np.exp(2j * np.pi * np.arange(r) / r)
+    values = np.empty(r**n, dtype=np.complex128)
+    values[0] = 0.0
+    built = 1
+    for a in _comb_weights(n)[::-1]:
+        terms = a * roots
+        front = values[:built]
+        for j in range(1, r):
+            np.add(terms[j], front, out=values[j * built:(j + 1) * built])
+        front += terms[0]
+        built *= r
+    return values
+
+
 def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     """f = sum_k (1/sqrt k) delta_{-e_k} on discrete (Z/r)^n with unit atoms.
 
@@ -418,20 +461,13 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
 
     No forward transform runs: fhat(chi) = sum_k a_k w^chi_k with w the
     r-th root e^(2 pi i / r), a sum of one-coordinate functions, so it is
-    built by one outer sum per coordinate, the last coordinate first.
-    ||f||_p is ``_comb_norm``, so f itself is never built; fhat is, so the
-    group keeps the exhaustive cap."""
+    built by one outer sum per coordinate into one buffer
+    (``_clt_transform``).  ||f||_p is ``_comb_norm``, so f itself is never
+    built; fhat is, so the group keeps the exhaustive cap."""
     # at n < 1 this is the cap on r alone, as in the other prime families
     spec = _capped_spec(r, DISCRETE, max(n, 1))
     _check_prime_r_and_n(r, n)
-    roots = np.exp(2j * np.pi * np.arange(r) / r)
-    values = np.zeros(1, dtype=np.complex128)
-    # Canonical order, the last coordinate fastest: the coordinates are taken
-    # last to first, each put in front as the slowest, so every outer sum
-    # runs r inner loops over the values built so far, not one short loop
-    # of r per value.
-    for a in _comb_weights(n)[::-1]:
-        values = np.add.outer(a * roots, values).ravel()
+    values = _clt_transform(r, n)
     fhat = MeasuredFunction(spec, FREQUENCY, values)
     # Var(cos(2 pi U/r)) over a uniform r-th root: 1 for r=2, 1/2 for odd prime r.
     sigma_sq = 1.0 if r == 2 else 0.5

@@ -4,7 +4,10 @@ They check the library's results against facts of the paper: the transform
 applied twice is the reflection x -> -x, Hausdorff-Young holds with constant
 1 on the compact mass-1 view, a witness family's ratio grows like a power of
 the group size, and log K(1/p, 1/q) is convex along segments (Riesz-Thorin).
-No command reaches them, so they live beside the tests, not in the package.
+Beside them are group arithmetic that only the tests use (negation, element
+order) and the outer-sum construction of the CLT comb's transform that the
+library's one-buffer build is held to, bit for bit.  No command reaches
+them, so they live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -46,6 +49,19 @@ def hausdorff_young_check(f: MeasuredFunction, p: float) -> float:
     return lp_norm(f, p) - lp_norm(forward(f), holder_conjugate(p))
 
 
+def negate(spec: GroupSpec, x) -> tuple[int, ...]:
+    """-x in spec."""
+    return tuple((-a) % m for a, m in zip(x, spec.orders))
+
+
+def element_order(spec: GroupSpec, x) -> int:
+    """Least k >= 1 with k*x = 0 in spec."""
+    order = 1
+    for xi, m in zip(spec.reduce(x), spec.orders):
+        order = math.lcm(order, m // math.gcd(xi, m))
+    return order
+
+
 def reflect(f: MeasuredFunction) -> MeasuredFunction:
     """Index-reversal oracle: g(x) = f(-x)."""
     grid = f.grid()
@@ -73,6 +89,18 @@ def dual_forward(F: MeasuredFunction) -> MeasuredFunction:
 def double_transform(f: MeasuredFunction) -> MeasuredFunction:
     """The transform applied twice, once on each group; equals x -> f(-x)."""
     return dual_forward(forward(f))
+
+
+def clt_transform_outer(r: int, n: int) -> np.ndarray:
+    """The CLT comb's transform on discrete (Z/r)^n built by ``np.add.outer``,
+    the coordinates taken last to first and each put in front, one new
+    array per coordinate: the construction that ``witnesses._clt_transform``
+    replaces with one buffer, bit for bit."""
+    roots = np.exp(2j * np.pi * np.arange(r) / r)
+    values = np.zeros(1, dtype=np.complex128)
+    for a in (1.0 / np.sqrt(np.arange(1, n + 1)))[::-1]:
+        values = np.add.outer(a * roots, values).ravel()
+    return values
 
 
 @dataclass(frozen=True)

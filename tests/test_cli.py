@@ -1099,6 +1099,26 @@ def test_uncertainty_violate_non_finite_target_is_usage_error(capsys, side, targ
     assert err == "error: target must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["violate", "--p", "1.111", "--q", "2.5", "--side", "compact", "--target=-2"],
+    ["violate", "--p", "4", "--q", "4", "--side", "compact", "--target=-5"],
+    ["violate", "--p", "1.111", "--q", "2.5", "--target", "2", "--output", "OUT"],
+    ["violate"],  # refused before the missing --p, --q and --target
+    ["support", "--input", "IN"],
+])
+def test_uncertainty_refuses_unweighted_outside_check_mode(tmp_path, capsys, argv):
+    """Only check mode has an unweighted form: elsewhere --unweighted is a
+    usage error, not a flag that the weighted violator (or the support
+    bound) ignores."""
+    out_path, in_path = tmp_path / "v.csv", tmp_path / "psi.csv"
+    in_path.write_text(write_csv(transform.delta(GroupSpec.parse("cyclic:4"))))
+    argv = [{"OUT": str(out_path), "IN": str(in_path)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, "uncertainty", "--unweighted", "--mode", *argv)
+    assert (code, out) == (2, "")
+    assert err == "usage error: --unweighted applies to --mode check only\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",

@@ -26,7 +26,7 @@ from abelfourier.transform import (
     read_csv,
     write_csv,
 )
-from oracles import double_transform, dual_forward, dual_group, reflect
+from oracles import double_transform, dual_forward, dual_group, negate, reflect
 
 
 def random_function(rng, spec, side=TIME):
@@ -50,6 +50,41 @@ def test_measured_function_validation():
         MeasuredFunction(spec, TIME, np.zeros(3, dtype=np.complex128))
     with pytest.raises(ValueError):
         MeasuredFunction(spec, TIME, np.array([np.nan, 0, 0, 0]))
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        MeasuredFunction(spec, TIME, np.full(4, complex(big, big)))  # the sum overflows
+        with pytest.raises(ValueError, match="^function values must be finite$"):
+            MeasuredFunction(spec, TIME, np.array([big, -big, np.inf, -np.inf]))
+
+
+_EDGE_FLOATS = [np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324,
+                np.finfo(float).tiny / 2, -0.0, 0.0]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    size=st.integers(2, 40),
+    finite=st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=80, max_size=80),
+    bad=st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+    slot=st.integers(0, 79),
+)
+def test_finiteness_check_rejects_every_non_finite_slot(size, finite, bad, slot):
+    """The check sums the float view, and builds a mask only when the sum is
+    not finite: a nan or an infinity in any real or imaginary slot, next to
+    any finite values, is rejected with the same message, and the largest
+    finite float (whose sums overflow), subnormals and -0.0 pass, with no
+    warning."""
+    spec = GroupSpec(orders=(size,))
+    parts = np.array(finite[: 2 * size])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = MeasuredFunction(spec, TIME, parts.view(np.complex128))
+        assert np.array_equal(f.values.view(np.float64).view(np.uint64), parts.view(np.uint64))
+        parts[slot % (2 * size)] = bad
+        with pytest.raises(ValueError, match="^function values must be finite$"):
+            MeasuredFunction(spec, FREQUENCY, parts.view(np.complex128))
 
 
 def test_side_errors():
@@ -197,6 +232,23 @@ def test_inverse_butterfly_keeps_signed_zeros(orders):
     assert np.shares_memory(in_place, buffer)
 
 
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), (4, 3)])
+@pytest.mark.parametrize("values", [complex(-0.0, -2.0), complex(-0.0, -0.0), complex(3.0, -0.0)])
+def test_unit_atoms_scale_signed_zeros_as_numpy_does(orders, values):
+    """A unit atom (discrete mass 1 forward, compact mass 1 inverse) is still
+    a complex product by 1.0, which turns some signed zeros into +0: so
+    skipping it would change the bytes that ``transform`` writes."""
+    size = math.prod(orders)
+    vals = np.full(size, values)
+    vals[1::2] *= 0.5
+    f = MeasuredFunction(GroupSpec(orders, view=DISCRETE), TIME, vals.copy())
+    F = MeasuredFunction(GroupSpec(orders, view=COMPACT), FREQUENCY, vals.copy())
+    grid = vals.reshape(orders)
+    assert np.array_equal(_bits(forward(f).values), _bits(1.0 * np.fft.fftn(grid).ravel()))
+    assert np.array_equal(_bits(inverse(F).values),
+                          _bits(1.0 * (size * np.fft.ifftn(grid).ravel())))
+
+
 @pytest.mark.parametrize("transform_fn, side, orders", [
     (forward, TIME, (2,)), (inverse, FREQUENCY, (3,)), (dual_forward, FREQUENCY, (2, 3)),
 ], ids=["forward", "inverse", "dual_forward"])
@@ -224,7 +276,7 @@ def test_reflect_matches_negation():
     f = random_function(rng, spec)
     g = reflect(f)
     for x in spec.elements():
-        assert g.values[spec.index_of(x)] == f.values[spec.index_of(spec.negate(x))]
+        assert g.values[spec.index_of(x)] == f.values[spec.index_of(negate(spec, x))]
 
 
 def test_dft_matrix_unitary_scaled():

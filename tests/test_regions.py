@@ -23,6 +23,7 @@ from abelfourier.norms import (
     finite_exponent,
     log_lp_norm,
     lp_norm,
+    lp_norms,
     recip,
 )
 from abelfourier.transform import (
@@ -118,6 +119,26 @@ def test_log_lp_norm_is_log_of_lp_norm_and_finite_past_the_float_range():
     assert log_lp_norm(ones, 1e-3) == pytest.approx(1e3 * math.log(6.0), rel=1e-12)
     zero = MeasuredFunction(spec, TIME, np.zeros(12, dtype=np.complex128))
     assert log_lp_norm(zero, 2.0) == -INF
+
+
+@pytest.mark.parametrize("view", [COMPACT, DISCRETE])
+@pytest.mark.parametrize("ps", [(0.3, 2.0), (0.7, 2.0), (2.0, 0.5), (INF, 2.0), (2.0, INF),
+                                (2.0, 2.0), (0.9, INF, 2.0, 1e4), (INF, INF)])
+def test_lp_norms_equal_lp_norm_bit_for_bit(view, ps):
+    """One |f| and one max |f| serve every exponent, with each norm the
+    bits of its own ``lp_norm``, at q < 1, 2.0 and inf, on a large
+    (2^17 values, as the discrete lacunary witness's) and a zero function."""
+    rng = np.random.default_rng(len(ps))
+    spec = GroupSpec(orders=(2**17,), view=view, mass=0.75)
+    values = rng.standard_normal(spec.size) + 1j * rng.standard_normal(spec.size)
+    for f in (MeasuredFunction(spec, FREQUENCY, values),
+              MeasuredFunction(spec, TIME, np.zeros(spec.size, dtype=np.complex128))):
+        before = f.values.copy()
+        got = lp_norms(f, *ps)
+        assert [x.hex() for x in got] == [lp_norm(f, p).hex() for p in ps]
+        assert np.array_equal(f.values, before)
+    with pytest.raises(ValueError, match="exponent must be in"):
+        lp_norms(f, 2.0, 0.0)
 
 
 def test_structured_search_sees_the_delta_at_large_q():

@@ -24,7 +24,7 @@ from abelfourier.witnesses import (
     lacunary_discrete_witness,
     subgroup_indicator_witness,
 )
-from oracles import fit_growth
+from oracles import clt_transform_outer, fit_growth, negate
 
 
 def test_witness_point_invariant():
@@ -166,13 +166,26 @@ def _assert_matches_full_fft(pt, f, p, q, fhat=None):
         assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("r, n", [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 13)]
+                         + [(5, n) for n in range(1, 9)])
+def test_clt_transform_is_the_outer_sums_bit_for_bit(r, n):
+    """The one-buffer comb equals the ``np.add.outer`` construction bit for
+    bit, and a second call (after another size) gives the same bits."""
+    want = clt_transform_outer(r, n).view(np.uint64)
+    got = witnesses._clt_transform(r, n)
+    assert got.shape == (r**n,) and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want)
+    witnesses._clt_transform(r, 1)
+    assert np.array_equal(witnesses._clt_transform(r, n).view(np.uint64), want)
+
+
 def _clt_comb(r, n):
     """The CLT comb sum_k (1/sqrt k) delta_{-e_k}, materialized on (Z/r)^n."""
     spec = GroupSpec((r,) * n, view="discrete")
     vals = np.zeros(spec.size, dtype=np.complex128)
     for k in range(1, n + 1):
         e_k = tuple(int(j == k - 1) for j in range(n))
-        vals[spec.index_of(spec.negate(e_k))] += 1.0 / math.sqrt(k)
+        vals[spec.index_of(negate(spec, e_k))] += 1.0 / math.sqrt(k)
     return MeasuredFunction(spec, TIME, vals)
 
 
