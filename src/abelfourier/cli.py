@@ -9,6 +9,7 @@ the string "inf".  Exit codes: 0 success, 2 usage error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -127,9 +128,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _open_out(path):
+    """A context manager that yields the output stream: stdout for None or
+    "-", left open, else the file at path, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def _read_function(path) -> MeasuredFunction:
@@ -162,12 +165,8 @@ def _cmd_info(args) -> int:
 def _cmd_transform(args) -> int:
     f = _read_function(args.input)
     g = inverse(f) if args.inverse else forward(f)
-    out, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         write_csv(g, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -366,12 +365,8 @@ def _cmd_sweep(args) -> int:
             return _sweep_row(_witness(sub))
 
     rows = [one(x) for x in todo]
-    out, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -713,12 +708,13 @@ def _read_exact(options: dict, argv: list[str]) -> dict | None:
     by its value, which must not start with ``-``, or of a ``store_true``
     action.  A value goes through the action's ``type`` and then its
     ``choices``, and the last value of a repeated flag wins; an unseen
-    action takes its default, a string default through ``type``, all as
-    argparse does.  None when an argument is anything else (an abbreviation,
-    ``--p=2``, ``-h``, an unknown flag, a stray value), when a value is
-    missing or starts with ``-`` (argparse decides by a pattern of its own
-    whether ``-1e9`` is a number or a flag), when ``type`` or ``choices``
-    rejects a value, and when a required action is unset."""
+    action takes its default, all as argparse does.  (argparse would run a
+    string default through ``type``; no option has both.)  None when an
+    argument is anything else (an abbreviation, ``--p=2``, ``-h``, an
+    unknown flag, a stray value), when a value is missing or starts with
+    ``-`` (argparse decides by a pattern of its own whether ``-1e9`` is a
+    number or a flag), when ``type`` or ``choices`` rejects a value, and when
+    a required action is unset."""
     values = {}
     args = iter(argv)
     try:
@@ -741,10 +737,7 @@ def _read_exact(options: dict, argv: list[str]) -> dict | None:
             if action.dest not in values:
                 if action.required:
                     return None
-                default = action.default
-                if isinstance(default, str) and action.type is not None:
-                    default = action.type(default)
-                values[action.dest] = default
+                values[action.dest] = action.default
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
     return values

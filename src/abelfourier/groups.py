@@ -128,9 +128,6 @@ class GroupSpec:
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
 
-    def scale(self, k: int, x) -> tuple[int, ...]:
-        return tuple((k * a) % m for a, m in zip(x, self.orders))
-
     def index_of(self, x) -> int:
         """Position of x in the canonical enumeration."""
         x = self.reduce(x)

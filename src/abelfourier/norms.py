@@ -25,8 +25,6 @@ INF = math.inf
 R1, R2, R3 = "R1", "R2", "R3"
 R1P, R2P, R3PEXT = "R1'", "R2'", "R3'ext"
 
-FINITE_LABELS = {R1, R2P}
-
 
 def recip(p: float) -> float:
     """1/p with p = inf mapping to exactly 0; rejects p <= 0, and a p so

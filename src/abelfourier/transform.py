@@ -111,9 +111,6 @@ class MeasuredFunction:
     def atom(self) -> float:
         return self.spec.primal_atom if self.side == TIME else self.spec.dual_atom
 
-    def grid(self) -> np.ndarray:
-        return self.values.reshape(self.spec.orders)
-
 
 def delta(spec: GroupSpec, at=None) -> MeasuredFunction:
     """Indicator of a single point (default: the identity)."""

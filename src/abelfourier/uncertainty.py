@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, describe_group
-from .norms import CONSTANT, DELTA, _power, log_lp_norm, lp_norm, recip
+from .groups import COMPACT, EXHAUSTIVE_CAP, GroupSpec, describe_group
+from .norms import (
+    CONSTANT, DELTA, R1, R1P, R2, R2P, _power, classify, log_lp_norm, lp_norm, recip,
+)
 from .transform import MeasuredFunction, TIME, forward
 from .witnesses import EXTREMALS
 
@@ -21,6 +23,9 @@ SUPPORT_RTOL = 1e-12
 
 #: How far a wavefunction's squared L2 norm may be from 1.
 MASS_TOL = 1e-10
+
+#: The largest group parameter n that ``weighted_up_violator`` tries.
+MAX_PARAM = 10**6
 
 
 def _on_support(values: np.ndarray) -> np.ndarray:
@@ -91,29 +96,26 @@ def weighted_entropy_sum(psi: MeasuredFunction, p: float, q: float) -> float:
 
 
 def in_weighted_region(view: str, u: float, v: float) -> bool:
-    """U_C (compact: u+v <= 1, u > 1/2) or U_D (discrete: u+v >= 1, v < 1/2)."""
-    if view == COMPACT:
-        return u + v <= 1.0 and u > 0.5
-    if view == DISCRETE:
-        return u + v >= 1.0 and v < 0.5
-    raise ValueError(f"unknown view {view!r}")
+    """U_C (compact: R1 with u > 1/2) or U_D (discrete: R2' with v < 1/2),
+    each a finite region of ``classify`` cut by one half-plane."""
+    label = classify(view, u, v).label
+    return (label == R1 and u > 0.5) or (label == R2P and v < 0.5)
 
 
 def in_violation_region(view: str, u: float, v: float) -> bool:
-    """U_CN (compact: u+v > 1, v <= 1/2) or U_DN (discrete: u+v < 1, u >= 1/2)."""
-    if view == COMPACT:
-        return u + v > 1.0 and v <= 0.5
-    if view == DISCRETE:
-        return u + v < 1.0 and u >= 0.5
-    raise ValueError(f"unknown view {view!r}")
+    """U_CN (compact: R2 with v <= 1/2) or U_DN (discrete: R1' with u >= 1/2),
+    each an infinite region of ``classify`` cut by one half-plane."""
+    label = classify(view, u, v).label
+    return (label == R2 and v <= 0.5) or (label == R1P and u >= 0.5)
 
 
 def weighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
     """The weighted uncertainty inequality at a point of its validity region:
     weighted entropy sum >= -log C_{p,q}.
 
-    U_C lies inside R1 and U_D inside R2', so C_{p,q} there is the closed
-    form mass^(1-u-v), and -log C_{p,q} is taken as (u + v - 1) log(mass):
+    U_C lies inside R1 and U_D inside R2' (``in_weighted_region`` reads
+    ``classify``), so C_{p,q} there is the closed form mass^(1-u-v), and
+    -log C_{p,q} is taken as (u + v - 1) log(mass):
     finite at every mass, where the power itself can leave the float range."""
     u, v = recip(p), recip(q)
     if not in_weighted_region(psi.spec.view, u, v):
@@ -139,9 +141,7 @@ class ViolatorResult:
     psi: MeasuredFunction | None  # materialized only up to the exhaustive cap
 
 
-def weighted_up_violator(
-    target: float, p: float, q: float, side: str, max_param: int = 10**6
-) -> ViolatorResult:
+def weighted_up_violator(target: float, p: float, q: float, side: str) -> ViolatorResult:
     """A unit-L2 function whose weighted entropy sum drops below ``target``.
 
     The ``witnesses.EXTREMALS`` function scaled to unit L2.  Compact side: the
@@ -162,14 +162,14 @@ def weighted_up_violator(
     slope = (1.0 - u - v) * math.log(2.0) if side == COMPACT else (u + v - 1.0) * math.log(2.0)
     # slope < 0 in both violation regions, except on the boundary u+v=1 which
     # both region definitions exclude.  n is the least n >= 1 with
-    # slope * n <= target, capped at max_param.
+    # slope * n <= target, capped at MAX_PARAM.
     n = 1
     if slope > target:
         bound = target / slope if slope < 0.0 else math.inf
-        n = max_param if bound >= max_param else math.ceil(bound)
+        n = MAX_PARAM if bound >= MAX_PARAM else math.ceil(bound)
         while n > 1 and slope * (n - 1) <= target:
             n -= 1
-        while n < max_param and slope * n > target:
+        while n < MAX_PARAM and slope * n > target:
             n += 1
     value = slope * n
     achieved = value <= target

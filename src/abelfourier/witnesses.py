@@ -325,14 +325,12 @@ def lacunary_compact_witness(m: int, p: float, q: float) -> WitnessPoint:
     forward transform.  It is also the coefficient l^q sum, the stored
     prediction: a lower bound on ||fhat||_q (met with equality here) that
     diverges for q < 2 while ||f||_p stays bounded."""
-    if m < 4:
-        raise ValueError("m must be >= 4")
-    spec = _capped_spec(m, COMPACT)
-    fhat = MeasuredFunction(spec, FREQUENCY, lacunary_coefficients(m))
+    coefficients = lacunary_coefficients(m)  # checks m >= 4 and the cap
+    fhat = MeasuredFunction(GroupSpec((m,)), FREQUENCY, coefficients)
     norm_fhat = lp_norm(fhat, q)
     f = inverse(fhat, overwrite=True)  # fhat is not read again
     return _measured_point(
-        "lacunary_compact", m, spec, lp_norm(f, p), norm_fhat, p, q, norm_fhat, "lower_bound",
+        "lacunary_compact", m, f.spec, lp_norm(f, p), norm_fhat, p, q, norm_fhat, "lower_bound",
     )
 
 

@@ -4,10 +4,13 @@ They check the library's results against facts of the paper: the transform
 applied twice is the reflection x -> -x, Hausdorff-Young holds with constant
 1 on the compact mass-1 view, a witness family's ratio grows like a power of
 the group size, and log K(1/p, 1/q) is convex along segments (Riesz-Thorin).
-Beside them are group arithmetic that only the tests use (negation, element
-order) and the outer-sum construction of the CLT comb's transform that the
-library's one-buffer build is held to, bit for bit.  No command reaches
-them, so they live beside the tests, not in the package.
+Beside them are group arithmetic that only the tests use (negation,
+multiples, element order, a function's values as a grid), the outer-sum
+construction of the CLT comb's transform that the library's one-buffer build
+is held to, bit for bit, and the uncertainty regions written as comparisons
+of the float u + v with 1, which the library's reading of ``classify`` is
+held to.  No command reaches them, so they live beside the tests, not in the
+package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
-from abelfourier.norms import INF, lp_norm, recip
+from abelfourier.norms import INF, R1, R2P, lp_norm, recip
 from abelfourier.transform import FREQUENCY, TIME, MeasuredFunction, SideError, forward
 
 
@@ -54,6 +57,11 @@ def negate(spec: GroupSpec, x) -> tuple[int, ...]:
     return tuple((-a) % m for a, m in zip(x, spec.orders))
 
 
+def scale(spec: GroupSpec, k: int, x) -> tuple[int, ...]:
+    """k*x in spec."""
+    return tuple((k * a) % m for a, m in zip(x, spec.orders))
+
+
 def element_order(spec: GroupSpec, x) -> int:
     """Least k >= 1 with k*x = 0 in spec."""
     order = 1
@@ -62,12 +70,39 @@ def element_order(spec: GroupSpec, x) -> int:
     return order
 
 
+def grid(f: MeasuredFunction) -> np.ndarray:
+    """f's values as an array with one axis per cyclic factor."""
+    return f.values.reshape(f.spec.orders)
+
+
 def reflect(f: MeasuredFunction) -> MeasuredFunction:
     """Index-reversal oracle: g(x) = f(-x)."""
-    grid = f.grid()
-    for axis in range(grid.ndim):
-        grid = np.roll(np.flip(grid, axis=axis), 1, axis=axis)
-    return MeasuredFunction(f.spec, f.side, grid.ravel())
+    values = grid(f)
+    for axis in range(values.ndim):
+        values = np.roll(np.flip(values, axis=axis), 1, axis=axis)
+    return MeasuredFunction(f.spec, f.side, values.ravel())
+
+
+#: The labels ``classify`` gives the finite regions.
+FINITE_LABELS = {R1, R2P}
+
+
+def weighted_region_by_sums(view: str, u: float, v: float) -> bool:
+    """U_C (compact: u+v <= 1, u > 1/2) or U_D (discrete: u+v >= 1, v < 1/2)."""
+    if view == COMPACT:
+        return u + v <= 1.0 and u > 0.5
+    if view == DISCRETE:
+        return u + v >= 1.0 and v < 0.5
+    raise ValueError(f"unknown view {view!r}")
+
+
+def violation_region_by_sums(view: str, u: float, v: float) -> bool:
+    """U_CN (compact: u+v > 1, v <= 1/2) or U_DN (discrete: u+v < 1, u >= 1/2)."""
+    if view == COMPACT:
+        return u + v > 1.0 and v <= 0.5
+    if view == DISCRETE:
+        return u + v < 1.0 and u >= 0.5
+    raise ValueError(f"unknown view {view!r}")
 
 
 def dual_group(spec: GroupSpec) -> GroupSpec:

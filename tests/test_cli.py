@@ -46,6 +46,9 @@ def test_info(capsys):
     assert payload["orders"] == [2, 3]
     assert payload["size"] == 6
     assert payload["dual_total"] == 2.0
+    # an empty field of the spec is skipped
+    payload = run_json(capsys, "info", "--group", "cyclic:4;;view=discrete")
+    assert (payload["group"], payload["view"]) == ("cyclic:4;view=discrete;mass=1", "discrete")
 
 
 def test_cpq_example(capsys):
@@ -134,6 +137,17 @@ def test_witness_missing_flags_usage_error(capsys):
     code, _, err = run(capsys, "witness", "--family", "chirp", "--q", "1")
     assert code == 2
     assert "needs" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("witness --family arc_indicator --k 0 --m 100", "error: k must be >= 1\n"),
+    ("witness --family lacunary_discrete --n 0 --p 3", "error: n must be >= 1\n"),
+    ("witness --family lacunary_compact --m 3", "error: m must be >= 4\n"),
+    ("uncertainty --mode violate --p 1.111 --q 2.5",
+     "usage error: mode violate needs --p, --q and --target\n"),
+])
+def test_guards_exit_2_with_their_message(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
 
 
 # family, flags a sweep value does not set, two sweep values, the flags a

