@@ -34,7 +34,6 @@ from .norms import (
     family_ratio,
     finite_cpq,
     finite_cpq_at,
-    finite_exponent,
     log_lp_norm,
     lp_norm,
     parseval_defect,

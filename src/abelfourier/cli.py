@@ -3,7 +3,8 @@
 Subcommands: info, transform, norm, region, cpq, witness, sweep, estimate,
 uncertainty.  JSON on stdout by default; CSV for function data and sweeps.
 Floats are emitted with shortest round-trip encoding; infinities appear as
-the string "inf".  Exit codes: 0 success, 2 usage error, 3 capacity error.
+the string "inf".  Exit codes: 0 success, 1 a failed ``--selftest`` check,
+2 usage error, 3 capacity error.
 """
 
 from __future__ import annotations
@@ -185,14 +186,15 @@ def _cmd_norm(args) -> int:
 
 def _region(side: str, u: float, v: float, spec: GroupSpec | None):
     """``classify``'s verdict at (u, v) and, at a finite point when spec is
-    given, the norm there from ``finite_cpq_at`` (else None).  A spec whose
-    view is not ``side`` is an error at every point."""
-    verdict = classify(side, u, v)
+    given, the norm there (else None), both from one ``finite_cpq_at`` call.
+    A spec whose view is not ``side`` is an error at every point, checked
+    after u and v."""
     if spec is None:
-        return verdict, None
+        return classify(side, u, v), None
+    value, verdict = finite_cpq_at(spec, u, v)
     if spec.view != side:
         raise ValueError(f"spec view {spec.view!r} does not match side {side!r}")
-    return verdict, finite_cpq_at(spec, u, v)[2] if verdict.finite else None
+    return verdict, value if verdict.finite else None
 
 
 def _cmd_region(args) -> int:
@@ -213,15 +215,15 @@ def _cmd_region(args) -> int:
 
 def _cmd_cpq(args) -> int:
     spec = GroupSpec.parse(args.group)
-    finite_norm, extremal, value = finite_cpq_at(spec, recip(args.p), recip(args.q))
+    finite_norm, verdict = finite_cpq_at(spec, recip(args.p), recip(args.q))
     _emit_json(
         {
             "group": spec.describe(),
             "p": args.p,
             "q": args.q,
             "finite_norm": finite_norm,
-            "extremal": extremal,
-            "value": value,
+            "extremal": verdict.extremal,
+            "value": finite_norm if verdict.finite else INF,
         }
     )
     return EXIT_OK
@@ -373,16 +375,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_estimate(args) -> int:
     spec = GroupSpec.parse(args.group)
     u, v = recip(args.p), recip(args.q)
-    value, extremal, closed_form = finite_cpq_at(spec, u, v)
-    verdict = classify(spec.view, u, v)
+    value, verdict = finite_cpq_at(spec, u, v)
     _emit_json(
         {
             "group": spec.describe(),
             "p": args.p,
             "q": args.q,
             "estimate": value,
-            "extremal": extremal,
-            "closed_form": closed_form,
+            "extremal": verdict.extremal,
+            "closed_form": value if verdict.finite else INF,
             "region": verdict.label,
             "converged": True,
             "iterations": 0,

@@ -68,7 +68,7 @@ def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:
     """Best ratio over the constant, the delta at the identity and the
     bi-unimodular function, evaluated numerically; ties go to the earlier.
 
-    No function does better (see ``norms.finite_exponent``), so the value is
+    No function does better (see ``norms.classify``), so the value is
     ``finite_cpq`` up to roundoff.
     """
     spec._check_capacity()

@@ -107,41 +107,22 @@ def ratio(f: MeasuredFunction, p: float, q: float) -> float:
     return lp_norm(forward(f), q) / nf
 
 
+#: The extremal families of the finite-group norm, in tie-break order.
+CONSTANT, DELTA, BI_UNIMODULAR = "constant", "delta", "bi_unimodular"
+EXTREMAL_FAMILIES = (CONSTANT, DELTA, BI_UNIMODULAR)
+
+
 @dataclass(frozen=True)
 class RegionVerdict:
-    """Classification of a point (1/p, 1/q) for one measure view."""
+    """Classification of a point (1/p, 1/q) for one measure view: its region,
+    whether the norm is finite there, the norm's power of N on a finite group
+    of that view, and the earliest extremal family attaining it."""
 
     side: str
     label: str
     finite: bool
-
-
-def classify(side: str, u: float, v: float) -> RegionVerdict:
-    """Total partition of the quadrant [0, inf)^2 into the norm regions.
-
-    Compact: finite exactly on {u + v <= 1, v <= 1/2}; every point with
-    u + v > 1 is infinite, and so is the remaining strip v > 1/2.
-    Discrete: finite exactly on {u + v >= 1, u >= 1/2}; infinite on
-    {u + v < 1, v < 1/2} and on the whole remaining region u < 1/2.
-
-    The norm at a finite point is ``finite_cpq_at``'s value there.
-    """
-    if not (u >= 0 and v >= 0 and math.isfinite(u) and math.isfinite(v)):
-        raise ValueError("reciprocal exponents must be finite and >= 0")
-    if side == COMPACT:
-        if u + v <= 1 and v <= 0.5:
-            return RegionVerdict(side, R1, True)
-        return RegionVerdict(side, R2 if u + v > 1 else R3, False)
-    if side == DISCRETE:
-        if u + v >= 1 and u >= 0.5:
-            return RegionVerdict(side, R2P, True)
-        return RegionVerdict(side, R1P if u + v < 1 and v < 0.5 else R3PEXT, False)
-    raise ValueError(f"unknown side {side!r}")
-
-
-#: The extremal families of the finite-group norm, in tie-break order.
-CONSTANT, DELTA, BI_UNIMODULAR = "constant", "delta", "bi_unimodular"
-EXTREMAL_FAMILIES = (CONSTANT, DELTA, BI_UNIMODULAR)
+    exponent: float
+    extremal: str
 
 
 def family_exponents(side: str, u: float, v: float) -> tuple[float, float, float]:
@@ -159,21 +140,35 @@ def family_exponents(side: str, u: float, v: float) -> tuple[float, float, float
     raise ValueError(f"unknown side {side!r}")
 
 
-def finite_exponent(side: str, u: float, v: float) -> tuple[float, str]:
-    """The largest of ``family_exponents``, which is the norm's power of N
-    (Gilbert and Rzeszotnik), and its family; ties go to the earlier family.
-    It is 0 exactly where ``classify`` gives a finite label: both compare the
-    same float u + v with 1, and v (compact) or u (discrete) with 1/2."""
+def classify(side: str, u: float, v: float) -> RegionVerdict:
+    """Total partition of the quadrant [0, inf)^2 into the norm regions.
+
+    The norm's power of N is the largest of ``family_exponents`` (Gilbert
+    and Rzeszotnik), and the point is finite exactly where it is 0.
+    Compact: finite exactly on {u + v <= 1, v <= 1/2}; every point with
+    u + v > 1 (the delta's power is positive) is R2, and the remaining strip
+    v > 1/2 is R3.  Discrete: finite exactly on {u + v >= 1, u >= 1/2};
+    infinite on R1' = {u + v < 1, v < 1/2} (the constant's power is
+    positive) and on the whole remaining region u < 1/2, R3'ext.
+
+    The norm at a finite point is ``finite_cpq_at``'s value there.
+    """
     exps = family_exponents(side, u, v)
     e = max(exps)
-    return e, EXTREMAL_FAMILIES[exps.index(e)]
+    extremal = EXTREMAL_FAMILIES[exps.index(e)]
+    if e == 0.0:
+        return RegionVerdict(side, R1 if side == COMPACT else R2P, True, e, extremal)
+    if side == COMPACT:
+        label = R2 if exps[1] > 0.0 else R3
+    else:
+        label = R1P if exps[0] > 0.0 and v < 0.5 else R3PEXT
+    return RegionVerdict(side, label, False, e, extremal)
 
 
 def _family_value(spec: GroupSpec, e: float, u: float, v: float) -> float:
-    """mass^(1-u-v) * N^e on spec.  Where e is 0 it is one power of the mass
-    with the same float u + v that ``classify`` compares with 1; elsewhere
-    it is one power of 2, so it is inf only past the float range and an
-    exact power such as 64 is exact."""
+    """mass^(1-u-v) * N^e on spec.  Where e is 0 it is one power of the mass;
+    elsewhere it is one power of 2, so it is inf only past the float range
+    and an exact power such as 64 is exact."""
     s = u + v
     if e == 0.0:
         return _power(spec.mass, 1.0 - s)
@@ -206,21 +201,19 @@ def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[floa
     return _power(f_base, u), fhat_scale * _power(fhat_base, w)
 
 
-def finite_cpq_at(spec: GroupSpec, u: float, v: float) -> tuple[float, str, float]:
-    """``finite_cpq`` at the reciprocal exponents (u, v) = (1/p, 1/q), and
-    ``closed_form_cpq`` there: the same float where the norm's power of N is
-    0, which is exactly the finite region of spec's view (see
-    ``finite_exponent``), and inf elsewhere."""
-    e, family = finite_exponent(spec.view, u, v)
-    value = _family_value(spec, e, u, v)
-    return value, family, value if e == 0.0 else INF
+def finite_cpq_at(spec: GroupSpec, u: float, v: float) -> tuple[float, RegionVerdict]:
+    """``finite_cpq``'s value at the reciprocal exponents (u, v) = (1/p, 1/q)
+    and ``classify``'s verdict there.  Where the verdict is finite the value
+    is also ``closed_form_cpq``'s."""
+    verdict = classify(spec.view, u, v)
+    return _family_value(spec, verdict.exponent, u, v), verdict
 
 
 def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:
     """The exact operator norm on spec's N points, the ``family_ratio`` of the
-    ``finite_exponent`` winner, and that family."""
-    value, family, _ = finite_cpq_at(spec, recip(p), recip(q))
-    return value, family
+    verdict's extremal family, and that family."""
+    value, verdict = finite_cpq_at(spec, recip(p), recip(q))
+    return value, verdict.extremal
 
 
 def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
@@ -231,4 +224,5 @@ def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
     the finite group does not grow with N, and this is ``finite_cpq``'s
     value, bit for bit.
     """
-    return finite_cpq_at(spec, recip(p), recip(q))[2]
+    value, verdict = finite_cpq_at(spec, recip(p), recip(q))
+    return value if verdict.finite else INF

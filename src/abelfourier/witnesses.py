@@ -75,8 +75,6 @@ class CltWitness(WitnessPoint):
 
 
 def _is_prime(r: int) -> bool:
-    if r < 2:
-        return False
     f = 2
     while f * f <= r:
         if r % f == 0:
@@ -87,7 +85,7 @@ def _is_prime(r: int) -> bool:
 
 def _check_prime_r_and_n(r: int, n: int) -> None:
     """The checks that a family on (Z/r)^n with a prime r makes after the
-    cap on r: r is prime, then n >= 1."""
+    cap on r, whose ``GroupSpec`` refuses r < 2: r is prime, then n >= 1."""
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
     if n < 1:

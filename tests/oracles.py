@@ -7,21 +7,35 @@ the group size, and log K(1/p, 1/q) is convex along segments (Riesz-Thorin).
 Beside them are group arithmetic that only the tests use (negation,
 multiples, element order, a function's values as a grid), the outer-sum
 construction of the CLT comb's transform that the library's one-buffer build
-is held to, bit for bit, and the uncertainty regions written as comparisons
-of the float u + v with 1, which the library's reading of ``classify`` is
-held to.  No command reaches them, so they live beside the tests, not in the
-package.
+is held to, bit for bit, and the norm and uncertainty regions written as
+comparisons of the float u + v with 1, which ``classify`` and the library's
+readings of it are held to next to each line that bounds a region.  No
+command reaches them, so they live beside the tests, not in the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
-from abelfourier.norms import INF, R1, R2P, lp_norm, recip
+from abelfourier.norms import (
+    EXTREMAL_FAMILIES,
+    INF,
+    R1,
+    R1P,
+    R2,
+    R2P,
+    R3,
+    R3PEXT,
+    RegionVerdict,
+    family_exponents,
+    lp_norm,
+    recip,
+)
 from abelfourier.transform import FREQUENCY, TIME, MeasuredFunction, SideError, forward
 
 
@@ -85,6 +99,52 @@ def reflect(f: MeasuredFunction) -> MeasuredFunction:
 
 #: The labels ``classify`` gives the finite regions.
 FINITE_LABELS = {R1, R2P}
+
+
+def classify_by_sums(side: str, u: float, v: float) -> RegionVerdict:
+    """``classify`` as comparisons of the float u + v with 1 and of v
+    (compact) or u (discrete) with 1/2, with the largest of
+    ``family_exponents`` and the earliest family attaining it.
+
+    Compact: R1 on {u + v <= 1, v <= 1/2}, else R2 where u + v > 1, else R3.
+    Discrete: R2' on {u + v >= 1, u >= 1/2}, else R1' on {u + v < 1,
+    v < 1/2}, else R3'ext."""
+    exps = family_exponents(side, u, v)  # also checks side, u and v
+    exponent = max(exps)
+    extremal = EXTREMAL_FAMILIES[exps.index(exponent)]
+    if side == COMPACT:
+        finite = u + v <= 1 and v <= 0.5
+        label = R1 if finite else R2 if u + v > 1 else R3
+    else:
+        finite = u + v >= 1 and u >= 0.5
+        label = R2P if finite else R1P if u + v < 1 and v < 0.5 else R3PEXT
+    return RegionVerdict(side, label, finite, exponent, extremal)
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved |k| floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+#: The lines that bound the regions, each as its point at t in [0, 4]:
+#: u + v = 1 at u = t/4, and u = 1/2 or v = 1/2 at the other coordinate t.
+REGION_LINES = {
+    "u+v=1": lambda t: (t / 4, 1.0 - t / 4),
+    "u=1/2": lambda t: (0.5, t),
+    "v=1/2": lambda t: (t, 0.5),
+}
+
+
+def points_near_line(line: str, t: float, k: int):
+    """The points (u, v) of the quadrant within k floats, in each
+    coordinate, of ``REGION_LINES[line]`` at t."""
+    u0, v0 = REGION_LINES[line](t)
+    for du, dv in itertools.product(range(-k, k + 1), repeat=2):
+        u, v = _ulps(u0, du), _ulps(v0, dv)
+        if u >= 0.0 and v >= 0.0:
+            yield u, v
 
 
 def weighted_region_by_sums(view: str, u: float, v: float) -> bool:

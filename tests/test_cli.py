@@ -332,8 +332,12 @@ def test_huge_prime_r_exits_3_at_once(capsys, family):
 
 
 @pytest.mark.parametrize("family", ["subgroup_indicator", "chirp", "clt_delta"])
-@pytest.mark.parametrize("r, want", [(4, 2), (2**21, 3)], ids=["composite", "composite_past_cap"])
+@pytest.mark.parametrize(
+    "r, want", [(4, 2), (2**21, 3), (1, 2), (0, 2)],
+    ids=["composite", "composite_past_cap", "one", "zero"],
+)
 def test_composite_r_exits_2_within_the_cap_and_3_past_it(capsys, family, r, want):
+    """r < 2 is refused by the cap's ``GroupSpec`` before the primality test."""
     code, out, _ = run(capsys, "witness", "--family", family, "--r", str(r), "--n", "1", *PQ)
     assert (code, out) == (want, "")
 
@@ -974,6 +978,14 @@ def test_selftest(capsys):
     assert "FAIL" not in out
     assert "PASS function CSV round trip, canonical and shuffled rows" in out
     assert "PASS closed-form and outer-sum witness norms match the full FFT" in out
+
+
+def test_selftest_exits_1_on_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parseval_defect", lambda f: 1.0)
+    code, out, _ = run(capsys, "--selftest")
+    assert code == 1
+    assert "FAIL parseval on random groups" in out.splitlines()
+    assert "PASS support products" in out.splitlines()
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelfourier import groups
 from abelfourier.groups import (
     COMPACT,
     DISCRETE,
@@ -187,6 +188,21 @@ def test_subgroup_closure():
     assert len(sub) == 4
     assert (2, 2) in sub
     assert (1, 0) not in sub
+
+
+def test_subgroup_closure_refuses_past_the_cap(monkeypatch):
+    spec = GroupSpec(orders=(16,))
+    monkeypatch.setattr(groups, "EXHAUSTIVE_CAP", 8)
+    with pytest.raises(CapacityError, match="subgroup closure exceeds exhaustive cap"):
+        Subgroup.from_generators(spec, [(1,)])
+    assert len(Subgroup.from_generators(spec, [(2,)])) == 8  # at the cap
+
+
+def test_reduce_refuses_a_wrong_number_of_coordinates():
+    spec = GroupSpec(orders=(4, 4))
+    for x in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="element has wrong number of coordinates"):
+            spec.reduce(x)
 
 
 def test_annihilator_size_product():

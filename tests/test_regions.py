@@ -19,10 +19,10 @@ from abelfourier.norms import (
     family_ratio,
     finite_cpq,
     finite_cpq_at,
-    finite_exponent,
     log_lp_norm,
     lp_norm,
     lp_norms,
+    ratio,
     recip,
 )
 from abelfourier.transform import (
@@ -33,7 +33,15 @@ from abelfourier.transform import (
     delta,
     forward,
 )
-from oracles import FINITE_LABELS, exponent_value, hausdorff_young_check, holder_conjugate
+from oracles import (
+    FINITE_LABELS,
+    REGION_LINES,
+    classify_by_sums,
+    exponent_value,
+    hausdorff_young_check,
+    holder_conjugate,
+    points_near_line,
+)
 
 
 def test_recip():
@@ -140,6 +148,12 @@ def test_lp_norms_equal_lp_norm_bit_for_bit(view, ps):
         lp_norms(f, 2.0, 0.0)
 
 
+def test_ratio_of_the_zero_function_is_zero():
+    spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
+    zero = MeasuredFunction(spec, TIME, np.zeros(4, dtype=np.complex128))
+    assert ratio(zero, 2.0, 2.0) == 0.0
+
+
 def test_structured_search_sees_the_delta_at_large_q():
     # the constant's and the delta's norms at q = 200 underflowed to 0 before
     spec = GroupSpec(orders=(72,), view=COMPACT, mass=1.0)
@@ -153,9 +167,26 @@ _RECIP = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]), st.floats(
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(side=st.sampled_from([COMPACT, DISCRETE]), u=_RECIP, v=_RECIP)
 def test_finite_exponent_is_zero_exactly_on_finite_regions(side, u, v):
-    exponent, _ = finite_exponent(side, u, v)
-    assert exponent >= 0.0
-    assert (exponent == 0.0) == (classify(side, u, v).label in FINITE_LABELS)
+    verdict = classify(side, u, v)
+    assert verdict.exponent >= 0.0
+    assert (verdict.exponent == 0.0) == (verdict.label in FINITE_LABELS)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    line=st.sampled_from(list(REGION_LINES)),
+    t=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0)),
+)
+def test_classify_matches_the_float_sums_next_to_each_line(line, t):
+    """Within 3 floats of each line that bounds a region, on both views,
+    ``classify``'s reading of the norm's power of N gives the label,
+    finiteness, extremal and exponent (its sign of zero too) of the
+    comparisons of the float u + v with 1 that it replaces."""
+    for u, v in points_near_line(line, t, 3):
+        for side in (COMPACT, DISCRETE):
+            got, want = classify(side, u, v), classify_by_sums(side, u, v)
+            assert got == want, (side, u, v)
+            assert got.exponent.hex() == want.exponent.hex(), (side, u, v)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -172,7 +203,7 @@ def test_finite_cpq_equals_closed_form_on_finite_regions(orders, side, mass, u, 
     value, _ = finite_cpq(spec, p, q)
     closed = closed_form_cpq(spec, p, q)
     if closed == INF:
-        assert finite_exponent(side, recip(p), recip(q))[0] > 0.0
+        assert classify(side, recip(p), recip(q)).exponent > 0.0
     else:
         assert value == closed
 
@@ -335,7 +366,7 @@ def test_group_of_the_other_view_is_an_error_at_infinite_points(capsys, argv):
 def test_finite_region_norm_is_within_an_ulp_of_the_exact_power(orders, side, mass, u, v):
     # mass^(1 - (u + v)) for the floats mass and 1 - (u + v), to 40 digits
     assume(classify(side, u, v).finite)
-    value, _, _ = finite_cpq_at(GroupSpec(orders=orders, view=side, mass=mass), u, v)
+    value, _ = finite_cpq_at(GroupSpec(orders=orders, view=side, mass=mass), u, v)
     with localcontext() as ctx:
         ctx.prec = 40
         exact = Decimal(mass) ** Decimal(1.0 - (u + v))

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -32,7 +31,12 @@ from abelfourier.uncertainty import (
     weighted_up_violator,
 )
 from abelfourier.witnesses import EXTREMALS
-from oracles import violation_region_by_sums, weighted_region_by_sums
+from oracles import (
+    REGION_LINES,
+    points_near_line,
+    violation_region_by_sums,
+    weighted_region_by_sums,
+)
 
 
 def unit_random(rng, spec):
@@ -166,28 +170,17 @@ def test_region_predicates():
     assert not in_violation_region(DISCRETE, 0.4, 0.2)
 
 
-def _ulps(x: float, k: int) -> float:
-    """x moved |k| floats up (k > 0) or down (k < 0)."""
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
-    line=st.sampled_from(["u+v=1", "u=1/2", "v=1/2"]),
+    line=st.sampled_from(list(REGION_LINES)),
     t=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0)),
 )
 def test_region_predicates_match_the_float_sums_next_to_each_line(line, t):
     """The predicates read ``classify``'s label and one half-plane; within 2
-    floats of each line that bounds a region (u + v = 1 at u = t/4, u = 1/2
-    and v = 1/2 at the other coordinate t), on both views, they agree with
-    the comparisons of the float u + v with 1 that they replace."""
-    u0, v0 = {"u+v=1": (t / 4, 1.0 - t / 4), "u=1/2": (0.5, t), "v=1/2": (t, 0.5)}[line]
-    for du, dv in itertools.product(range(-2, 3), repeat=2):
-        u, v = _ulps(u0, du), _ulps(v0, dv)
-        if u < 0.0 or v < 0.0:
-            continue
+    floats of each line that bounds a region (``REGION_LINES``), on both
+    views, they agree with the comparisons of the float u + v with 1 that
+    they replace."""
+    for u, v in points_near_line(line, t, 2):
         for view in (COMPACT, DISCRETE):
             point = (view, u, v)
             assert in_weighted_region(*point) == weighted_region_by_sums(*point), point
@@ -311,6 +304,8 @@ def test_violator_param_matches_stepping_loop(monkeypatch):
         u, v = 1.0 / p, 1.0 / q
         slope = (1.0 - u - v if side == COMPACT else u + v - 1.0) * math.log(2.0)
         targets = [slope * k for k in range(1, 80)]  # exactly on a step
+        # a float off a step, where target / slope can round down onto k
+        targets += [math.nextafter(slope * k, d) for k in range(1, 80) for d in (-INF, INF)]
         targets += [slope * (k + frac) for k in range(60) for frac in (1e-13, 0.3, 0.999)]
         targets += [1.0, 0.0, -1e-300]
         for target in targets:
@@ -453,6 +448,12 @@ def test_zero_function_guards():
         support_product(zero)
     with pytest.raises(ValueError):
         donoho_stark_check(zero)
+
+
+def test_donoho_stark_refuses_a_frequency_side_function():
+    spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
+    with pytest.raises(ValueError, match="expects a time-side function"):
+        donoho_stark_check(forward(delta(spec)))
 
 
 @pytest.mark.parametrize(
