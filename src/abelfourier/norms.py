@@ -168,11 +168,30 @@ def classify(side: str, u: float, v: float) -> RegionVerdict:
 def _family_value(spec: GroupSpec, e: float, u: float, v: float) -> float:
     """mass^(1-u-v) * N^e on spec.  Where e is 0 it is one power of the mass;
     elsewhere it is one power of 2, so it is inf only past the float range
-    and an exact power such as 64 is exact."""
+    and an exact power such as 64 is exact.  That power's exponent is nan
+    where its two terms overflow with opposite signs, or one is inf times 0
+    (u + v near the float max); the value is then ``_opposed_limit``."""
     s = u + v
     if e == 0.0:
         return _power(spec.mass, 1.0 - s)
-    return _power(2.0, (1.0 - s) * math.log2(spec.mass) + e * math.log2(spec.size))
+    log_value = (1.0 - s) * math.log2(spec.mass) + e * math.log2(spec.size)
+    if math.isnan(log_value):
+        return _opposed_limit(spec, e, u, v)
+    return _power(2.0, log_value)
+
+
+def _opposed_limit(spec: GroupSpec, e: float, u: float, v: float) -> float:
+    """mass^(1-u-v) * N^e where one power is 0 and the other inf.  Where e is
+    -(1 - (u + v)) in floats, as the compact delta's is, the value is
+    (N/mass)^e with e huge and positive: inf, 1.0 or 0.0 as N is above, at
+    or below the mass.  Elsewhere the exponent is summed scaled by 2^-64,
+    which keeps both terms in range, and scaled back."""
+    mass, n = spec.mass, spec.size
+    if e == -(1.0 - (u + v)):
+        return 1.0 if n == mass else INF if n > mass else 0.0
+    k = 2.0**-64
+    scaled = (k - (u * k + v * k)) * math.log2(mass) + (e * k) * math.log2(n)
+    return _power(2.0, scaled / k)
 
 
 def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:

@@ -33,12 +33,16 @@ in any order.  It splits the text once at "\n", reads the two header rows
 with ``csv.reader`` over the first lines, and hands the other lines as a list
 to one ``np.loadtxt`` call, which splits fields, unquotes keys and parses
 floats in C; no copy of the text goes into an ``io.StringIO``.  Rows whose
-keys are the canonical keys in canonical order need one array comparison,
-and shuffled canonical keys are looked up in the table of canonical keys.
-Every other body (respelled keys, a missing or repeated element, a row
-``loadtxt`` refuses, a quoted field that spans lines) is joined again and
-read by ``csv.reader`` and ``float``, the route that gives every error
-message; only there are keys parsed with a regex.  It requires each element
+keys are the canonical keys in canonical order need one array comparison.
+Shuffled rows are placed by one sort of key hashes: each key's code points
+times fixed odd 64-bit multipliers, summed in one integer product.  The
+sorted row hashes must equal the shape's sorted canonical hashes, which
+places each row at its key's canonical index, and every row's key must then
+equal the canonical key it was placed at, so a hash collision costs speed
+and never changes a result.  Every other body (respelled keys, a missing
+or repeated element, a row ``loadtxt`` refuses, a quoted field that spans
+lines) is joined again and read by ``csv.reader`` and ``float``, the route
+that gives every error message; only there are keys parsed with a regex.  It requires each element
 exactly once and takes coordinates mod the factor orders.  Reader and writer
 take the canonical keys from one key table per group shape (``_key_table``);
 the last shape's table is kept when the group has at most 2^16 elements, so
@@ -55,7 +59,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import cycle
 
 import numpy as np
 
@@ -245,11 +249,28 @@ def _key_width(orders) -> int:
     return len(str(tuple(m - 1 for m in orders))) + 1
 
 
+#: Base of the key hash's multipliers, odd (the golden ratio's 64 bits).
+_HASH_BASE = 0x9E3779B97F4A7C15
+
+
+def _key_hashes(keys: np.ndarray) -> np.ndarray:
+    """One uint64 per key of the ``U`` array ``keys``: its code points (a
+    uint32 view of the keys, no copy) times fixed odd multipliers, the
+    powers of ``_HASH_BASE`` mod 2^64, one per character of the column's
+    width, summed mod 2^64 in one integer product.  ``einsum`` widens the
+    code points to 64 bits a buffer at a time, where ``@`` would first copy
+    them all at 8 bytes each."""
+    codes = keys[:, None].view(np.uint32)
+    multipliers = np.cumprod(np.full(codes.shape[1], _HASH_BASE, dtype=np.uint64))
+    return np.einsum("ij,j->i", codes, multipliers)
+
+
 class _KeyTable:
     """The canonical keys of one group shape (``keys``, a tuple), and the two
     forms the reader matches them in, each built on first use: ``column``,
     the keys as a read-only ``U`` array of width ``_key_width``, and
-    ``index``, the dict from each key to its canonical index.  A kept table
+    ``hashes``, the keys' ``_key_hashes`` in sorted order with the canonical
+    index of each.  A kept table
     is shared by every later read and write of its shape, which only read
     it."""
 
@@ -264,13 +285,21 @@ class _KeyTable:
         return column
 
     @functools.cached_property
-    def index(self) -> dict[str, int]:
-        return dict(zip(self.keys, range(len(self.keys))))
+    def hashes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted hashes, canonical order), both read-only: the canonical
+        keys' ``_key_hashes`` in ascending order and the canonical index of
+        each."""
+        hashes = _key_hashes(self.column)
+        order = np.argsort(hashes)
+        form = hashes[order], order
+        for array in form:
+            array.flags.writeable = False
+        return form
 
 
 #: Largest group whose key table ``_key_table`` keeps between calls.  With
-#: both its forms built, a table of this many keys holds 10 MB on one factor
-#: and 23 MB on (Z/2)^16 (``tracemalloc``, Python 3.11).
+#: both its forms built, a table of this many keys holds 8 MB on one factor
+#: and 21 MB on (Z/2)^16 (``tracemalloc``, Python 3.11, numpy 2.4).
 _KEY_TABLE_CAP = 2**16
 
 
@@ -335,14 +364,9 @@ def _parse_keys(keys, orders) -> np.ndarray:
 
 #: Characters ``np.loadtxt`` reads otherwise than ``csv.reader`` plus
 #: ``float``: it strips \x1c-\x1f around a float, which ``float`` refuses, and
-#: a fixed-width string column drops a key's trailing NULs.
+#: a fixed-width string column drops a key's trailing NULs, so the exact key
+#: check of shuffled rows would take "(0,)\x00" for "(0,)".
 _LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
-
-
-def _lookup(index, key_col) -> np.ndarray:
-    """Canonical index of each key in ``key_col``, -1 where it is no key of
-    ``index`` (a key table's dict from each canonical key to its index)."""
-    return np.fromiter(map(index.get, key_col, repeat(-1)), dtype=np.intp, count=len(key_col))
 
 
 def _loadtxt_rows(text: str, lines, spec: GroupSpec):
@@ -372,19 +396,30 @@ def _loadtxt_rows(text: str, lines, spec: GroupSpec):
         return None
     if len(table) != spec.size:  # the reader's route gives the error, with no key table
         return None
-    key_table = _key_table(spec.orders)
-    if np.array_equal(table["key"], key_table.column):
+    key_table, keys = _key_table(spec.orders), table["key"]
+    if np.array_equal(keys, key_table.column):
         return slice(None), table["re"], table["im"]
-    flat = _lookup(key_table.index, table["key"].tolist())
-    if flat.min() < 0 or not np.all(np.bincount(flat, minlength=spec.size) == 1):
+    # Shuffled rows: the i-th smallest row hash must be the i-th smallest
+    # canonical hash, which places that row at its key's canonical index;
+    # then every row's key must equal the canonical key it was placed at, so
+    # a hash collision only sends the rows to the reader's route.
+    hashes, order = key_table.hashes
+    row_hashes = _key_hashes(keys)
+    rows = np.argsort(row_hashes)
+    if not np.array_equal(row_hashes[rows], hashes):
+        return None
+    flat = np.empty(spec.size, dtype=np.intp)
+    flat[rows] = order
+    if not np.array_equal(key_table.column[flat], keys):
         return None
     return flat, table["re"], table["im"]
 
 
 def _reader_rows(body: str, spec: GroupSpec):
     """``(flat, re, im)`` of the value rows parsed by ``csv.reader`` and
-    ``float``, raising ValueError on anything malformed, a ``csv.Error``
-    (a field longer than ``csv.field_size_limit()``) included."""
+    ``float``, every key by ``_parse_keys``, raising ValueError on anything
+    malformed, a ``csv.Error`` (a field longer than
+    ``csv.field_size_limit()``) included.  It takes no key table."""
     try:
         rows = list(filter(None, csv.reader(io.StringIO(body))))  # blank lines parse as empty rows
     except csv.Error as exc:
@@ -395,9 +430,7 @@ def _reader_rows(body: str, spec: GroupSpec):
     if len(rows) != spec.size:
         raise ValueError(f"expected {spec.size} value rows, got {len(rows)}")
     key_col, re_col, im_col = zip(*rows)
-    flat = _lookup(_key_table(spec.orders).index, key_col)
-    if flat.min() < 0:
-        flat = _parse_keys(key_col, spec.orders)
+    flat = _parse_keys(key_col, spec.orders)
     counts = np.bincount(flat, minlength=spec.size)
     if not np.all(counts == 1):
         i = int(np.flatnonzero(counts != 1)[0])
@@ -436,17 +469,18 @@ def read_csv(stream) -> MeasuredFunction:
     hand them over (a quoted field may span lines), and the remaining lines
     go to one ``np.loadtxt`` call as a list.  Its keys must be the canonical
     keys, the spelling ``write_csv`` uses, each once; in canonical order
-    they need no lookup.  The canonical keys come from the shape's key
-    table, taken only once the rows are as many as the elements, so a short
-    file on a huge group fails on its row count without building it.  Any
-    other body, or one that ``loadtxt`` refuses (a lone "\r" inside a line)
-    or would read otherwise (a quoted field that spans lines), is joined
-    again and read by ``csv.reader`` and ``float``, with the same values and
-    errors as before ``loadtxt`` was tried: keys in another spelling
-    (spacing, a bare integer, a trailing comma, unreduced coordinates) are
-    parsed by the key regex, and floats that ``loadtxt`` refuses but
-    ``float`` takes (``1_0``, non-ASCII digits) still read.  Anything
-    malformed raises ValueError."""
+    they need one array comparison, in any other order one sort of their
+    hashes and one exact comparison.  The canonical keys come from the
+    shape's key table, taken only once the rows are as many as the elements,
+    so a short file on a huge group fails on its row count without building
+    it.  Any other body, or one that ``loadtxt`` refuses (a lone "\r"
+    inside a line) or would read otherwise (a quoted field that spans
+    lines), is joined again and read by ``csv.reader`` and ``float``, with
+    the same values and errors as before ``loadtxt`` was tried: every key is
+    parsed by the key regex, so keys in another spelling (spacing, a bare
+    integer, a trailing comma, unreduced coordinates) read too, and floats
+    that ``loadtxt`` refuses but ``float`` takes (``1_0``, non-ASCII digits)
+    still read.  Anything malformed raises ValueError."""
     text = stream if isinstance(stream, str) else stream.read()
     lines = text.split("\n")
     lines[0] = lines[0].removeprefix("\ufeff")

@@ -121,6 +121,19 @@ def classify_by_sums(side: str, u: float, v: float) -> RegionVerdict:
     return RegionVerdict(side, label, finite, exponent, extremal)
 
 
+def family_value_by_logs(spec: GroupSpec, e: float, u: float, v: float) -> float:
+    """mass^(1-u-v) * N^e as one power of the mass where e is 0, else as 2 to
+    the float sum of its two logs, which is nan where those overflow with
+    opposite signs: ``norms._family_value`` before its limit there."""
+    s = u + v
+    base, power = (spec.mass, 1.0 - s) if e == 0.0 else (
+        2.0, (1.0 - s) * math.log2(spec.mass) + e * math.log2(spec.size))
+    try:
+        return base**power
+    except OverflowError:
+        return INF
+
+
 def _ulps(x: float, k: int) -> float:
     """x moved |k| floats up (k > 0) or down (k < 0)."""
     for _ in range(abs(k)):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,8 +12,10 @@ from abelfourier.cli import main
 from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
+    DELTA,
     EXTREMAL_FAMILIES,
     INF,
+    _family_value,
     classify,
     closed_form_cpq,
     family_exponents,
@@ -38,6 +41,7 @@ from oracles import (
     REGION_LINES,
     classify_by_sums,
     exponent_value,
+    family_value_by_logs,
     hausdorff_young_check,
     holder_conjugate,
     points_near_line,
@@ -371,6 +375,40 @@ def test_finite_region_norm_is_within_an_ulp_of_the_exact_power(orders, side, ma
         ctx.prec = 40
         exact = Decimal(mass) ** Decimal(1.0 - (u + v))
     assert abs(Decimal(value) - exact) <= Decimal(math.ulp(value))
+
+
+# Reciprocal exponents up to the float max, some large enough that u + v
+# overflows or that its product with a log of the mass does.
+_HUGE_RECIP = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e300, 1e308, sys.float_info.max]),
+                        st.floats(0.0, 3.0), st.floats(0.0, sys.float_info.max))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 8), min_size=1, max_size=2).map(tuple),
+    side=st.sampled_from([COMPACT, DISCRETE]),
+    mass=st.one_of(st.sampled_from([1.0, 2.0, 4.0, 8.0, 64.0, 100.0]), st.floats(1e-300, 1e300)),
+    u=_HUGE_RECIP,
+    v=_HUGE_RECIP,
+)
+def test_finite_group_norm_is_never_nan(orders, side, mass, u, v):
+    """Where the sum of the norm's two logs is nan, the norm is the compact
+    delta's limit (N/mass)^(u+v-1): inf, 1.0 or 0.0 as N is above, at or
+    below the mass.  Elsewhere it is that sum's power of 2 bit for bit, and
+    every family's value is never nan and the same as before where that was
+    not nan."""
+    spec = GroupSpec(orders=orders, view=side, mass=mass)
+    value, verdict = finite_cpq_at(spec, u, v)
+    by_logs = family_value_by_logs(spec, verdict.exponent, u, v)
+    if math.isnan(by_logs):
+        assert (side, verdict.extremal) == (COMPACT, DELTA)
+        assert value == (1.0 if spec.size == mass else INF if spec.size > mass else 0.0)
+    else:
+        assert value.hex() == by_logs.hex()
+    for e in family_exponents(side, u, v):
+        value, by_logs = _family_value(spec, e, u, v), family_value_by_logs(spec, e, u, v)
+        assert not math.isnan(value)
+        assert math.isnan(by_logs) or value.hex() == by_logs.hex()
 
 
 def test_random_functions_respect_closed_form():
