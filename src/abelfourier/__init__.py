@@ -32,7 +32,6 @@ from .norms import (
     closed_form_cpq,
     family_exponents,
     family_ratio,
-    finite_cpq,
     finite_cpq_at,
     log_lp_norm,
     lp_norm,

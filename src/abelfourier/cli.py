@@ -93,8 +93,8 @@ def _json_text(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(payload, out=None):
-    (out or sys.stdout).write(_json_text(payload) + "\n")
+def _emit_json(payload):
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _exponent(text: str) -> float:
@@ -247,10 +247,6 @@ WITNESS_SWEEP_HEADER = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return "inf" if x == INF else repr(float(x))
-
-
 def _sweep_row(w) -> list:
     """One ``sweep`` CSV row of a witness (a ``WitnessPoint`` or a
     ``LacunaryDiscreteWitness``).
@@ -262,8 +258,8 @@ def _sweep_row(w) -> list:
         w.family,
         w.param_n,
         w.group_size,
-        _fmt(w.p),
-        _fmt(w.q),
+        repr(w.p),
+        repr(w.q),
         repr(w.norm_f),
         repr(w.norm_fhat),
         repr(w.ratio),
@@ -322,9 +318,7 @@ def _witness(args):
     missing = [n for n in family.required if getattr(args, n) is None]
     if missing:
         raise SystemExit2(f"family {args.family!r} needs --" + ", --".join(missing))
-    p = args.p if args.p is not None else 1.0
-    q = args.q if args.q is not None else 1.0
-    return family.build(args, p, q)
+    return family.build(args, args.p, args.q)
 
 
 def _cmd_witness(args) -> int:
@@ -640,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--q", type=_exponent, required=True)
 
     def add_witness_flags(add):
-        add("--p", type=_exponent)
-        add("--q", type=_exponent)
+        add("--p", type=_exponent, default=1.0)
+        add("--q", type=_exponent, default=1.0)
         add("--k", type=int)
         add("--m", type=int)
         add("--r", type=int)

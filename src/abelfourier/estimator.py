@@ -1,7 +1,7 @@
 """Numerical searches for the (p, q)-norm of the Fourier operator on a
 finite group, which the tests hold against the exact norm.
 
-The exact norm is the closed form ``norms.finite_cpq`` (Gilbert and
+The exact norm is the closed form ``norms.finite_cpq_at`` (Gilbert and
 Rzeszotnik): the ratio ||fhat||_q / ||f||_p of the constant, the delta at
 the identity or a bi-unimodular function, whichever is largest.  Those
 functions are ``witnesses.EXTREMALS``, and ``structured_search`` evaluates
@@ -69,7 +69,7 @@ def structured_search(spec: GroupSpec, p: float, q: float) -> NormEstimate:
     bi-unimodular function, evaluated numerically; ties go to the earlier.
 
     No function does better (see ``norms.classify``), so the value is
-    ``finite_cpq`` up to roundoff.
+    ``norms.finite_cpq_at``'s up to roundoff.
     """
     spec._check_capacity()
     best = NormEstimate(value=-math.inf, witness=None, iterations=0, converged=True)

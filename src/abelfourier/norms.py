@@ -183,15 +183,23 @@ def _family_value(spec: GroupSpec, e: float, u: float, v: float) -> float:
 def _opposed_limit(spec: GroupSpec, e: float, u: float, v: float) -> float:
     """mass^(1-u-v) * N^e where one power is 0 and the other inf.  Where e is
     -(1 - (u + v)) in floats, as the compact delta's is, the value is
-    (N/mass)^e with e huge and positive: inf, 1.0 or 0.0 as N is above, at
-    or below the mass.  Elsewhere the exponent is summed scaled by 2^-64,
-    which keeps both terms in range, and scaled back."""
+    (N/mass)^e with e huge and positive; where e is 1 - (u + v), as the
+    discrete constant's is, it is (1/(N mass))^-e with -e huge and positive.
+    Either is inf, 1.0 or 0.0 as its base, compared with 1 exactly from the
+    mass's integer ratio, is above, at or below 1 (fl(1/3) * 3 rounds to 1,
+    but the base is not 1).  Elsewhere the exponent is summed scaled by
+    2^-64, which keeps both terms in range, and scaled back."""
     mass, n = spec.mass, spec.size
+    top, bottom = mass.as_integer_ratio()
     if e == -(1.0 - (u + v)):
-        return 1.0 if n == mass else INF if n > mass else 0.0
-    k = 2.0**-64
-    scaled = (k - (u * k + v * k)) * math.log2(mass) + (e * k) * math.log2(n)
-    return _power(2.0, scaled / k)
+        num, den = n * bottom, top  # N/mass
+    elif e == 1.0 - (u + v):
+        num, den = bottom, n * top  # 1/(N mass)
+    else:
+        k = 2.0**-64
+        scaled = (k - (u * k + v * k)) * math.log2(mass) + (e * k) * math.log2(n)
+        return _power(2.0, scaled / k)
+    return 1.0 if num == den else INF if num > den else 0.0
 
 
 def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
@@ -221,18 +229,12 @@ def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[floa
 
 
 def finite_cpq_at(spec: GroupSpec, u: float, v: float) -> tuple[float, RegionVerdict]:
-    """``finite_cpq``'s value at the reciprocal exponents (u, v) = (1/p, 1/q)
-    and ``classify``'s verdict there.  Where the verdict is finite the value
-    is also ``closed_form_cpq``'s."""
+    """The exact operator norm on spec's N points at the reciprocal exponents
+    (u, v) = (1/p, 1/q), and ``classify``'s verdict there.  The norm is the
+    ``family_ratio`` of the verdict's extremal family.  Where the verdict is
+    finite the value is also ``closed_form_cpq``'s."""
     verdict = classify(spec.view, u, v)
     return _family_value(spec, verdict.exponent, u, v), verdict
-
-
-def finite_cpq(spec: GroupSpec, p: float, q: float) -> tuple[float, str]:
-    """The exact operator norm on spec's N points, the ``family_ratio`` of the
-    verdict's extremal family, and that family."""
-    value, verdict = finite_cpq_at(spec, recip(p), recip(q))
-    return value, verdict.extremal
 
 
 def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
@@ -240,7 +242,7 @@ def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:
 
     Compact view: alpha(X)^(1 - 1/p - 1/q) on R1.  Discrete view:
     dual total mass^(1/p + 1/q - 1) on R2'.  On those regions the norm on
-    the finite group does not grow with N, and this is ``finite_cpq``'s
+    the finite group does not grow with N, and this is ``finite_cpq_at``'s
     value, bit for bit.
     """
     value, verdict = finite_cpq_at(spec, recip(p), recip(q))

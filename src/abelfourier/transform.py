@@ -319,10 +319,6 @@ def _key_table(orders) -> _KeyTable:
     return _cached_key_table(orders)
 
 
-_key_table.cache_info = _cached_key_table.cache_info
-_key_table.cache_clear = _cached_key_table.cache_clear
-
-
 def _key_pattern(k: int) -> re.Pattern:
     """An index tuple of k integers with any spacing and an optional trailing
     comma; one factor may also be written as a bare integer."""

@@ -6,6 +6,7 @@ and support-size bounds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -147,10 +148,11 @@ def weighted_up_violator(target: float, p: float, q: float, side: str) -> Violat
     The ``witnesses.EXTREMALS`` function scaled to unit L2.  Compact side: the
     delta on (Z/2)^n, weighted sum exactly (1 - 1/p - 1/q) n log 2.  Discrete
     side: the constant on Z/2^n, weighted sum (1/p + 1/q - 1) n log 2.  The
-    parameter is the least n at which the closed-form value passes the
-    target; the witness is materialized when the group fits under the
-    exhaustive cap and described symbolically otherwise.  A non-finite
-    ``target`` raises ValueError.
+    parameter is the least n, up to ``MAX_PARAM``, at which that value
+    slope * n is at or below the target, found by one bisection; the witness
+    is materialized when the group fits under the exhaustive cap and
+    described symbolically otherwise.  A non-finite ``target`` raises
+    ValueError.
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
@@ -160,17 +162,12 @@ def weighted_up_violator(target: float, p: float, q: float, side: str) -> Violat
             f"(1/p, 1/q) = ({u}, {v}) is outside the violation region for {side}"
         )
     slope = (1.0 - u - v) * math.log(2.0) if side == COMPACT else (u + v - 1.0) * math.log(2.0)
-    # slope < 0 in both violation regions, except on the boundary u+v=1 which
-    # both region definitions exclude.  n is the least n >= 1 with
-    # slope * n <= target, capped at MAX_PARAM.
-    n = 1
-    if slope > target:
-        bound = target / slope if slope < 0.0 else math.inf
-        n = MAX_PARAM if bound >= MAX_PARAM else math.ceil(bound)
-        while n > 1 and slope * (n - 1) <= target:
-            n -= 1
-        while n < MAX_PARAM and slope * n > target:
-            n += 1
+    # slope < 0 in both violation regions.  Compact: the region has
+    # fl(u+v) > 1 and v <= 1/2, so u > 1/2; 1 - u is exact for u <= 2 and
+    # below -1 past it, so 1 - u - v < 0.  Discrete: the region has
+    # fl(u+v) < 1.  So slope * k <= target is False, then True, as k grows,
+    # and n is the least n >= 1 where it holds, capped at MAX_PARAM.
+    n = 1 + bisect.bisect_left(range(1, MAX_PARAM), True, key=lambda k: slope * k <= target)
     value = slope * n
     achieved = value <= target
     size = 2**n

@@ -84,8 +84,10 @@ def _is_prime(r: int) -> bool:
 
 
 def _check_prime_r_and_n(r: int, n: int) -> None:
-    """The checks that a family on (Z/r)^n with a prime r makes after the
-    cap on r, whose ``GroupSpec`` refuses r < 2: r is prime, then n >= 1."""
+    """The checks that a family on (Z/r)^n with a prime r makes, in order:
+    the cap on r, whose ``GroupSpec`` refuses r < 2, then r is prime, then
+    n >= 1."""
+    _capped_spec(r, COMPACT)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
     if n < 1:
@@ -104,7 +106,7 @@ def bi_unimodular_values(orders) -> np.ndarray:
     return values
 
 
-#: The function of each extremal family of ``norms.finite_cpq`` on a group.
+#: The function of each extremal family of ``norms.finite_cpq_at`` on a group.
 EXTREMALS = {
     CONSTANT: lambda spec: MeasuredFunction(spec, TIME, np.ones(spec.size, dtype=np.complex128)),
     DELTA: delta,
@@ -238,7 +240,6 @@ def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoi
 
     Its norms are closed forms, so only r (not N) is held to the exhaustive
     cap; N may go up to 2^62."""
-    _capped_spec(r, COMPACT)
     _check_prime_r_and_n(r, n)
     spec = _capped_spec(r, COMPACT, n, materialized=False)
     return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
@@ -260,7 +261,6 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     everywhere, giving ratio exactly r^(n(2-q)/q).  Its norms are closed
     forms, so only r (not r^2n) is held to the exhaustive cap; r^2n may go up
     to 2^62."""
-    _capped_spec(r, COMPACT)
     _check_prime_r_and_n(r, n)
     spec = _capped_spec(r, COMPACT, 2 * n, materialized=False)
     return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
@@ -460,7 +460,8 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     built by one outer sum per coordinate into one buffer
     (``_clt_transform``).  ||f||_p is ``_comb_norm``, so f itself is never
     built; fhat is, so the group keeps the exhaustive cap."""
-    # at n < 1 this is the cap on r alone, as in the other prime families
+    # the cap on r^n first, and at n < 1 on r alone, as in the other prime
+    # families; the cap on r in _check_prime_r_and_n cannot fail after it
     spec = _capped_spec(r, DISCRETE, max(n, 1))
     _check_prime_r_and_n(r, n)
     values = _clt_transform(r, n)

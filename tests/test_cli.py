@@ -471,7 +471,7 @@ def test_cli_builds_each_shapes_key_table_once(tmp_path, capsys, monkeypatch):
         return index_keys(orders)
 
     monkeypatch.setattr(transform, "_index_keys", spy)
-    transform._key_table.cache_clear()
+    transform._cached_key_table.cache_clear()
     out = str(tmp_path / "out.csv")
     assert run(capsys, "transform", "--input", str(first), "--output", out)[0] == 0
     assert built == [(4, 3)]
@@ -1069,7 +1069,8 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_emit_json_writes_the_bytes_of_indented_json_dumps(obj):
     out = io.StringIO()
-    cli._emit_json(obj, out)
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(obj)
     assert out.getvalue() == json.dumps(_jsonable(obj), indent=2) + "\n"
 
 

@@ -16,10 +16,20 @@ from abelfourier.estimator import (
     structured_search,
 )
 from abelfourier.groups import COMPACT, DISCRETE, EXHAUSTIVE_CAP, GroupSpec, all_subgroups
-from abelfourier.norms import EXTREMAL_FAMILIES, INF, closed_form_cpq, family_ratio, finite_cpq
+from abelfourier.norms import (
+    EXTREMAL_FAMILIES, INF, closed_form_cpq, family_ratio, finite_cpq_at, recip,
+)
 from abelfourier.transform import MeasuredFunction, TIME, character_function, delta, forward
 from abelfourier.witnesses import bi_unimodular_values
 from oracles import log_convexity_check
+
+
+def finite_cpq(spec, p, q):
+    """``finite_cpq_at`` at (p, q): the exact norm on spec and the verdict's
+    extremal family."""
+    value, verdict = finite_cpq_at(spec, recip(p), recip(q))
+    return value, verdict.extremal
+
 
 # points inside the compact finite region: u + v <= 1, v <= 1/2
 GRID = [

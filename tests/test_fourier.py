@@ -754,13 +754,13 @@ def _read_outcome(text, cold=False):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if cold:
-            transform._key_table.cache_clear()
+            transform._cached_key_table.cache_clear()
         try:
             g = read_csv(text)
         except ValueError as exc:
             return type(exc), str(exc)
     if cold:
-        transform._key_table.cache_clear()
+        transform._cached_key_table.cache_clear()
     return g.spec, g.side, _bits(g.values).tolist(), write_csv(g)
 
 
@@ -825,16 +825,16 @@ def test_csv_key_table_cold_and_warm_agree_across_shapes(body):
                                                    _signed_values(rng, math.prod(orders))))
         texts.append(_join_csv(head, _TABLE_BODIES[body](_rows_as_fields(lines))))
     cold = [_read_outcome(text, cold=True) for text in texts]
-    transform._key_table.cache_clear()
+    transform._cached_key_table.cache_clear()
     assert [_read_outcome(texts[i]) for i in (0, 1, 0)] == [cold[0], cold[1], cold[0]]
-    assert transform._key_table.cache_info().misses == _TABLE_MISSES[body]
+    assert transform._cached_key_table.cache_info().misses == _TABLE_MISSES[body]
 
 
 def test_key_table_is_immutable_and_kept_only_up_to_the_cap():
     rng = np.random.default_rng(22)
     small = random_function(rng, GroupSpec(orders=(4, 5)))
     head, rows = _value_rows(small)
-    transform._key_table.cache_clear()
+    transform._cached_key_table.cache_clear()
     for text in ["".join(head + rows), "".join(head + rows[::-1])]:
         g = read_csv(text)
         table = transform._key_table(small.spec.orders)
@@ -846,13 +846,13 @@ def test_key_table_is_immutable_and_kept_only_up_to_the_cap():
     for array in table.hashes:  # built by the reversed read
         with pytest.raises(ValueError):
             array[0] = 0
-    kept = transform._key_table.cache_info()
+    kept = transform._cached_key_table.cache_info()
     assert kept.currsize == 1
     past_cap = (2,) * 16 + (3,)
     assert math.prod(past_cap) > transform._KEY_TABLE_CAP
     big = MeasuredFunction(GroupSpec(orders=past_cap), TIME, np.zeros(math.prod(past_cap)))
     assert np.array_equal(read_csv(write_csv(big)).values, big.values)
-    assert transform._key_table.cache_info() == kept
+    assert transform._cached_key_table.cache_info() == kept
     assert transform._key_table(small.spec.orders) is table
     at_cap = (2,) * 16
     assert transform._key_table(at_cap) is transform._key_table(at_cap)
@@ -874,7 +874,7 @@ def test_csv_routes_agree_when_every_key_hash_collides(body, monkeypatch):
                 mutated = _TABLE_BODIES[body]([rows[i] for i in order])
                 _assert_routes_agree(_join_csv(head, mutated))
     finally:
-        transform._key_table.cache_clear()  # no table keeps the constant hashes
+        transform._cached_key_table.cache_clear()  # no table keeps the constant hashes
 
 
 @pytest.mark.parametrize("orders", [(16,), (2, 2, 2, 2), (4,) * 5, (16384,), (128, 128), (2,) * 12],
@@ -891,7 +891,7 @@ def test_shuffled_canonical_rows_are_placed_without_the_reader(orders, monkeypat
     head, rows = _value_rows(f)
     text = "".join(head + [rows[i] for i in rng.permutation(f.spec.size)])
     monkeypatch.setattr(transform, "_reader_rows", refuse)
-    transform._key_table.cache_clear()
+    transform._cached_key_table.cache_clear()
     for _ in range(2):
         assert np.array_equal(_bits(read_csv(text).values), _bits(f.values))
 
@@ -903,7 +903,7 @@ def test_csv_with_too_few_rows_builds_no_key_table(monkeypatch):
         raise AssertionError(f"key table built for {orders}")
 
     monkeypatch.setattr(transform, "_index_keys", refuse)
-    transform._key_table.cache_clear()
+    transform._cached_key_table.cache_clear()
     spec = "cyclic:1099511627776;view=compact;mass=1"
     for n, body in enumerate(["", '"(0,)",1.0,0.0\n', '"(0,)",1.0,0.0\n"(1,)",2.0,0.0\n']):
         with pytest.raises(ValueError, match=f"^expected 1099511627776 value rows, got {n}$"):

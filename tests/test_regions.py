@@ -2,16 +2,18 @@ import json
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abelfourier.cli import main
 from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
+    CONSTANT,
     DELTA,
     EXTREMAL_FAMILIES,
     INF,
@@ -20,7 +22,6 @@ from abelfourier.norms import (
     closed_form_cpq,
     family_exponents,
     family_ratio,
-    finite_cpq,
     finite_cpq_at,
     log_lp_norm,
     lp_norm,
@@ -204,7 +205,7 @@ def test_classify_matches_the_float_sums_next_to_each_line(line, t):
 def test_finite_cpq_equals_closed_form_on_finite_regions(orders, side, mass, u, v):
     spec = GroupSpec(orders=orders, view=side, mass=mass)
     p, q = exponent_value(u), exponent_value(v)
-    value, _ = finite_cpq(spec, p, q)
+    value, _ = finite_cpq_at(spec, recip(p), recip(q))
     closed = closed_form_cpq(spec, p, q)
     if closed == INF:
         assert classify(side, recip(p), recip(q)).exponent > 0.0
@@ -224,7 +225,8 @@ def test_finite_cpq_is_the_largest_family_ratio(orders, side, mass, u, v):
     spec = GroupSpec(orders=orders, view=side, mass=mass)
     p, q = exponent_value(u), exponent_value(v)
     ratios = [family_ratio(spec, family, p, q) for family in EXTREMAL_FAMILIES]
-    value, family = finite_cpq(spec, p, q)
+    value, verdict = finite_cpq_at(spec, recip(p), recip(q))
+    family = verdict.extremal
     assert value == max(ratios) == ratios[EXTREMAL_FAMILIES.index(family)]
     exps = family_exponents(side, recip(p), recip(q))
     assert family == EXTREMAL_FAMILIES[exps.index(max(exps))]
@@ -241,8 +243,8 @@ def test_finite_cpq_is_the_largest_family_ratio(orders, side, mass, u, v):
 )
 def test_finite_cpq_ties_go_to_the_earlier_family(side, u, v, family):
     spec = GroupSpec(orders=(6, 10), view=side, mass=1.5)
-    value, found = finite_cpq(spec, 1 / u, 1 / v)
-    assert found == family
+    value, verdict = finite_cpq_at(spec, recip(1 / u), recip(1 / v))
+    assert verdict.extremal == family
     ratios = [family_ratio(spec, f, 1 / u, 1 / v) for f in EXTREMAL_FAMILIES]
     assert ratios.index(max(ratios)) == EXTREMAL_FAMILIES.index(family)
     assert value == max(ratios)
@@ -250,9 +252,10 @@ def test_finite_cpq_ties_go_to_the_earlier_family(side, u, v, family):
 
 def test_finite_cpq_past_the_float_range():
     spec = GroupSpec(orders=(2**40,), view=COMPACT, mass=1.0)
-    assert finite_cpq(spec, 0.01, 1.0) == (INF, "delta")
-    value, family = finite_cpq(spec, 4.0, 0.05)
-    assert family == "bi_unimodular"
+    value, verdict = finite_cpq_at(spec, recip(0.01), recip(1.0))
+    assert (value, verdict.extremal) == (INF, "delta")
+    value, verdict = finite_cpq_at(spec, recip(4.0), recip(0.05))
+    assert verdict.extremal == "bi_unimodular"
     assert value == pytest.approx(2.0 ** (40 * 19.5), rel=1e-12)
 
 
@@ -383,6 +386,16 @@ _HUGE_RECIP = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e300, 1e308, sys.float_
                         st.floats(0.0, 3.0), st.floats(0.0, sys.float_info.max))
 
 
+def _huge_power_limit(spec: GroupSpec) -> float:
+    """The limit of the compact delta's (N/mass)^e as e -> inf, or of the
+    discrete constant's (N mass)^e as e -> -inf: inf, 1.0 or 0.0 as N/mass,
+    or 1/(N mass), taken exactly from the float mass, is above, at or below
+    1."""
+    mass = Fraction(spec.mass)
+    base = spec.size / mass if spec.view == COMPACT else 1 / (spec.size * mass)
+    return 1.0 if base == 1 else INF if base > 1 else 0.0
+
+
 @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
 @given(
     orders=st.lists(st.integers(2, 8), min_size=1, max_size=2).map(tuple),
@@ -391,24 +404,34 @@ _HUGE_RECIP = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e300, 1e308, sys.float_
     u=_HUGE_RECIP,
     v=_HUGE_RECIP,
 )
+# u + v overflows, so the discrete constant's power of N is -inf: N mass is
+# 0.8 (a float above 0.1 times 8 is still below 1), exactly 1, and one ulp
+# below 1 (fl(1/3) * 3 rounds to 1.0)
+@example(orders=(8,), side=DISCRETE, mass=0.1, u=1e308, v=1e308)
+@example(orders=(8,), side=DISCRETE, mass=0.125, u=1e308, v=1e308)
+@example(orders=(3,), side=DISCRETE, mass=1 / 3, u=1e308, v=1e308)
 def test_finite_group_norm_is_never_nan(orders, side, mass, u, v):
     """Where the sum of the norm's two logs is nan, the norm is the compact
     delta's limit (N/mass)^(u+v-1): inf, 1.0 or 0.0 as N is above, at or
-    below the mass.  Elsewhere it is that sum's power of 2 bit for bit, and
-    every family's value is never nan and the same as before where that was
-    not nan."""
+    below the mass.  Elsewhere it is that sum's power of 2 bit for bit.
+    Every family's value is never nan and the same as before where that was
+    not nan; where it was nan, the compact delta's and the discrete
+    constant's value is its limit, set by N/mass or N mass against 1."""
     spec = GroupSpec(orders=orders, view=side, mass=mass)
     value, verdict = finite_cpq_at(spec, u, v)
     by_logs = family_value_by_logs(spec, verdict.exponent, u, v)
     if math.isnan(by_logs):
         assert (side, verdict.extremal) == (COMPACT, DELTA)
-        assert value == (1.0 if spec.size == mass else INF if spec.size > mass else 0.0)
+        assert value == _huge_power_limit(spec)
     else:
         assert value.hex() == by_logs.hex()
-    for e in family_exponents(side, u, v):
+    for family, e in zip(EXTREMAL_FAMILIES, family_exponents(side, u, v)):
         value, by_logs = _family_value(spec, e, u, v), family_value_by_logs(spec, e, u, v)
         assert not math.isnan(value)
-        assert math.isnan(by_logs) or value.hex() == by_logs.hex()
+        if not math.isnan(by_logs):
+            assert value.hex() == by_logs.hex()
+        elif (side, family) in ((COMPACT, DELTA), (DISCRETE, CONSTANT)):
+            assert value == _huge_power_limit(spec), family
 
 
 def test_random_functions_respect_closed_form():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from abelfourier import uncertainty
 from abelfourier.cli import main
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
-from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, lp_norm
+from abelfourier.norms import BI_UNIMODULAR, CONSTANT, DELTA, INF, lp_norm, recip
 from abelfourier.transform import (
     MeasuredFunction,
     TIME,
@@ -33,6 +33,7 @@ from abelfourier.uncertainty import (
 from abelfourier.witnesses import EXTREMALS
 from oracles import (
     REGION_LINES,
+    exponent_value,
     points_near_line,
     violation_region_by_sums,
     weighted_region_by_sums,
@@ -289,8 +290,11 @@ def test_violator_value_linear_in_parameter():
 
 
 def test_violator_param_matches_stepping_loop(monkeypatch):
-    """The closed-form least n against a stepping loop, at the module's cap
-    ``MAX_PARAM`` and at a cap of 40 set in its place."""
+    """The bisected least n against a stepping loop, at the module's cap
+    ``MAX_PARAM`` and at a cap of 40 set in its place: at four points inside
+    the violation regions, and at every point of them within 3 floats of
+    u + v = 1, where the slope the bisection takes to be negative is
+    smallest."""
     assert uncertainty.MAX_PARAM == 10**6
 
     def stepped(slope, target, max_param):
@@ -299,22 +303,41 @@ def test_violator_param_matches_stepping_loop(monkeypatch):
             n += 1
         return n
 
-    for side, p, q in [(COMPACT, 1.111, 2.5), (COMPACT, 1.4, 3.0), (DISCRETE, 1.6, 5.0),
-                       (DISCRETE, 1.8, 3.5)]:
-        u, v = 1.0 / p, 1.0 / q
+    def check(side, p, q, targets):
+        u, v = recip(p), recip(q)
         slope = (1.0 - u - v if side == COMPACT else u + v - 1.0) * math.log(2.0)
+        assert slope < 0.0, (side, u, v)
+        for target in targets(slope):
+            for max_param in (10**6, 40):
+                monkeypatch.setattr(uncertainty, "MAX_PARAM", max_param)
+                r = weighted_up_violator(target, p, q, side)
+                assert r.param_n == stepped(slope, target, max_param), (side, u, v, target)
+                assert r.value == slope * r.param_n
+                assert r.achieved is (r.value <= target)
+
+    def dense(slope):
         targets = [slope * k for k in range(1, 80)]  # exactly on a step
         # a float off a step, where target / slope can round down onto k
         targets += [math.nextafter(slope * k, d) for k in range(1, 80) for d in (-INF, INF)]
         targets += [slope * (k + frac) for k in range(60) for frac in (1e-13, 0.3, 0.999)]
-        targets += [1.0, 0.0, -1e-300]
-        for target in targets:
-            for max_param in (10**6, 40):
-                monkeypatch.setattr(uncertainty, "MAX_PARAM", max_param)
-                r = weighted_up_violator(target, p, q, side)
-                assert r.param_n == stepped(slope, target, max_param), (side, target)
-                assert r.value == slope * r.param_n
-                assert r.achieved is (r.value <= target)
+        return targets + [1.0, 0.0, -1e-300]
+
+    def on_and_off_steps(slope):
+        steps = [slope * k for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 79)]
+        return steps + [math.nextafter(t, d) for t in steps for d in (-INF, INF)] + [1.0, 0.0]
+
+    for side, p, q in [(COMPACT, 1.111, 2.5), (COMPACT, 1.4, 3.0), (DISCRETE, 1.6, 5.0),
+                       (DISCRETE, 1.8, 3.5)]:
+        check(side, p, q, dense)
+    near = 0
+    for side in (COMPACT, DISCRETE):
+        for t in (2.0, 2.6, 4.0):
+            for u, v in points_near_line("u+v=1", t, 3):
+                p, q = exponent_value(u), exponent_value(v)
+                if in_violation_region(side, recip(p), recip(q)):
+                    check(side, p, q, on_and_off_steps)
+                    near += 1
+    assert near > 60
 
 
 def test_violator_guards():
