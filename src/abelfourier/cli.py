@@ -35,6 +35,7 @@ from .transform import (
 )
 from .norms import (
     INF,
+    RegionVerdict,
     classify,
     closed_form_cpq,
     finite_cpq_at,
@@ -145,43 +146,36 @@ def _read_function(path) -> MeasuredFunction:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> dict:
     spec = GroupSpec.parse(args.group)
-    _emit_json(
-        {
-            "group": spec.describe(),
-            "orders": list(spec.orders),
-            "view": spec.view,
-            "mass": spec.mass,
-            "size": spec.size,
-            "primal_atom": spec.primal_atom,
-            "primal_total": spec.primal_total,
-            "dual_atom": spec.dual_atom,
-            "dual_total": spec.dual_total,
-        }
-    )
-    return EXIT_OK
+    return {
+        "group": spec.describe(),
+        "orders": list(spec.orders),
+        "view": spec.view,
+        "mass": spec.mass,
+        "size": spec.size,
+        "primal_atom": spec.primal_atom,
+        "primal_total": spec.primal_total,
+        "dual_atom": spec.dual_atom,
+        "dual_total": spec.dual_total,
+    }
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> None:
     f = _read_function(args.input)
     g = inverse(f) if args.inverse else forward(f)
     with _open_out(args.output) as out:
         write_csv(g, out)
-    return EXIT_OK
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> dict:
     f = _read_function(args.input)
-    _emit_json(
-        {
-            "group": f.spec.describe(),
-            "side": f.side,
-            "p": args.p,
-            "norm": lp_norm(f, args.p),
-        }
-    )
-    return EXIT_OK
+    return {
+        "group": f.spec.describe(),
+        "side": f.side,
+        "p": args.p,
+        "norm": lp_norm(f, args.p),
+    }
 
 
 def _region(side: str, u: float, v: float, spec: GroupSpec | None):
@@ -197,36 +191,36 @@ def _region(side: str, u: float, v: float, spec: GroupSpec | None):
     return verdict, value if verdict.finite else None
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args) -> dict:
     spec = GroupSpec.parse(args.group) if args.group else None
     verdict, value = _region(args.side, args.u, args.v, spec)
-    _emit_json(
-        {
-            "side": verdict.side,
-            "u": args.u,
-            "v": args.v,
-            "label": verdict.label,
-            "finite": verdict.finite,
-            "value": value,
-        }
-    )
-    return EXIT_OK
+    return {
+        "side": verdict.side,
+        "u": args.u,
+        "v": args.v,
+        "label": verdict.label,
+        "finite": verdict.finite,
+        "value": value,
+    }
 
 
-def _cmd_cpq(args) -> int:
+def _cpq(args) -> tuple[dict, RegionVerdict]:
+    """``cpq``'s payload and the verdict at (--p, --q), from one ``finite_cpq_at`` call."""
     spec = GroupSpec.parse(args.group)
     finite_norm, verdict = finite_cpq_at(spec, recip(args.p), recip(args.q))
-    _emit_json(
-        {
-            "group": spec.describe(),
-            "p": args.p,
-            "q": args.q,
-            "finite_norm": finite_norm,
-            "extremal": verdict.extremal,
-            "value": finite_norm if verdict.finite else INF,
-        }
-    )
-    return EXIT_OK
+    payload = {
+        "group": spec.describe(),
+        "p": args.p,
+        "q": args.q,
+        "finite_norm": finite_norm,
+        "extremal": verdict.extremal,
+        "value": finite_norm if verdict.finite else INF,
+    }
+    return payload, verdict
+
+
+def _cmd_cpq(args) -> dict:
+    return _cpq(args)[0]
 
 
 class SystemExit2(Exception):
@@ -321,12 +315,11 @@ def _witness(args):
     return family.build(args, args.p, args.q)
 
 
-def _cmd_witness(args) -> int:
-    _emit_json(asdict(_witness(args)))
-    return EXIT_OK
+def _cmd_witness(args) -> dict:
+    return asdict(_witness(args))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     # Every row is computed, in order on the calling thread, before --output
     # is opened, so a usage or capacity error stops the sweep at its first
     # failing point and leaves no partial CSV on stdout and no output file.
@@ -363,30 +356,17 @@ def _cmd_sweep(args) -> int:
     rows = [one(x) for x in todo]
     with _open_out(args.output) as out:
         csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
-    spec = GroupSpec.parse(args.group)
-    u, v = recip(args.p), recip(args.q)
-    value, verdict = finite_cpq_at(spec, u, v)
-    _emit_json(
-        {
-            "group": spec.describe(),
-            "p": args.p,
-            "q": args.q,
-            "estimate": value,
-            "extremal": verdict.extremal,
-            "closed_form": value if verdict.finite else INF,
-            "region": verdict.label,
-            "converged": True,
-            "iterations": 0,
-        }
-    )
-    return EXIT_OK
+def _cmd_estimate(args) -> dict:
+    """``cpq``'s payload under ``estimate``'s names, then the region and two constants."""
+    payload, verdict = _cpq(args)
+    names = {"finite_norm": "estimate", "value": "closed_form"}
+    renamed = {names.get(key, key): value for key, value in payload.items()}
+    return {**renamed, "region": verdict.label, "converged": True, "iterations": 0}
 
 
-def _cmd_uncertainty(args) -> int:
+def _cmd_uncertainty(args) -> dict:
     if args.unweighted and args.mode != "check":  # no unweighted violator or support bound yet
         raise SystemExit2("--unweighted applies to --mode check only")
     if args.mode == "check":
@@ -397,20 +377,17 @@ def _cmd_uncertainty(args) -> int:
             report = unweighted_up_margin(psi, args.p, args.q)
         else:
             report = weighted_up_margin(psi, args.p, args.q)
-        _emit_json(
-            {
-                "mode": "check",
-                "weighted": not args.unweighted,
-                "group": psi.spec.describe(),
-                "p": args.p,
-                "q": args.q,
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "margin": report.margin,
-                "satisfied": report.satisfied,
-            }
-        )
-        return EXIT_OK
+        return {
+            "mode": "check",
+            "weighted": not args.unweighted,
+            "group": psi.spec.describe(),
+            "p": args.p,
+            "q": args.q,
+            "lhs": report.lhs,
+            "rhs": report.rhs,
+            "margin": report.margin,
+            "satisfied": report.satisfied,
+        }
     if args.mode == "violate":
         if args.p is None or args.q is None or args.target is None:
             raise SystemExit2("mode violate needs --p, --q and --target")
@@ -420,37 +397,31 @@ def _cmd_uncertainty(args) -> int:
             with open(args.output, "w", newline="") as fh:
                 write_csv(result.psi, fh)
             witness_ref = args.output
-        _emit_json(
-            {
-                "mode": "violate",
-                "side": result.side,
-                "family": result.family,
-                "param_n": result.param_n,
-                "group": result.group_descr,
-                "value": result.value,
-                "target": result.target,
-                "achieved": result.achieved,
-                "witness": witness_ref,
-                "materialized": result.psi is not None,
-            }
-        )
-        return EXIT_OK
+        return {
+            "mode": "violate",
+            "side": result.side,
+            "family": result.family,
+            "param_n": result.param_n,
+            "group": result.group_descr,
+            "value": result.value,
+            "target": result.target,
+            "achieved": result.achieved,
+            "witness": witness_ref,
+            "materialized": result.psi is not None,
+        }
     # mode support
     psi = _read_function(args.input)
     n_t, n_w, product = donoho_stark_check(psi)
-    _emit_json(
-        {
-            "mode": "support",
-            "group": psi.spec.describe(),
-            "support_product": support_measure(psi.spec, n_t, n_w),
-            "n_t": n_t,
-            "n_w": n_w,
-            "product": product,
-            "group_size": psi.spec.size,
-            "satisfied": product >= psi.spec.size,
-        }
-    )
-    return EXIT_OK
+    return {
+        "mode": "support",
+        "group": psi.spec.describe(),
+        "support_product": support_measure(psi.spec, n_t, n_w),
+        "n_t": n_t,
+        "n_w": n_w,
+        "product": product,
+        "group_size": psi.spec.size,
+        "satisfied": product >= psi.spec.size,
+    }
 
 
 # -- selftest ---------------------------------------------------------------
@@ -772,7 +743,9 @@ def main(argv=None) -> int:
         build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.subcommand](args)
+        payload = _HANDLERS[args.subcommand](args)
+        if payload is not None:
+            _emit_json(payload)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -782,6 +755,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -165,41 +165,51 @@ def classify(side: str, u: float, v: float) -> RegionVerdict:
     return RegionVerdict(side, label, False, e, extremal)
 
 
-def _family_value(spec: GroupSpec, e: float, u: float, v: float) -> float:
-    """mass^(1-u-v) * N^e on spec.  Where e is 0 it is one power of the mass;
-    elsewhere it is one power of 2, so it is inf only past the float range
-    and an exact power such as 64 is exact.  That power's exponent is nan
-    where its two terms overflow with opposite signs, or one is inf times 0
-    (u + v near the float max); the value is then ``_opposed_limit``."""
+def _family_value(spec: GroupSpec, family: str, e: float, u: float, v: float) -> float:
+    """mass^(1-u-v) * N^e on spec, ``family``'s ratio where e is its power of
+    N.  Where e is 0 it is one power of the mass; elsewhere it is one power
+    of 2, so it is inf only past the float range and an exact power such as
+    64 is exact.  That power's exponent is nan where its two terms overflow
+    with opposite signs, or one is inf times 0 (u + v near the float max);
+    the value is then ``_opposed_limit``."""
     s = u + v
     if e == 0.0:
         return _power(spec.mass, 1.0 - s)
     log_value = (1.0 - s) * math.log2(spec.mass) + e * math.log2(spec.size)
     if math.isnan(log_value):
-        return _opposed_limit(spec, e, u, v)
+        return _opposed_limit(spec, family, u, v)
     return _power(2.0, log_value)
 
 
-def _opposed_limit(spec: GroupSpec, e: float, u: float, v: float) -> float:
-    """mass^(1-u-v) * N^e where one power is 0 and the other inf.  Where e is
-    -(1 - (u + v)) in floats, as the compact delta's is, the value is
-    (N/mass)^e with e huge and positive; where e is 1 - (u + v), as the
-    discrete constant's is, it is (1/(N mass))^-e with -e huge and positive.
-    Either is inf, 1.0 or 0.0 as its base, compared with 1 exactly from the
-    mass's integer ratio, is above, at or below 1 (fl(1/3) * 3 rounds to 1,
-    but the base is not 1).  Elsewhere the exponent is summed scaled by
-    2^-64, which keeps both terms in range, and scaled back."""
+def _opposed_limit(spec: GroupSpec, family: str, u: float, v: float) -> float:
+    """``family``'s mass^(1-u-v) * N^e where one power is 0 and the other inf.
+
+    Each family whose e is not 0 is a power of one base B, N/mass on the
+    compact view and 1/(N mass) on the discrete one, times a rest:
+    B^(u+v-1) for the compact delta and the discrete constant, and
+    B^v mass^(1-u) N^(-1/2) (compact) or B^u mass^(1-v) N^(1/2) (discrete)
+    for the bi-unimodular function.  B is compared with 1 exactly, from the
+    mass's integer ratio (fl(1/3) * 3 rounds to 1, but B is not 1).  The
+    delta's and the constant's value is inf, 1.0 or 0.0 as B is above, at or
+    below 1.  The bi-unimodular value is mass^(1/2-u) (compact) or
+    mass^(1/2-v) (discrete) at B = 1, and elsewhere 2 to its log summed
+    scaled by 2^-64, which keeps every term in range, and scaled back; log B
+    is taken from the integers, so a B one float from 1 keeps its sign."""
     mass, n = spec.mass, spec.size
     top, bottom = mass.as_integer_ratio()
-    if e == -(1.0 - (u + v)):
-        num, den = n * bottom, top  # N/mass
-    elif e == 1.0 - (u + v):
-        num, den = bottom, n * top  # 1/(N mass)
-    else:
-        k = 2.0**-64
-        scaled = (k - (u * k + v * k)) * math.log2(mass) + (e * k) * math.log2(n)
-        return _power(2.0, scaled / k)
-    return 1.0 if num == den else INF if num > den else 0.0
+    compact = spec.view == COMPACT
+    num, den = (n * bottom, top) if compact else (bottom, n * top)
+    if family != BI_UNIMODULAR:
+        return 1.0 if num == den else INF if num > den else 0.0
+    t, w, half = (v, u, -0.5) if compact else (u, v, 0.5)
+    if num == den:
+        return _power(mass, 0.5 - w)
+    d = num - den
+    log2_base = math.log1p(d / den) / math.log(2.0) if 2 * abs(d) < den else (
+        math.log2(num) - math.log2(den))
+    k = 2.0**-64
+    scaled = (t * k) * log2_base + (k - w * k) * math.log2(mass) + (half * k) * math.log2(n)
+    return _power(2.0, scaled / k)
 
 
 def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
@@ -209,7 +219,7 @@ def family_ratio(spec: GroupSpec, family: str, p: float, q: float) -> float:
     past the exhaustive cap."""
     u, v = recip(p), recip(q)
     e = family_exponents(spec.view, u, v)[EXTREMAL_FAMILIES.index(family)]
-    return _family_value(spec, e, u, v)
+    return _family_value(spec, family, e, u, v)
 
 
 def family_norms(spec: GroupSpec, family: str, p: float, q: float) -> tuple[float, float]:
@@ -234,7 +244,7 @@ def finite_cpq_at(spec: GroupSpec, u: float, v: float) -> tuple[float, RegionVer
     ``family_ratio`` of the verdict's extremal family.  Where the verdict is
     finite the value is also ``closed_form_cpq``'s."""
     verdict = classify(spec.view, u, v)
-    return _family_value(spec, verdict.exponent, u, v), verdict
+    return _family_value(spec, verdict.extremal, verdict.exponent, u, v), verdict
 
 
 def closed_form_cpq(spec: GroupSpec, p: float, q: float) -> float:

@@ -28,6 +28,10 @@ MASS_TOL = 1e-10
 #: The largest group parameter n that ``weighted_up_violator`` tries.
 MAX_PARAM = 10**6
 
+#: How far below 0 an uncertainty margin may read, from roundoff, and the
+#: inequality still hold.
+MARGIN_TOL = 1e-9
+
 
 def _on_support(values: np.ndarray) -> np.ndarray:
     """Where |values| is above ``SUPPORT_RTOL`` times its peak: nowhere for
@@ -78,10 +82,19 @@ def renyi_entropy(psi: MeasuredFunction, order: float) -> float:
 
 @dataclass(frozen=True)
 class UPReport:
+    """An uncertainty inequality lhs >= rhs as measured: its ``margin`` is
+    lhs - rhs, and it is ``satisfied`` where that is at least -``MARGIN_TOL``."""
+
     lhs: float
     rhs: float
-    margin: float
-    satisfied: bool
+
+    @property
+    def margin(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin >= -MARGIN_TOL
 
 
 def weighted_entropy_sum(psi: MeasuredFunction, p: float, q: float) -> float:
@@ -126,8 +139,7 @@ def weighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
         )
     lhs = weighted_entropy_sum(psi, p, q)
     rhs = (u + v - 1.0) * math.log(psi.spec.mass)
-    margin = lhs - rhs
-    return UPReport(lhs=lhs, rhs=rhs, margin=margin, satisfied=margin >= -1e-9)
+    return UPReport(lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,7 @@ def unweighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
     if u + v < 1.0:
         raise ValueError("the unweighted inequality needs 1/p + 1/q >= 1")
     lhs = renyi_entropy(psi, p / 2.0) + renyi_entropy(forward(psi), q / 2.0)
-    return UPReport(lhs=lhs, rhs=0.0, margin=lhs, satisfied=lhs >= -1e-9)
+    return UPReport(lhs=lhs, rhs=0.0)
 
 
 def support_measure(spec: GroupSpec, n_t: int, n_w: int) -> float:

@@ -83,15 +83,19 @@ def _is_prime(r: int) -> bool:
     return True
 
 
-def _check_prime_r_and_n(r: int, n: int) -> None:
-    """The checks that a family on (Z/r)^n with a prime r makes, in order:
-    the cap on r, whose ``GroupSpec`` refuses r < 2, then r is prime, then
-    n >= 1."""
-    _capped_spec(r, COMPACT)
+def _prime_spec(r: int, n: int, view: str, power: int, materialized: bool) -> GroupSpec:
+    """``_capped_spec(r, view, power, materialized)`` for a family at n that
+    needs a prime r.  Its checks, in order: the cap, on (Z/r)^power when
+    ``materialized`` (on r alone at a power below 1) and else on r, whose
+    ``GroupSpec`` refuses r < 2; then r is prime; then n >= 1; then, when not
+    ``materialized``, the 2^62 points of (Z/r)^power.  So an r past the cap
+    fails before any trial division."""
+    spec = _capped_spec(r, view, max(power, 1) if materialized else 1)
     if not _is_prime(r):
         raise ValueError(f"r={r} must be prime")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return spec if materialized else _capped_spec(r, view, power, materialized=False)
 
 
 def bi_unimodular_values(orders) -> np.ndarray:
@@ -240,8 +244,7 @@ def subgroup_indicator_witness(r: int, n: int, p: float, q: float) -> WitnessPoi
 
     Its norms are closed forms, so only r (not N) is held to the exhaustive
     cap; N may go up to 2^62."""
-    _check_prime_r_and_n(r, n)
-    spec = _capped_spec(r, COMPACT, n, materialized=False)
+    spec = _prime_spec(r, n, COMPACT, n, materialized=False)
     return _exact_point("subgroup_indicator", n, spec, DELTA, p, q, scale=spec.size)
 
 
@@ -261,8 +264,7 @@ def chirp_witness(r: int, n: int, q: float, p: float = 1.0) -> WitnessPoint:
     everywhere, giving ratio exactly r^(n(2-q)/q).  Its norms are closed
     forms, so only r (not r^2n) is held to the exhaustive cap; r^2n may go up
     to 2^62."""
-    _check_prime_r_and_n(r, n)
-    spec = _capped_spec(r, COMPACT, 2 * n, materialized=False)
+    spec = _prime_spec(r, n, COMPACT, 2 * n, materialized=False)
     return _exact_point("chirp", n, spec, BI_UNIMODULAR, p, q)
 
 
@@ -460,10 +462,7 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     built by one outer sum per coordinate into one buffer
     (``_clt_transform``).  ||f||_p is ``_comb_norm``, so f itself is never
     built; fhat is, so the group keeps the exhaustive cap."""
-    # the cap on r^n first, and at n < 1 on r alone, as in the other prime
-    # families; the cap on r in _check_prime_r_and_n cannot fail after it
-    spec = _capped_spec(r, DISCRETE, max(n, 1))
-    _check_prime_r_and_n(r, n)
+    spec = _prime_spec(r, n, DISCRETE, n, materialized=True)
     values = _clt_transform(r, n)
     fhat = MeasuredFunction(spec, FREQUENCY, values)
     # Var(cos(2 pi U/r)) over a uniform r-th root: 1 for r=2, 1/2 for odd prime r.

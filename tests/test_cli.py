@@ -234,17 +234,52 @@ def test_golden_cases_cover_every_family():
     }
 
 
+def _assert_pinned(out: str, want: str, fingerprint: str):
+    """out is want byte for byte where the float routines are those that
+    wrote it (``fingerprint``); elsewhere the same text, and each float
+    within a few last bits."""
+    if fingerprint == _float_fingerprint():
+        assert out == want
+    else:
+        assert _FLOAT.split(out) == _FLOAT.split(want)
+        for got, pinned in zip(_FLOAT.findall(out), _FLOAT.findall(want)):
+            assert float(got) == pytest.approx(float(pinned), rel=1e-12), (got, pinned)
+
+
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=_golden_id)
 def test_witness_stdout_is_pinned(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert code == 0, err
-    want = case["stdout"]
-    if GOLDEN["fingerprint"] == _float_fingerprint():
-        assert out == want
-    else:  # the same text, and each float within a few last bits
-        assert _FLOAT.split(out) == _FLOAT.split(want)
-        for got, pinned in zip(_FLOAT.findall(out), _FLOAT.findall(want)):
-            assert float(got) == pytest.approx(float(pinned), rel=1e-12), (got, pinned)
+    _assert_pinned(out, case["stdout"], GOLDEN["fingerprint"])
+
+
+# stdout of every JSON command, pinned byte for byte: info, norm, region with
+# and without --group, cpq and estimate at a finite and an infinite point,
+# and uncertainty in every mode.  Each case runs in a directory that holds
+# only the input CSVs; ``files`` are the files it writes there.
+JSON_GOLDEN = json.loads((Path(__file__).with_name("json_stdout.json")).read_text())
+
+
+def test_json_golden_cases_cover_every_json_command():
+    def kind(argv):
+        return argv[0] if argv[0] != "uncertainty" else argv[argv.index("--mode") + 1]
+
+    covered = {kind(case["argv"]) for case in JSON_GOLDEN["cases"]}
+    assert covered == {"info", "norm", "region", "cpq", "estimate", "check", "violate", "support"}
+
+
+@pytest.mark.parametrize("case", JSON_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_json_stdout_is_pinned(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    for name, text in JSON_GOLDEN["inputs"].items():
+        Path(name).write_text(text)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (0, "")
+    _assert_pinned(out, case["stdout"], JSON_GOLDEN["fingerprint"])
+    written = {p.name: p.read_text() for p in tmp_path.iterdir() if p.name not in JSON_GOLDEN["inputs"]}
+    assert written.keys() == case["files"].keys()
+    for name, text in written.items():
+        _assert_pinned(text, case["files"][name], JSON_GOLDEN["fingerprint"])
 
 
 LACUNARY_SWEEP = ["sweep", "--family", "lacunary_compact", "--p", "3", "--q", "1.5", "--params"]

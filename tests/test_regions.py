@@ -13,6 +13,7 @@ from abelfourier.cli import main
 from abelfourier.estimator import structured_search
 from abelfourier.groups import COMPACT, DISCRETE, GroupSpec
 from abelfourier.norms import (
+    BI_UNIMODULAR,
     CONSTANT,
     DELTA,
     EXTREMAL_FAMILIES,
@@ -426,12 +427,29 @@ def test_finite_group_norm_is_never_nan(orders, side, mass, u, v):
     else:
         assert value.hex() == by_logs.hex()
     for family, e in zip(EXTREMAL_FAMILIES, family_exponents(side, u, v)):
-        value, by_logs = _family_value(spec, e, u, v), family_value_by_logs(spec, e, u, v)
+        value, by_logs = _family_value(spec, family, e, u, v), family_value_by_logs(spec, e, u, v)
         assert not math.isnan(value)
         if not math.isnan(by_logs):
             assert value.hex() == by_logs.hex()
         elif (side, family) in ((COMPACT, DELTA), (DISCRETE, CONSTANT)):
             assert value == _huge_power_limit(spec), family
+
+
+@pytest.mark.parametrize("side, mass, u, v, want", [
+    (COMPACT, 8.0, 0.3, 1e308, 8.0**0.2),
+    (DISCRETE, 0.125, 1e308, 0.3, 0.125**0.2),
+    (COMPACT, 8.0 * (1 - 2**-53), 0.3, 1e308, INF),
+    (COMPACT, 8.0 * (1 + 2**-52), 0.3, 1e308, 0.0),
+    (DISCRETE, 0.125 * (1 - 2**-53), 1e308, 0.3, INF),
+    (DISCRETE, 0.125 * (1 + 2**-52), 1e308, 0.3, 0.0),
+])
+def test_bi_unimodular_ratio_where_its_logs_overflow(side, mass, u, v, want):
+    """On 8 points, where the bi-unimodular ratio's two logs overflow with
+    opposite signs: at N = mass (compact) or N mass = 1 (discrete) the ratio
+    is mass^(1/2-u) or mass^(1/2-v), though its power of N rounds onto the
+    delta's or the constant's; one float off, the huge power of N/mass or
+    1/(N mass) makes it inf or 0."""
+    assert family_ratio(GroupSpec((8,), side, mass), BI_UNIMODULAR, 1 / u, 1 / v) == want
 
 
 def test_random_functions_respect_closed_form():
