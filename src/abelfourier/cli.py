@@ -46,6 +46,7 @@ from .norms import (
 )
 from . import witnesses as wit
 from .uncertainty import (
+    _on_support,
     donoho_stark_check,
     support_measure,
     unweighted_up_margin,
@@ -219,10 +220,6 @@ def _cpq(args) -> tuple[dict, RegionVerdict]:
     return payload, verdict
 
 
-def _cmd_cpq(args) -> dict:
-    return _cpq(args)[0]
-
-
 class SystemExit2(Exception):
     """Usage error raised after argparse has finished."""
 
@@ -243,23 +240,14 @@ WITNESS_SWEEP_HEADER = [
 
 def _sweep_row(w) -> list:
     """One ``sweep`` CSV row of a witness (a ``WitnessPoint`` or a
-    ``LacunaryDiscreteWitness``).
+    ``LacunaryDiscreteWitness``): its attributes named by
+    ``WITNESS_SWEEP_HEADER``, in that order.  ``csv.writer`` writes a float
+    by ``repr``, None as an empty field and a str or int as it is.
 
     ``group_size`` is the size of the point's group, except for
     ``lacunary_discrete``: there it is 2^n, the reach of f's support on the
     integers, not the 8 * 2^n points (or ``--grid``) of its quadrature grid."""
-    return [
-        w.family,
-        w.param_n,
-        w.group_size,
-        repr(w.p),
-        repr(w.q),
-        repr(w.norm_f),
-        repr(w.norm_fhat),
-        repr(w.ratio),
-        "" if w.prediction is None else repr(w.prediction),
-        w.prediction_kind or "",
-    ]
+    return [getattr(w, name) for name in WITNESS_SWEEP_HEADER]
 
 
 #: m = ARC_M_FACTOR * k at each point of an arc indicator sweep over k
@@ -333,14 +321,7 @@ def _cmd_sweep(args) -> None:
         def one(uv):
             u, v = uv
             verdict, value = _region(args.side, u, v, spec)
-            return [
-                repr(u),
-                repr(v),
-                verdict.side,
-                verdict.label,
-                verdict.finite,
-                "" if value is None else repr(value),
-            ]
+            return [u, v, verdict.side, verdict.label, verdict.finite, value]
 
     else:
         if args.family is None or not args.params:
@@ -483,8 +464,9 @@ def _selftest() -> int:
         f = MeasuredFunction(GroupSpec(orders=(m,), view=COMPACT), TIME, arc * (m / n))
         fhat = forward(f)
         # the FFT leaves roundoff where the Dirichlet kernel is exactly 0,
-        # which a power q < 1 inflates (6% at (2, 402) and q = 0.1)
-        fhat.values[(n * x % m == 0) & (x > 0)] = 0.0
+        # which a power q < 1 inflates (6% at (2, 402) and q = 0.1): zero
+        # what the entropies' support rule counts as 0
+        fhat.values[~_on_support(fhat.values)] = 0.0
         for p, q in ((3.0, 1.5), (INF, 0.5)):
             cases.append((wit.arc_indicator_witness(k, m, p, q), f, fhat))
     # the discrete lacunary comb at n = 6 against all M grid values, one
@@ -541,11 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     Building it takes about 1.6 ms (best of 50 builds, Python 3.11.7 on a
     2-core host), far more than an ``estimate`` call's own work, so ``main``
-    reuses it.  ``parser.subcommand_options`` maps each subcommand's name to
+    reuses it.  ``parser.subcommands`` maps each subcommand's name to a pair:
     a dict from each of its parser's exact option strings (``--group``,
-    ``--p``, ...) to the ``Action`` its ``add_argument`` returned.
-    ``_parse_args`` reads well-formed arguments from that table and hands
-    anything else to this parser's ``parse_args``.  The returned parser is
+    ``--p``, ...) to the ``Action`` its ``add_argument`` returned, and the
+    handler ``main`` calls on its namespace.  ``_parse_args`` reads
+    well-formed arguments from that table and hands anything else to this
+    parser's ``parse_args``.  The returned parser is
     shared: do not mutate it
     (add arguments, set defaults).  ``build_parser.__wrapped__()`` builds a
     fresh one.  Reuse is safe because:
@@ -563,15 +546,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abelfourier")
     parser.add_argument("--selftest", action="store_true", help="run a fast acceptance subset")
     sub = parser.add_subparsers(dest="subcommand")
-    parser.subcommand_options = {}
+    parser.subcommands = {}
 
-    def add_subcommand(name, help):
+    def add_subcommand(name, help, handler):
         """The ``add_argument`` of a new subcommand's parser, which also
-        files each returned action under its option strings.  It takes the
-        two kinds of action that ``_read_exact`` reads, store and
-        ``store_true``, and no other."""
+        files each returned action under its option strings, next to
+        ``handler``.  It takes the two kinds of action that ``_read_exact``
+        reads, store and ``store_true``, and no other."""
         sp = sub.add_parser(name, help=help)
-        options = parser.subcommand_options[name] = {}
+        options = {}
+        parser.subcommands[name] = (options, handler)
 
         def add(*flags, **kwargs):
             if kwargs.get("action", "store") not in ("store", "store_true"):
@@ -581,25 +565,27 @@ def build_parser() -> argparse.ArgumentParser:
 
         return add
 
-    add = add_subcommand("info", "describe a group spec")
+    add = add_subcommand("info", "describe a group spec", _cmd_info)
     add("--group", required=True)
 
-    add = add_subcommand("transform", "Fourier transform of a CSV function")
+    add = add_subcommand("transform", "Fourier transform of a CSV function", _cmd_transform)
     add("--input", default="-")
     add("--output", default="-")
     add("--inverse", action="store_true")
 
-    add = add_subcommand("norm", "L^p norm of a CSV function")
+    add = add_subcommand("norm", "L^p norm of a CSV function", _cmd_norm)
     add("--input", default="-")
     add("--p", type=_exponent, required=True)
 
-    add = add_subcommand("region", "classify a point in the (1/p, 1/q) plane")
+    add = add_subcommand("region", "classify a point in the (1/p, 1/q) plane", _cmd_region)
     add("--side", choices=[COMPACT, DISCRETE], required=True)
     add("--u", type=float, required=True)
     add("--v", type=float, required=True)
     add("--group")
 
-    add = add_subcommand("cpq", "closed-form operator norm, infinite group and finite")
+    add = add_subcommand(
+        "cpq", "closed-form operator norm, infinite group and finite", lambda a: _cpq(a)[0]
+    )
     add("--group", required=True)
     add("--p", type=_exponent, required=True)
     add("--q", type=_exponent, required=True)
@@ -613,11 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
         add("--n", type=int)
         add("--grid", type=int)
 
-    add = add_subcommand("witness", "evaluate one witness family member")
+    add = add_subcommand("witness", "evaluate one witness family member", _cmd_witness)
     add("--family", choices=list(FAMILIES), required=True)
     add_witness_flags(add)
 
-    add = add_subcommand("sweep", "CSV sweep over witness parameters or region grid")
+    add = add_subcommand("sweep", "CSV sweep over witness parameters or region grid", _cmd_sweep)
     add("--kind", choices=["witness", "region"], default="witness")
     # validated and kept for compatibility; points run in order on one thread
     add("--workers", type=_positive_int, default=1)
@@ -630,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--v-values", type=_float_list)
     add("--group")
 
-    add = add_subcommand("estimate", "exact operator norm on the finite group")
+    add = add_subcommand("estimate", "exact operator norm on the finite group", _cmd_estimate)
     add("--group", required=True)
     add("--p", type=_exponent, required=True)
     add("--q", type=_exponent, required=True)
@@ -639,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--restarts", type=int, default=32, help=no_effect)
     add("--max-iters", type=int, default=5000, help=no_effect)
 
-    add = add_subcommand("uncertainty", "entropic uncertainty checks")
+    add = add_subcommand("uncertainty", "entropic uncertainty checks", _cmd_uncertainty)
     add("--mode", choices=["check", "violate", "support"], required=True)
     add("--input", default="-")
     add("--p", type=_exponent)
@@ -650,19 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--output")
 
     return parser
-
-
-_HANDLERS = {
-    "info": _cmd_info,
-    "transform": _cmd_transform,
-    "norm": _cmd_norm,
-    "region": _cmd_region,
-    "cpq": _cmd_cpq,
-    "witness": _cmd_witness,
-    "sweep": _cmd_sweep,
-    "estimate": _cmd_estimate,
-    "uncertainty": _cmd_uncertainty,
-}
 
 
 def _read_exact(options: dict, argv: list[str]) -> dict | None:
@@ -718,7 +691,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     unusual spellings included, goes to the full top-level parse."""
     parser = build_parser()
     name = argv[0] if argv else None
-    options = parser.subcommand_options.get(name)
+    options, _ = parser.subcommands.get(name, (None, None))
     values = None if options is None else _read_exact(options, argv[1:])
     if values is None:
         return parser.parse_args(argv)
@@ -742,8 +715,9 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
+    _, handler = build_parser().subcommands[args.subcommand]
     try:
-        payload = _HANDLERS[args.subcommand](args)
+        payload = handler(args)
         if payload is not None:
             _emit_json(payload)
     except CapacityError as exc:

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 
 COMPACT = "compact"
@@ -33,10 +33,6 @@ MAX_SIZE = 2**62
 
 class CapacityError(Exception):
     """A group too large for the request: past the exhaustive cap, or ``MAX_SIZE``."""
-
-
-def _lcm_all(values):
-    return reduce(math.lcm, values, 1)
 
 
 def describe_group(orders, view: str, mass: float) -> str:
@@ -78,10 +74,7 @@ class GroupSpec:
 
     @cached_property
     def size(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return math.prod(self.orders)
 
     @property
     def primal_total(self) -> float:
@@ -101,7 +94,7 @@ class GroupSpec:
 
     @cached_property
     def _lcm(self) -> int:
-        return _lcm_all(self.orders)
+        return math.lcm(*self.orders)
 
     # -- elements ------------------------------------------------------------
 

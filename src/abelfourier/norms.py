@@ -115,14 +115,18 @@ EXTREMAL_FAMILIES = (CONSTANT, DELTA, BI_UNIMODULAR)
 @dataclass(frozen=True)
 class RegionVerdict:
     """Classification of a point (1/p, 1/q) for one measure view: its region,
-    whether the norm is finite there, the norm's power of N on a finite group
-    of that view, and the earliest extremal family attaining it."""
+    the norm's power of N on a finite group of that view, and the earliest
+    extremal family attaining it.  The norm is finite there exactly where
+    that power is 0."""
 
     side: str
     label: str
-    finite: bool
     exponent: float
     extremal: str
+
+    @property
+    def finite(self) -> bool:
+        return self.exponent == 0.0
 
 
 def family_exponents(side: str, u: float, v: float) -> tuple[float, float, float]:
@@ -156,13 +160,11 @@ def classify(side: str, u: float, v: float) -> RegionVerdict:
     exps = family_exponents(side, u, v)
     e = max(exps)
     extremal = EXTREMAL_FAMILIES[exps.index(e)]
-    if e == 0.0:
-        return RegionVerdict(side, R1 if side == COMPACT else R2P, True, e, extremal)
     if side == COMPACT:
-        label = R2 if exps[1] > 0.0 else R3
+        label = R1 if e == 0.0 else R2 if exps[1] > 0.0 else R3
     else:
-        label = R1P if exps[0] > 0.0 and v < 0.5 else R3PEXT
-    return RegionVerdict(side, label, False, e, extremal)
+        label = R2P if e == 0.0 else R1P if exps[0] > 0.0 and v < 0.5 else R3PEXT
+    return RegionVerdict(side, label, e, extremal)
 
 
 def _family_value(spec: GroupSpec, family: str, e: float, u: float, v: float) -> float:

@@ -126,12 +126,13 @@ def delta(spec: GroupSpec, at=None) -> MeasuredFunction:
 
 
 def character_function(spec: GroupSpec, chi) -> MeasuredFunction:
-    """The character x -> chi(x) as a time-side function."""
+    """The character x -> chi(x) as a time-side function, from exact
+    per-factor angles: c k is reduced mod m before it is scaled."""
     spec._check_capacity()
     chi = spec.reduce(chi)
     vals = np.ones(1, dtype=np.complex128)
     for c, m in zip(chi, spec.orders):
-        factor = np.exp(2j * np.pi * c * np.arange(m) / m)
+        factor = np.exp(2j * np.pi * (c * np.arange(m) % m) / m)
         vals = np.kron(vals, factor)
     return MeasuredFunction(spec, TIME, vals)
 

@@ -118,7 +118,7 @@ def classify_by_sums(side: str, u: float, v: float) -> RegionVerdict:
     else:
         finite = u + v >= 1 and u >= 0.5
         label = R2P if finite else R1P if u + v < 1 and v < 0.5 else R3PEXT
-    return RegionVerdict(side, label, finite, exponent, extremal)
+    return RegionVerdict(side, label, exponent, extremal)
 
 
 def family_value_by_logs(spec: GroupSpec, e: float, u: float, v: float) -> float:

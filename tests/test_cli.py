@@ -1264,7 +1264,7 @@ ARGV_MENU = [
       "--v-values", "0.5"], 0),
     (["uncertainty", "--mode", "violate", "--target", "-1", "--p", "1.111", "--q", "2.5"], 0),
     (["--help"], 0),
-    *(([name, "--help"], 0) for name in cli._HANDLERS),
+    *(([name, "--help"], 0) for name in cli.build_parser().subcommands),
     ([], 2),
     (["nosuch"], 2),
     (["--bogus"], 2),
@@ -1413,7 +1413,8 @@ def test_well_formed_flags_skip_argparse_and_the_rest_reach_it(argv, code):
     is the exception, as argparse decides whether ``-1`` is a number.  Every
     mutation that makes a spelling argparse's to read reaches argparse.
     Read either way, every mutation parses to the full parse's namespace."""
-    if code == 0 and argv[0] in cli._HANDLERS and "--help" not in argv and "-1" not in argv:
+    subcommands = cli.build_parser().subcommands
+    if code == 0 and argv[0] in subcommands and "--help" not in argv and "-1" not in argv:
         assert not _reaches_argparse(argv), argv
     for kind in _MUTATIONS:
         for i in range(3):

@@ -113,6 +113,18 @@ def test_character_transform_is_point_mass():
     assert np.allclose(fhat.values, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "orders, chi", [((65536,), (65535,)), ((1000,), (999,)), ((12, 35), (7, 34))]
+)
+def test_character_function_takes_exact_angles(orders, chi):
+    # c k reduced mod m before scaling: unreduced, the angle grows to about
+    # 2 pi m and the value is off by 3.5e-11 on Z/65536
+    spec = GroupSpec(orders=orders)
+    got = character_function(spec, chi).values
+    want = np.array([spec.char_value(chi, x) for x in spec.elements()])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_direct_and_fft_agree():
     """forward and inverse (FFT) against the dense reference matrix."""
     rng = np.random.default_rng(21)
