@@ -130,16 +130,16 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _open_out(path):
-    """A context manager that yields the output stream: stdout for None or
-    "-", left open, else the file at path, closed on exit."""
-    if path in (None, "-"):
+def _open_out(path: str):
+    """The output stream as a context manager: stdout for "-", the default of
+    each ``--output`` passed here, left open; else path's file, closed on exit."""
+    if path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", newline="")
 
 
-def _read_function(path) -> MeasuredFunction:
-    if path in (None, "-"):
+def _read_function(path: str) -> MeasuredFunction:
+    if path == "-":
         return read_csv(sys.stdin.read())
     with open(path) as fh:
         return read_csv(fh.read())
@@ -179,30 +179,26 @@ def _cmd_norm(args) -> dict:
     }
 
 
-def _region(side: str, u: float, v: float, spec: GroupSpec | None):
-    """``classify``'s verdict at (u, v) and, at a finite point when spec is
-    given, the norm there (else None), both from one ``finite_cpq_at`` call.
-    A spec whose view is not ``side`` is an error at every point, checked
-    after u and v."""
-    if spec is None:
-        return classify(side, u, v), None
-    value, verdict = finite_cpq_at(spec, u, v)
-    if spec.view != side:
+def _region(side: str, u: float, v: float, spec: GroupSpec | None) -> dict:
+    """The ``region`` payload at (u, v), also each row of the region sweep:
+    ``classify``'s verdict there and, at a finite point when spec is given,
+    the norm (else None), both from one ``finite_cpq_at`` call.  A spec whose
+    view is not ``side`` is an error at every point, checked after u and v."""
+    value, verdict = (None, classify(side, u, v)) if spec is None else finite_cpq_at(spec, u, v)
+    if spec is not None and spec.view != side:
         raise ValueError(f"spec view {spec.view!r} does not match side {side!r}")
-    return verdict, value if verdict.finite else None
+    return {
+        "side": verdict.side,
+        "u": u,
+        "v": v,
+        "label": verdict.label,
+        "finite": verdict.finite,
+        "value": value if verdict.finite else None,
+    }
 
 
 def _cmd_region(args) -> dict:
-    spec = GroupSpec.parse(args.group) if args.group else None
-    verdict, value = _region(args.side, args.u, args.v, spec)
-    return {
-        "side": verdict.side,
-        "u": args.u,
-        "v": args.v,
-        "label": verdict.label,
-        "finite": verdict.finite,
-        "value": value,
-    }
+    return _region(args.side, args.u, args.v, GroupSpec.parse(args.group) if args.group else None)
 
 
 def _cpq(args) -> tuple[dict, RegionVerdict]:
@@ -260,11 +256,11 @@ class Family(NamedTuple):
 
     build: Callable  # (args, p, q) -> witness
     required: tuple[str, ...]  # flags that must be given
-    sweep: Callable  # (sweep value, args) -> {flag: value} for that point
+    sweep: Callable  # sweep value -> {flag: value} for that point
 
 
 def _sets(flag: str) -> Callable:
-    return lambda value, args: {flag: value}
+    return lambda value: {flag: value}
 
 
 # Constructors are looked up on ``wit`` at call time, so a wrapper installed
@@ -273,7 +269,7 @@ FAMILIES = {
     "arc_indicator": Family(
         lambda a, p, q: wit.arc_indicator_witness(a.k, a.m, p, q),
         ("k", "m"),
-        lambda value, args: {"k": value, "m": value * ARC_M_FACTOR},
+        lambda value: {"k": value, "m": value * ARC_M_FACTOR},
     ),
     "subgroup_indicator": Family(
         lambda a, p, q: wit.subgroup_indicator_witness(a.r, a.n, p, q), ("r", "n"), _sets("n")
@@ -319,9 +315,8 @@ def _cmd_sweep(args) -> None:
         todo = [(u, v) for u in args.u_values for v in args.v_values]
 
         def one(uv):
-            u, v = uv
-            verdict, value = _region(args.side, u, v, spec)
-            return [u, v, verdict.side, verdict.label, verdict.finite, value]
+            point = _region(args.side, *uv, spec)
+            return [point[name] for name in header]
 
     else:
         if args.family is None or not args.params:
@@ -331,7 +326,7 @@ def _cmd_sweep(args) -> None:
         todo = args.params
 
         def one(value):
-            sub = argparse.Namespace(**{**vars(args), **family.sweep(value, args)})
+            sub = argparse.Namespace(**{**vars(args), **family.sweep(value)})
             return _sweep_row(_witness(sub))
 
     rows = [one(x) for x in todo]

@@ -10,6 +10,7 @@ classification is stated in.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +67,28 @@ def _scaled_power_sums(f: MeasuredFunction, ps) -> tuple[float, list[float]]:
     return top, sums
 
 
+def _scaled_root(top: float, total: float, u: float) -> float:
+    """top * total^u, as one power of 2 where total^u alone is not a normal float."""
+    scale = _power(total, u)
+    if top and total and not sys.float_info.min <= scale < INF:
+        return _power(2.0, math.log2(top) + math.log2(total) * u)
+    return top * scale
+
+
 def lp_norms(f: MeasuredFunction, *ps: float) -> tuple[float, ...]:
     """``lp_norm`` of f at each of ps, bit for bit, from one |f| and one
     max |f| (see ``_scaled_power_sums``)."""
     us = [recip(p) for p in ps]
     top, totals = _scaled_power_sums(f, ps)
-    return tuple(top * _power(total, u) for total, u in zip(totals, us))
+    return tuple(_scaled_root(top, total, u) for total, u in zip(totals, us))
 
 
 def lp_norm(f: MeasuredFunction, p: float) -> float:
     """(sum |f|^p atom)^(1/p) for finite p; max |f| for p = inf.
 
     For 0 < p < 1 this is the usual quasi-norm; it is absolutely homogeneous
-    but not subadditive.  The sum is ``_scaled_power_sums``'s; its power 1/p
-    can be past the float range at a small p, and the norm is then inf.
+    but not subadditive.  The sum is ``_scaled_power_sums``'s, and the norm
+    is inf or 0.0 only where it is past the float range (``_scaled_root``).
     """
     return lp_norms(f, p)[0]
 
@@ -99,12 +108,17 @@ def log_lp_norm(f: MeasuredFunction, p: float) -> float:
     return math.log(top) + u * math.log(total) if top else -INF
 
 
+def norm_ratio(norm_fhat: float, norm_f: float) -> float:
+    """The one ratio rule: norm_fhat / norm_f, inf where norm_f underflows to 0."""
+    return norm_fhat / norm_f if norm_f else INF
+
+
 def ratio(f: MeasuredFunction, p: float, q: float) -> float:
-    """The unsmoothed objective ||fhat||_q / ||f||_p."""
+    """The unsmoothed objective ||fhat||_q / ||f||_p by ``norm_ratio``; 0.0 for f = 0."""
     nf = lp_norm(f, p)
-    if nf == 0.0:
+    if nf == 0.0 and not f.values.any():
         return 0.0
-    return lp_norm(forward(f), q) / nf
+    return norm_ratio(lp_norm(forward(f), q), nf)
 
 
 #: The extremal families of the finite-group norm, in tie-break order.

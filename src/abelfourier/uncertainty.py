@@ -144,14 +144,19 @@ def weighted_up_margin(psi: MeasuredFunction, p: float, q: float) -> UPReport:
 
 @dataclass(frozen=True)
 class ViolatorResult:
+    """A violator's weighted entropy sum; it has ``achieved`` where value <= target."""
+
     side: str
     family: str
     param_n: int
     group_descr: str
     value: float
     target: float
-    achieved: bool
     psi: MeasuredFunction | None  # materialized only up to the exhaustive cap
+
+    @property
+    def achieved(self) -> bool:
+        return self.value <= self.target
 
 
 def weighted_up_violator(target: float, p: float, q: float, side: str) -> ViolatorResult:
@@ -180,8 +185,6 @@ def weighted_up_violator(target: float, p: float, q: float, side: str) -> Violat
     # fl(u+v) < 1.  So slope * k <= target is False, then True, as k grows,
     # and n is the least n >= 1 where it holds, capped at MAX_PARAM.
     n = 1 + bisect.bisect_left(range(1, MAX_PARAM), True, key=lambda k: slope * k <= target)
-    value = slope * n
-    achieved = value <= target
     size = 2**n
     if side == COMPACT:
         family, extremal, orders = "subgroup_indicator", DELTA, (2,) * n
@@ -196,9 +199,8 @@ def weighted_up_violator(target: float, p: float, q: float, side: str) -> Violat
         family=family,
         param_n=n,
         group_descr=describe_group(orders, side, 1.0),
-        value=value,
+        value=slope * n,
         target=target,
-        achieved=achieved,
         psi=psi,
     )
 

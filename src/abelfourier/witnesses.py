@@ -40,14 +40,16 @@ import numpy as np
 
 from .groups import COMPACT, DISCRETE, CapacityError, EXHAUSTIVE_CAP, MAX_SIZE, GroupSpec
 from .norms import (
-    BI_UNIMODULAR, CONSTANT, DELTA, INF, _power, family_norms, family_ratio, lp_norm, lp_norms,
-    recip,
+    BI_UNIMODULAR, CONSTANT, DELTA, _power, family_norms, family_ratio, lp_norm, lp_norms,
+    norm_ratio, recip,
 )
 from .transform import FREQUENCY, MeasuredFunction, TIME, delta, inverse
 
 
 @dataclass(frozen=True)
 class WitnessPoint:
+    """A witness family's measured point; it computes its ``ratio`` by ``norm_ratio``."""
+
     family: str
     param_n: int
     group_descr: str
@@ -55,9 +57,12 @@ class WitnessPoint:
     q: float
     norm_f: float
     norm_fhat: float
-    ratio: float
+    ratio: float = field(init=False)
     prediction: float | None = None
     prediction_kind: str | None = None  # "exact" | "lower_bound"
+
+    def __post_init__(self):
+        object.__setattr__(self, "ratio", norm_ratio(self.norm_fhat, self.norm_f))
 
     @property
     def group_size(self) -> int:
@@ -143,37 +148,15 @@ def _capped_spec(order: int, view: str, power: int = 1, materialized: bool = Tru
     return GroupSpec(orders=(order,) * power, view=view, mass=1.0)
 
 
-def _measured_point(
-    family, param_n, spec, norm_f, norm_fhat, p, q, prediction=None, kind=None,
-    point=WitnessPoint, **extra,
-) -> WitnessPoint:
-    """The ``point`` (``WitnessPoint`` or a subclass taking ``extra``) on spec
-    with the norms that the family measured.  The ratio is inf when norm_f
-    underflows to 0."""
-    return point(
-        family=family,
-        param_n=param_n,
-        group_descr=spec.describe(),
-        p=p,
-        q=q,
-        norm_f=norm_f,
-        norm_fhat=norm_fhat,
-        ratio=norm_fhat / norm_f if norm_f else INF,
-        prediction=prediction,
-        prediction_kind=kind,
-        **extra,
-    )
-
-
 def _exact_point(name, param_n, spec, extremal, p, q, scale=1.0) -> WitnessPoint:
     """The point of ``scale`` times the ``EXTREMALS[extremal]`` function on
     spec.  Its norms are ``family_norms`` times ``scale``, so no function is
     built and no transform runs, and its ratio is ``family_ratio`` up to
     rounding."""
     norm_f, norm_fhat = family_norms(spec, extremal, p, q)
-    prediction = family_ratio(spec, extremal, p, q)
-    return _measured_point(
-        name, param_n, spec, scale * norm_f, scale * norm_fhat, p, q, prediction, "exact"
+    return WitnessPoint(
+        name, param_n, spec.describe(), p, q, scale * norm_f, scale * norm_fhat,
+        family_ratio(spec, extremal, p, q), "exact",
     )
 
 
@@ -231,8 +214,8 @@ def arc_indicator_witness(k: int, m: int, p: float, q: float) -> WitnessPoint:
             total -= float(powers[-1])  # xi = m/2 is its own negative
         norm_fhat = _power(total, v)
     prediction = (_power(3.0, u - 1.0) / 2.0) * _power(k, u + v - 1.0)
-    return _measured_point(
-        "arc_indicator", k, spec, _power(m / n, 1.0 - u), norm_fhat, p, q,
+    return WitnessPoint(
+        "arc_indicator", k, spec.describe(), p, q, _power(m / n, 1.0 - u), norm_fhat,
         prediction, "lower_bound",
     )
 
@@ -329,8 +312,9 @@ def lacunary_compact_witness(m: int, p: float, q: float) -> WitnessPoint:
     fhat = MeasuredFunction(GroupSpec((m,)), FREQUENCY, coefficients)
     norm_fhat = lp_norm(fhat, q)
     f = inverse(fhat, overwrite=True)  # fhat is not read again
-    return _measured_point(
-        "lacunary_compact", m, f.spec, lp_norm(f, p), norm_fhat, p, q, norm_fhat, "lower_bound",
+    return WitnessPoint(
+        "lacunary_compact", m, f.spec.describe(), p, q, lp_norm(f, p), norm_fhat,
+        norm_fhat, "lower_bound",
     )
 
 
@@ -418,7 +402,7 @@ def lacunary_discrete_witness(
         q=q,
         norm_f=norm_f,
         norm_fhat=norm_fhat,
-        ratio=norm_fhat / norm_f,
+        ratio=norm_ratio(norm_fhat, norm_f),
         norm_fhat_l2=l2,
         parseval_l2=parseval,
     )
@@ -470,7 +454,7 @@ def clt_delta_witness(r: int, n: int, p: float, q: float) -> CltWitness:
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     threshold = math.sqrt(sigma_sq * harmonic)
     tail = float(np.count_nonzero(values.real >= threshold)) / spec.size
-    return _measured_point(
-        "clt_delta", n, spec, _comb_norm(n, p), lp_norm(fhat, q), p, q, point=CltWitness,
+    return CltWitness(
+        "clt_delta", n, spec.describe(), p, q, _comb_norm(n, p), lp_norm(fhat, q),
         tail_probability=tail, threshold=threshold, sigma_sq=sigma_sq,
     )

@@ -802,6 +802,32 @@ def test_sweep_region_csv(capsys):
     assert labels == ["R1", "R3", "R1", "R2"]
 
 
+@pytest.mark.parametrize("side, group", [
+    (COMPACT, None), (COMPACT, "cyclic:4x6;view=compact;mass=2.5"),
+    (DISCRETE, None), (DISCRETE, "cyclic:4x6;view=discrete;mass=0.4"),
+])
+def test_sweep_region_rows_are_the_region_payloads(capsys, side, group):
+    """Each region sweep row is the ``region`` payload at its point, field by
+    field as ``csv.writer`` writes it, on a grid over [0, 1.5]^2 that holds
+    finite and infinite points of every region of the side."""
+    grid = ",".join(str(x / 4) for x in range(7))
+    with_group = ("--group", group) if group else ()
+    code, out, err = run(capsys, "sweep", "--kind", "region", "--side", side,
+                         "--u-values", grid, "--v-values", grid, *with_group)
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 49
+    labels = set()
+    for row in rows:
+        payload = run_json(capsys, "region", "--side", side, "--u", row[0], "--v", row[1],
+                           *with_group)
+        assert sorted(payload) == sorted(header)
+        assert row == ["" if payload[name] is None else str(payload[name]) for name in header]
+        assert (payload["value"] is None) == (group is None or not payload["finite"])
+        labels.add(payload["label"])
+    assert labels == ({"R1", "R2", "R3"} if side == COMPACT else {"R1'", "R2'", "R3'ext"})
+
+
 def test_sweep_usage_errors(capsys):
     for kind, needs in (
         ("witness", "--family and --params"), ("region", "--side, --u-values, --v-values")

@@ -160,6 +160,27 @@ def test_ratio_of_the_zero_function_is_zero():
     assert ratio(zero, 2.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("view, scale, values, want", [
+    # 1e-300 * (4 * 1e-300^p)^(1/p) at p = 0.001: 4^1000 alone is past the float range
+    (DISCRETE, 1e-300, [1, 1, 1, 1], Fraction(1e-300) * 2**2000),
+    # 1e300 * (1e300^p / 4)^(1/p): 4^-1000 alone underflows to 0
+    (COMPACT, 1e300, [1, 0, 0, 0], Fraction(1e300) / 2**2000),
+])
+def test_lp_norm_in_range_where_the_root_of_its_sum_is_not(view, scale, values, want):
+    spec = GroupSpec(orders=(4,), view=view, mass=1.0)
+    f = MeasuredFunction(spec, TIME, scale * np.array(values, dtype=np.complex128))
+    assert abs(lp_norm(f, 0.001) - float(want)) <= 1e-12 * float(want)
+
+
+def test_ratio_is_inf_where_a_nonzero_functions_norm_underflows():
+    # ||delta||_0.001 = 4^-999 underflows to 0 on compact Z/4; the delta's
+    # power of N there is 999.5, so the norm is inf
+    spec = GroupSpec(orders=(4,), view=COMPACT, mass=1.0)
+    assert lp_norm(delta(spec), 0.001) == 0.0
+    assert ratio(delta(spec), 0.001, 2.0) == INF
+    assert finite_cpq_at(spec, 1000.0, 0.5)[0] == INF
+
+
 def test_structured_search_sees_the_delta_at_large_q():
     # the constant's and the delta's norms at q = 200 underflowed to 0 before
     spec = GroupSpec(orders=(72,), view=COMPACT, mass=1.0)

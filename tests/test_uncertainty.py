@@ -259,6 +259,17 @@ def test_violator_compact():
     assert result.family == "subgroup_indicator"
 
 
+def test_violator_result_derives_achieved():
+    """``achieved`` is value <= target, read from the record; its
+    constructor takes no ``achieved``."""
+    fields = dict(side=COMPACT, family="subgroup_indicator", param_n=1,
+                  group_descr="cyclic:2;view=compact;mass=1", psi=None)
+    for value, target, want in ((-1.0, -1.0, True), (-0.5, -1.0, False), (-2.0, -1.0, True)):
+        assert uncertainty.ViolatorResult(value=value, target=target, **fields).achieved is want
+    with pytest.raises(TypeError):
+        uncertainty.ViolatorResult(value=-1.0, target=-1.0, achieved=True, **fields)
+
+
 def test_violator_discrete():
     result = weighted_up_violator(-5.0, 1.0 / 0.6, 1.0 / 0.2, DISCRETE)
     assert result.achieved

@@ -33,6 +33,24 @@ def test_witness_point_invariant():
     assert pt.group_size == 8
 
 
+def test_witness_point_computes_its_own_ratio():
+    """A point takes its norms and derives ``ratio`` by ``norm_ratio``: inf
+    where norm_f underflows to 0.  The constructors take no ratio, and
+    ``asdict`` keeps the field order."""
+    pt = witnesses.WitnessPoint("f", 1, "cyclic:2", 2.0, 2.0, 4.0, 1.0, 0.5, "exact")
+    assert (pt.ratio, pt.prediction, pt.prediction_kind) == (0.25, 0.5, "exact")
+    assert witnesses.WitnessPoint("f", 1, "cyclic:2", 2.0, 2.0, 0.0, 1.0).ratio == INF
+    assert list(asdict(pt)) == [
+        "family", "param_n", "group_descr", "p", "q", "norm_f", "norm_fhat", "ratio",
+        "prediction", "prediction_kind",
+    ]
+    tail = {"tail_probability": 0.5, "threshold": 1.0, "sigma_sq": 1.0}
+    assert witnesses.CltWitness("f", 1, "cyclic:2", 2.0, 2.0, 2.0, 3.0, **tail).ratio == 1.5
+    for point, extra in ((witnesses.WitnessPoint, {}), (witnesses.CltWitness, tail)):
+        with pytest.raises(TypeError):
+            point("f", 1, "cyclic:2", 2.0, 2.0, 2.0, 3.0, ratio=1.5, **extra)
+
+
 @pytest.mark.parametrize(
     "r,n,p,q,expected",
     [
